@@ -98,15 +98,6 @@ def reference_point(
     return np.concatenate(blocks)
 
 
-def interpolate(m: mf.ManifoldSpec, x0, x1, t) -> np.ndarray:
-    """Geodesic interpolation state Exp_{x0}(t Log_{x0}(x1))."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise DomainError("t must lie in [0, 1]")
-    v = mf.log_map(m, x0, x1)
-    return mf.exp_map(m, x0, t[..., None] * v)
-
-
 def target_velocity(m: mf.ManifoldSpec, x_t, x1, t, eps_t: float = EPS_T) -> np.ndarray:
     """Tangent supervision Log_{x_t}(x1) / (1 - t)."""
     t = np.asarray(t, dtype=float)
@@ -136,10 +127,10 @@ def make_flow_batch(
     x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
     t = rng.uniform(0.0, 1.0 - eps_t, size=B)
     try:
-        x_t = interpolate(m, x0, x1, t)
+        x_t = mf.geodesic(m, x0, x1, t)
     except AntipodalPoints:
         x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
-        x_t = interpolate(m, x0, x1, t)
+        x_t = mf.geodesic(m, x0, x1, t)
     v = target_velocity(m, x_t, x1, t, eps_t=eps_t)
     cond = None
     if conditions is not None:

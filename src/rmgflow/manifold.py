@@ -13,14 +13,22 @@ Supported factors:
   norm (Kendall pre-shapes).  Intrinsically a sphere inside the centered
   subspace, so geodesics reuse the sphere formulas; only the tangent
   projection additionally re-centers.
+
+Dispatch is per factor, not per copy: ``ManifoldSpec.blocks`` maps each
+factor to its slice of the flat vector, and each operation views that slice
+as ``(..., multiplicity, per_copy)`` so one formula call covers every copy of
+the factor.  Leading rows are walked in chunks of about ``CHUNK_ELEMENTS``
+broadcast elements, which bounds the temporaries of large or broadcast
+inputs (such as an N x M distance matrix) independently of the batch size.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from math import prod
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +46,7 @@ TOL_TANGENT = 1e-9        # tangency slack for valid tangent vectors
 TANGENT_REJECT = 10.0 * TOL_TANGENT  # hard-error threshold in exp_map
 SMALL_ANGLE = 1e-6        # switch to series expansions below this angle
 ANTIPODAL_MARGIN = 1e-6   # reject geodesics with theta >= pi - margin
+CHUNK_ELEMENTS = 1 << 16  # broadcast elements per dispatch chunk
 
 
 @dataclass(frozen=True)
@@ -123,20 +132,6 @@ def preshape(landmarks: int, spatial_dim: int, multiplicity: int = 1) -> FactorS
     )
 
 
-class Segment(NamedTuple):
-    """One multiplicity-expanded slice of the flat coordinate vector."""
-
-    kind: str
-    offset: int
-    length: int
-    landmarks: int
-    spatial_dim: int
-
-    @property
-    def slice(self) -> slice:
-        return slice(self.offset, self.offset + self.length)
-
-
 @dataclass(frozen=True)
 class ManifoldSpec:
     """Ordered product of factors with a contiguous flat memory layout."""
@@ -149,23 +144,12 @@ class ManifoldSpec:
             raise InvalidConfig("a manifold needs at least one factor")
 
     @cached_property
-    def segments(self) -> tuple[Segment, ...]:
-        segs = []
-        off = 0
-        for f in self.factors:
-            per = f.ambient_dim_per_copy
-            for _ in range(f.multiplicity):
-                segs.append(Segment(f.kind, off, per, f.landmarks, f.spatial_dim))
-                off += per
-        return tuple(segs)
-
-    @cached_property
-    def layout(self) -> tuple[tuple[int, int], ...]:
-        """Per-factor (offset, length) into the flat coordinate vector."""
+    def blocks(self) -> tuple[tuple[FactorSpec, slice], ...]:
+        """Each factor with its slice of the flat coordinate vector."""
         out = []
         off = 0
         for f in self.factors:
-            out.append((off, f.ambient_dim))
+            out.append((f, slice(off, off + f.ambient_dim)))
             off += f.ambient_dim
         return tuple(out)
 
@@ -217,7 +201,8 @@ class WrappedGaussianSpec:
 
 
 # ---------------------------------------------------------------------------
-# segment-level primitives (sphere formulas also serve pre-shape segments)
+# per-copy formulas on (..., multiplicity, per_copy) views; the sphere
+# formulas also serve pre-shape factors
 # ---------------------------------------------------------------------------
 
 
@@ -225,11 +210,15 @@ def _norm(a, keepdims=True):
     return np.linalg.norm(a, axis=-1, keepdims=keepdims)
 
 
-def _center(a, k, m):
-    """Subtract the landmark centroid from a flat (..., k*m) block."""
-    mat = a.reshape(a.shape[:-1] + (k, m))
-    mat = mat - mat.mean(axis=-2, keepdims=True)
-    return mat.reshape(a.shape)
+def _landmarks(a, f: FactorSpec):
+    """View each copy of a pre-shape block as a landmarks x spatial_dim matrix."""
+    return a.reshape(a.shape[:-1] + (f.landmarks, f.spatial_dim))
+
+
+def _center(a, f: FactorSpec):
+    """Subtract the landmark centroid from each copy of a pre-shape block."""
+    mat = _landmarks(a, f)
+    return (mat - mat.mean(axis=-2, keepdims=True)).reshape(a.shape)
 
 
 def _sphere_exp(x, v):
@@ -249,7 +238,7 @@ def _sphere_angle(x, y):
 
 def _check_not_antipodal(theta):
     if np.any(theta >= np.pi - ANTIPODAL_MARGIN):
-        raise AntipodalPoints("segment angle within 1e-6 of pi: no unique geodesic")
+        raise AntipodalPoints("sphere angle within 1e-6 of pi: no unique geodesic")
 
 
 def _sphere_log(x, y):
@@ -264,26 +253,55 @@ def _sphere_log(x, y):
     return scale * u
 
 
-def _sphere_geodesic(x0, x1, t):
-    dot, theta = _sphere_angle(x0, x1)
-    _check_not_antipodal(theta)
-    small = theta < SMALL_ANGLE
-    safe_sin = np.where(small, 1.0, np.sin(theta))
-    w0 = np.where(small, 1.0 - t, np.sin((1.0 - t) * theta) / safe_sin)
-    w1 = np.where(small, t, np.sin(t * theta) / safe_sin)
-    y = w0 * x0 + w1 * x1
-    n = _norm(y)
-    return np.where(small, y / np.where(n == 0, 1.0, n), y)
-
-
 def _sphere_geodesic_velocity(x0, x1, t):
-    # Analytic d/dt of the sin-weighted geodesic; constant speed ||.|| = theta.
+    # Analytic d/dt of the geodesic in sin-weighted form; constant speed ||.|| = theta.
     dot, theta = _sphere_angle(x0, x1)
     _check_not_antipodal(theta)
     small = theta < SMALL_ANGLE
     safe_sin = np.where(small, 1.0, np.sin(theta))
     ratio = np.where(small, 1.0 + theta * theta / 6.0, theta / safe_sin)
     return ratio * (-np.cos((1.0 - t) * theta) * x0 + np.cos(t * theta) * x1)
+
+
+# ---------------------------------------------------------------------------
+# per-factor dispatch
+# ---------------------------------------------------------------------------
+
+
+def _per_factor(m: ManifoldSpec, *arrays):
+    """Yield ``(rows, i, factor, views)`` for each row chunk and each factor.
+
+    ``rows`` indexes the chunk along the leading axis of the broadcast shape
+    (``()`` when there is no batch axis).  ``views`` holds each array's block
+    of factor ``i`` for those rows, shaped ``(..., multiplicity, per_copy)``;
+    an array whose trailing axis is 1 (a time per point) broadcasts over
+    every copy instead.
+    """
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    if len(shape) < 2:
+        chunks = [()]
+    else:
+        step = max(1, CHUNK_ELEMENTS // max(1, prod(shape[1:])))
+        chunks = [(slice(s, s + step),) for s in range(0, shape[0], step)]
+    for rows in chunks:
+        # Arrays that do not span the leading axis broadcast across it whole.
+        part = [a[rows] if rows and a.ndim == len(shape) and a.shape[0] > 1 else a
+                for a in arrays]
+        for i, (f, sl) in enumerate(m.blocks):
+            copies = (f.multiplicity, f.ambient_dim_per_copy)
+            yield rows, i, f, [p[..., None] if p.shape[-1] == 1
+                               else p[..., sl].reshape(p.shape[:-1] + copies)
+                               for p in part]
+
+
+def _map(m: ManifoldSpec, fn, *arrays) -> np.ndarray:
+    """Assemble ``fn(factor, *views)`` over all chunks and factors into one
+    array of the broadcast shape."""
+    out = np.empty(np.broadcast_shapes(*(a.shape for a in arrays)))
+    for rows, i, f, views in _per_factor(m, *arrays):
+        r = fn(f, *views)
+        out[rows + (..., m.blocks[i][1])] = r.reshape(r.shape[:-2] + (f.ambient_dim,))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +320,24 @@ def _as_coords(m: ManifoldSpec, a, name: str) -> np.ndarray:
 
 
 def tangency_defect(m: ManifoldSpec, x, v) -> float:
-    """Largest violation of the tangent-space constraints of v at x."""
+    """Largest violation of the tangent-space constraints of v at x.
+
+    Not finite whenever x or v has a non-finite entry, so a check of the form
+    ``defect <= threshold`` rejects such input.
+    """
+    x = _as_coords(m, x, "x")
+    v = _as_coords(m, v, "v")
     worst = 0.0
-    for seg in m.segments:
-        if seg.kind == "euclidean":
+    for _, _, f, (xs, vs) in _per_factor(m, x, v):
+        if f.kind == "euclidean":
+            # no constraint, but non-finite input must still surface
+            if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
+                worst = np.nan
             continue
-        xs, vs = x[..., seg.slice], v[..., seg.slice]
-        radial = np.abs(np.sum(xs * vs, axis=-1))
-        worst = max(worst, float(radial.max()))
-        if seg.kind == "preshape":
-            mat = vs.reshape(vs.shape[:-1] + (seg.landmarks, seg.spatial_dim))
-            cent = np.abs(mat.mean(axis=-2))
-            worst = max(worst, float(cent.max()))
-    return worst
+        worst = np.max(np.abs(np.sum(xs * vs, axis=-1)), initial=worst)
+        if f.kind == "preshape":
+            worst = np.max(np.abs(_landmarks(vs, f).mean(axis=-2)), initial=worst)
+    return float(worst)
 
 
 def exp_map(m: ManifoldSpec, x, v) -> np.ndarray:
@@ -322,32 +345,18 @@ def exp_map(m: ManifoldSpec, x, v) -> np.ndarray:
     x = _as_coords(m, x, "x")
     v = _as_coords(m, v, "v")
     defect = tangency_defect(m, x, v)
-    if defect > TANGENT_REJECT:
-        raise NotTangent(f"tangency defect {defect:.3e} exceeds {TANGENT_REJECT:.1e}")
-    shape = np.broadcast_shapes(x.shape, v.shape)
-    out = np.empty(shape)
-    for seg in m.segments:
-        xs, vs = x[..., seg.slice], v[..., seg.slice]
-        if seg.kind == "euclidean":
-            out[..., seg.slice] = xs + vs
-        else:
-            out[..., seg.slice] = _sphere_exp(xs, vs)
-    return out
+    if not defect <= TANGENT_REJECT:
+        raise NotTangent(f"tangency defect {defect:.3e} is not within {TANGENT_REJECT:.1e}")
+    return _map(m, lambda f, xs, vs: xs + vs if f.kind == "euclidean" else _sphere_exp(xs, vs),
+                x, v)
 
 
 def log_map(m: ManifoldSpec, x, y) -> np.ndarray:
     """Tangent vector at x pointing to y with length equal to distance."""
     x = _as_coords(m, x, "x")
     y = _as_coords(m, y, "y")
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    out = np.empty(shape)
-    for seg in m.segments:
-        xs, ys = x[..., seg.slice], y[..., seg.slice]
-        if seg.kind == "euclidean":
-            out[..., seg.slice] = ys - xs
-        else:
-            out[..., seg.slice] = _sphere_log(xs, ys)
-    return out
+    return _map(m, lambda f, xs, ys: ys - xs if f.kind == "euclidean" else _sphere_log(xs, ys),
+                x, y)
 
 
 def _check_t(t) -> np.ndarray:
@@ -358,19 +367,13 @@ def _check_t(t) -> np.ndarray:
 
 
 def geodesic(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
-    """Constant-speed geodesic point between x0 and x1 at time t in [0, 1]."""
-    x0 = _as_coords(m, x0, "x0")
-    x1 = _as_coords(m, x1, "x1")
+    """Constant-speed geodesic point Exp_{x0}(t Log_{x0}(x1)), t in [0, 1].
+
+    This is the flow-matching interpolant; on Euclidean factors it is
+    ``x0 + t (x1 - x0)`` bit for bit.
+    """
     t = _check_t(t)[..., None]
-    shape = np.broadcast_shapes(x0.shape, x1.shape, t.shape[:-1] + (m.total_ambient_dim,))
-    out = np.empty(shape)
-    for seg in m.segments:
-        a, b = x0[..., seg.slice], x1[..., seg.slice]
-        if seg.kind == "euclidean":
-            out[..., seg.slice] = (1.0 - t) * a + t * b
-        else:
-            out[..., seg.slice] = _sphere_geodesic(a, b, t)
-    return out
+    return exp_map(m, x0, t * log_map(m, x0, x1))
 
 
 def geodesic_velocity(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
@@ -378,15 +381,16 @@ def geodesic_velocity(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
     x0 = _as_coords(m, x0, "x0")
     x1 = _as_coords(m, x1, "x1")
     t = _check_t(t)[..., None]
-    shape = np.broadcast_shapes(x0.shape, x1.shape, t.shape[:-1] + (m.total_ambient_dim,))
-    out = np.empty(shape)
-    for seg in m.segments:
-        a, b = x0[..., seg.slice], x1[..., seg.slice]
-        if seg.kind == "euclidean":
-            out[..., seg.slice] = b - a
-        else:
-            out[..., seg.slice] = _sphere_geodesic_velocity(a, b, t)
-    return out
+    return _map(m, lambda f, a, b, tt: b - a if f.kind == "euclidean"
+                else _sphere_geodesic_velocity(a, b, tt), x0, x1, t)
+
+
+def _project(f: FactorSpec, x, a):
+    if f.kind == "euclidean":
+        return a
+    if f.kind == "preshape":
+        a = _center(a, f)
+    return a - np.sum(a * x, axis=-1, keepdims=True) * x
 
 
 def project_tangent(m: ManifoldSpec, x, a) -> np.ndarray:
@@ -396,58 +400,50 @@ def project_tangent(m: ManifoldSpec, x, a) -> np.ndarray:
     """
     x = _as_coords(m, x, "x")
     a = _as_coords(m, a, "a")
-    shape = np.broadcast_shapes(x.shape, a.shape)
-    out = np.empty(shape)
-    for seg in m.segments:
-        xs, as_ = x[..., seg.slice], a[..., seg.slice]
-        if seg.kind == "euclidean":
-            out[..., seg.slice] = as_ + np.zeros_like(xs)
-        elif seg.kind == "sphere":
-            dot = np.sum(as_ * xs, axis=-1, keepdims=True)
-            out[..., seg.slice] = as_ - dot * xs
-        else:
-            c = _center(as_ + np.zeros_like(xs), seg.landmarks, seg.spatial_dim)
-            dot = np.sum(c * xs, axis=-1, keepdims=True)
-            out[..., seg.slice] = c - dot * xs
-    return out
+    return _map(m, _project, x, a)
 
 
 def distance(m: ManifoldSpec, x, y) -> np.ndarray:
     """Product geodesic distance (factor-wise Pythagorean combination)."""
     x = _as_coords(m, x, "x")
     y = _as_coords(m, y, "y")
-    total = 0.0
-    for seg in m.segments:
-        xs, ys = x[..., seg.slice], y[..., seg.slice]
-        if seg.kind == "euclidean":
+    total = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
+    for rows, _, f, (xs, ys) in _per_factor(m, x, y):
+        if f.kind == "euclidean":
             d = np.linalg.norm(ys - xs, axis=-1)
         else:
-            dot, theta = _sphere_angle(xs, ys)
-            d = theta[..., 0]
-        total = total + d * d
+            d = _sphere_angle(xs, ys)[1][..., 0]
+        # Squares are added one copy at a time, in copy order, so the bits do
+        # not depend on how copies are grouped into factors.
+        for j in range(f.multiplicity):
+            total[rows] += d[..., j] * d[..., j]
     return np.sqrt(total)
 
 
 @dataclass(frozen=True)
 class Violation:
-    factor_index: int
+    factor_index: int  # index into ManifoldSpec.factors
     constraint: str
     deviation: float
 
 
 def point_deviations(m: ManifoldSpec, x) -> list[tuple[int, str, np.ndarray]]:
-    """Per-constraint absolute deviations, vectorized over leading dims."""
+    """Per-constraint absolute deviations ``(factor_index, name, dev)``.
+
+    ``dev`` has shape ``(..., multiplicity)``: one entry per copy of the
+    factor, so deviations of different factors do not stack.
+    """
     x = _as_coords(m, x, "x")
-    out = []
-    for i, seg in enumerate(m.segments):
-        xs = x[..., seg.slice]
-        if seg.kind == "euclidean":
+    out = {}
+    for rows, i, f, (xs,) in _per_factor(m, x):
+        if f.kind == "euclidean":
             continue
-        out.append((i, "unit_norm", np.abs(_norm(xs, keepdims=False) - 1.0)))
-        if seg.kind == "preshape":
-            mat = xs.reshape(xs.shape[:-1] + (seg.landmarks, seg.spatial_dim))
-            out.append((i, "centroid", np.abs(mat.mean(axis=-2)).max(axis=-1)))
-    return out
+        devs = {"unit_norm": np.abs(_norm(xs, keepdims=False) - 1.0)}
+        if f.kind == "preshape":
+            devs["centroid"] = np.abs(_landmarks(xs, f).mean(axis=-2)).max(axis=-1)
+        for name, dev in devs.items():
+            out.setdefault((i, name), np.empty(x.shape[:-1] + (f.multiplicity,)))[rows] = dev
+    return [(i, name, dev) for (i, name), dev in out.items()]
 
 
 def validate_point(m: ManifoldSpec, x, tol: float = TOL_POINT) -> list[Violation]:
@@ -455,14 +451,22 @@ def validate_point(m: ManifoldSpec, x, tol: float = TOL_POINT) -> list[Violation
     violations = []
     for i, name, dev in point_deviations(m, x):
         worst = float(np.max(dev))
-        if worst > tol:
+        if not worst <= tol:
             violations.append(Violation(i, name, worst))
     return violations
 
 
 def max_constraint_deviation(m: ManifoldSpec, x) -> float:
-    devs = [float(np.max(d)) for _, _, d in point_deviations(m, x)]
-    return max(devs, default=0.0)
+    """Largest point-constraint deviation; NaN if any deviation is NaN."""
+    return float(np.max([np.max(d) for _, _, d in point_deviations(m, x)], initial=0.0))
+
+
+def _draw_shape(m: ManifoldSpec, size) -> tuple[int, ...]:
+    if size is None:
+        return (m.total_ambient_dim,)
+    if np.isscalar(size):
+        return (int(size), m.total_ambient_dim)
+    return tuple(size) + (m.total_ambient_dim,)
 
 
 def sample_wrapped_gaussian(
@@ -471,51 +475,39 @@ def sample_wrapped_gaussian(
     """Draw ambient Gaussian noise, project to the tangent space at the mean,
     and wrap through the exponential map.  Deterministic given the rng state.
     """
-    if size is None:
-        shape = (m.total_ambient_dim,)
-    elif np.isscalar(size):
-        shape = (int(size), m.total_ambient_dim)
-    else:
-        shape = tuple(size) + (m.total_ambient_dim,)
-    xi = rng.standard_normal(shape)
-    for (off, length), scale in zip(m.layout, g.per_factor_scale):
-        if scale != 1.0:
-            xi[..., off : off + length] = scale * xi[..., off : off + length]
-    v = project_tangent(m, g.mean, xi)
+    xi = rng.standard_normal(_draw_shape(m, size))
+    scale = np.repeat(g.per_factor_scale, [f.ambient_dim for f in m.factors])
+    v = project_tangent(m, g.mean, xi * scale)
     return exp_map(m, g.mean, v)
 
 
+def _normalize(f: FactorSpec, x):
+    if f.kind == "euclidean":
+        return x
+    if f.kind == "preshape":
+        x = _center(x, f)
+    return x / _norm(x)
+
+
 def random_point(m: ManifoldSpec, rng: np.random.Generator, size=None) -> np.ndarray:
-    """Uniform-ish random point: Gaussian draws normalized / centered per segment."""
-    if size is None:
-        shape = (m.total_ambient_dim,)
-    elif np.isscalar(size):
-        shape = (int(size), m.total_ambient_dim)
-    else:
-        shape = tuple(size) + (m.total_ambient_dim,)
-    x = rng.standard_normal(shape)
-    for seg in m.segments:
-        xs = x[..., seg.slice]
-        if seg.kind == "euclidean":
-            continue
-        if seg.kind == "preshape":
-            xs = _center(xs, seg.landmarks, seg.spatial_dim)
-        x[..., seg.slice] = xs / _norm(xs)
-    return x
+    """Uniform-ish random point: Gaussian draws normalized / centered per copy."""
+    return _map(m, _normalize, rng.standard_normal(_draw_shape(m, size)))
 
 
 def random_tangent(
     m: ManifoldSpec, x, rng: np.random.Generator, max_norm: float | None = None
 ) -> np.ndarray:
-    """Random tangent vector at x, optionally capped per sphere-like segment."""
+    """Random tangent vector at x, optionally capped per sphere-like copy."""
     x = _as_coords(m, x, "x")
     v = project_tangent(m, x, rng.standard_normal(x.shape))
-    if max_norm is not None:
-        for seg in m.segments:
-            if seg.kind == "euclidean":
-                continue
-            vs = v[..., seg.slice]
-            n = _norm(vs)
-            over = n > max_norm
-            v[..., seg.slice] = np.where(over, vs * (max_norm / np.where(over, n, 1.0)), vs)
-    return v
+    if max_norm is None:
+        return v
+
+    def cap(f, vs):
+        if f.kind == "euclidean":
+            return vs
+        n = _norm(vs)
+        over = n > max_norm
+        return np.where(over, vs * (max_norm / np.where(over, n, 1.0)), vs)
+
+    return _map(m, cap, v)

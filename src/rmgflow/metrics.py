@@ -122,17 +122,11 @@ def _rotating_joint_points(task: ToyTaskSpec, m: mf.ManifoldSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pairwise_distance(
-    m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray, block: int = 256
-) -> np.ndarray:
-    """Geodesic distance matrix, blocked over rows to bound memory."""
+def pairwise_distance(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Geodesic distance matrix; ``mf.distance`` bounds memory by row chunks."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    out = np.empty((a.shape[0], b.shape[0]))
-    for start in range(0, a.shape[0], block):
-        stop = min(start + block, a.shape[0])
-        out[start:stop] = mf.distance(m, a[start:stop, None, :], b[None, :, :])
-    return out
+    return mf.distance(m, a[:, None, :], b[None, :, :])
 
 
 def median_bandwidth(
@@ -197,46 +191,27 @@ def mode_coverage(
 @dataclass
 class ConstraintStats:
     max_sphere_norm_dev: float = 0.0
-    mean_sphere_norm_dev: float = 0.0
     max_preshape_centroid_dev: float = 0.0
-    mean_preshape_centroid_dev: float = 0.0
     max_preshape_norm_dev: float = 0.0
-    mean_preshape_norm_dev: float = 0.0
     sample_count: int = 0
 
     @property
     def max_deviation(self) -> float:
-        return max(self.max_sphere_norm_dev, self.max_preshape_centroid_dev,
-                   self.max_preshape_norm_dev)
+        return float(np.max([self.max_sphere_norm_dev, self.max_preshape_centroid_dev,
+                             self.max_preshape_norm_dev]))
 
 
 def constraint_violation_stats(m: mf.ManifoldSpec, samples: np.ndarray) -> ConstraintStats:
     samples = np.atleast_2d(samples)
-    stats = ConstraintStats(sample_count=samples.shape[0])
-    if samples.shape[0] == 0:
-        return stats
-    sphere_devs, cent_devs, pre_devs = [], [], []
-    for seg_idx, name, dev in mf.point_deviations(m, samples):
-        kind = m.segments[seg_idx].kind
-        if name == "centroid":
-            cent_devs.append(dev)
-        elif kind == "preshape":
-            pre_devs.append(dev)
-        else:
-            sphere_devs.append(dev)
-    if sphere_devs:
-        all_dev = np.stack(sphere_devs)
-        stats.max_sphere_norm_dev = float(all_dev.max())
-        stats.mean_sphere_norm_dev = float(all_dev.mean())
-    if cent_devs:
-        all_dev = np.stack(cent_devs)
-        stats.max_preshape_centroid_dev = float(all_dev.max())
-        stats.mean_preshape_centroid_dev = float(all_dev.mean())
-    if pre_devs:
-        all_dev = np.stack(pre_devs)
-        stats.max_preshape_norm_dev = float(all_dev.max())
-        stats.mean_preshape_norm_dev = float(all_dev.mean())
-    return stats
+    worst = {"sphere": [], "preshape": [], "centroid": []}
+    for i, name, dev in mf.point_deviations(m, samples):
+        worst["centroid" if name == "centroid" else m.factors[i].kind].append(dev.max())
+    return ConstraintStats(
+        max_sphere_norm_dev=float(np.max(worst["sphere"], initial=0.0)),
+        max_preshape_centroid_dev=float(np.max(worst["centroid"], initial=0.0)),
+        max_preshape_norm_dev=float(np.max(worst["preshape"], initial=0.0)),
+        sample_count=samples.shape[0],
+    )
 
 
 @dataclass
@@ -300,12 +275,11 @@ def evaluate_samples(
     else:
         mass, outliers = np.array([1.0]), 0.0
     nn = pairwise_distance(m, samples, reference).min(axis=1)
-    stats = constraint_violation_stats(m, samples)
     return MetricReport(
         mmd=mmd,
         per_mode_mass=tuple(float(x) for x in mass),
         outlier_fraction=outliers,
-        max_constraint_violation=stats.max_deviation,
+        max_constraint_violation=mf.max_constraint_deviation(m, samples),
         mean_geodesic_nn_distance=float(nn.mean()),
         sample_count=samples.shape[0],
         bandwidth=float(bandwidth),

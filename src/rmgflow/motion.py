@@ -286,7 +286,7 @@ def ambient_dimension(cfg: RepresentationConfig) -> int:
 
 def config_to_manifold(cfg: RepresentationConfig) -> mf.ManifoldSpec:
     """Product manifold induced by the config (difference blocks are tangent
-    coordinates attached to the data, hence Euclidean segments)."""
+    coordinates attached to the data, hence Euclidean factors)."""
     J = cfg.joints
     factors = []
     if cfg.translation:

@@ -10,6 +10,7 @@ from rmgflow.errors import (
     DimensionMismatch,
     DomainError,
     InvalidConfig,
+    NotTangent,
     TimeTooCloseToOne,
 )
 
@@ -36,31 +37,21 @@ def test_interpolate_endpoints(toy_manifold, rng):
     m = toy_manifold
     x0 = mf.random_point(m, rng, size=8)
     x1 = mf.exp_map(m, x0, mf.random_tangent(m, x0, rng, max_norm=2.0))
-    assert np.max(np.abs(fl.interpolate(m, x0, x1, np.zeros(8)) - x0)) < 1e-12
-    assert np.max(np.abs(fl.interpolate(m, x0, x1, np.ones(8)) - x1)) < 1e-8
-
-
-def test_interpolate_matches_geodesic(toy_manifold, rng):
-    m = toy_manifold
-    x0 = mf.random_point(m, rng, size=8)
-    x1 = mf.exp_map(m, x0, mf.random_tangent(m, x0, rng, max_norm=2.0))
-    t = rng.uniform(0, 1, size=8)
-    a = fl.interpolate(m, x0, x1, t)
-    b = mf.geodesic(m, x0, x1, t)
-    assert np.max(np.abs(a - b)) < 1e-9
+    assert np.max(np.abs(mf.geodesic(m, x0, x1, np.zeros(8)) - x0)) < 1e-12
+    assert np.max(np.abs(mf.geodesic(m, x0, x1, np.ones(8)) - x1)) < 1e-8
 
 
 def test_interpolate_domain():
     m = mf.ManifoldSpec([mf.euclidean(2), mf.sphere(2)])
     x = mf.random_point(m, np.random.default_rng(0), size=2)
     with pytest.raises(DomainError):
-        fl.interpolate(m, x, x, np.array([-0.1, 0.5]))
+        mf.geodesic(m, x, x, np.array([-0.1, 0.5]))
 
 
 def test_target_velocity_euclidean():
     m = mf.ManifoldSpec([mf.euclidean(2)])
     x0, x1 = np.array([0.0, 0.0]), np.array([2.0, 0.0])
-    x_t = fl.interpolate(m, x0, x1, np.array(0.5))
+    x_t = mf.geodesic(m, x0, x1, np.array(0.5))
     v = fl.target_velocity(m, x_t, x1, np.array(0.5))
     assert np.allclose(v, [2.0, 0.0], atol=1e-15)
 
@@ -70,7 +61,7 @@ def test_target_velocity_matches_geodesic_velocity(toy_manifold, rng):
     x0 = mf.random_point(m, rng, size=16)
     x1 = mf.exp_map(m, x0, mf.random_tangent(m, x0, rng, max_norm=2.0))
     t = rng.uniform(0.05, 0.9, size=16)
-    x_t = fl.interpolate(m, x0, x1, t)
+    x_t = mf.geodesic(m, x0, x1, t)
     v = fl.target_velocity(m, x_t, x1, t)
     assert np.max(np.abs(v - mf.geodesic_velocity(m, x0, x1, t))) < 1e-8
 
@@ -189,6 +180,17 @@ def test_sample_ode_stays_on_manifold(toy_manifold, rng):
                         fl.GuidanceConfig(), None, rng, num_samples=16)
     assert out.shape == (16, 7)
     assert mf.max_constraint_deviation(m, out) < 1e-9
+
+
+def test_sample_ode_rejects_nan_field(toy_manifold, rng):
+    m = toy_manifold
+
+    def field(x, t, cond):
+        return np.full_like(x, np.nan)
+
+    with pytest.raises(NotTangent):
+        fl.sample_ode(m, field, _prior(m), fl.IntegratorConfig(5),
+                      fl.GuidanceConfig(), None, rng, num_samples=4)
 
 
 def test_sample_ode_guidance_scale_one_bitwise(toy_manifold):

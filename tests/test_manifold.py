@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -69,9 +70,8 @@ def test_json_roundtrip():
 
 def test_segments_layout():
     m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3, multiplicity=2)])
-    assert [s.offset for s in m.segments] == [0, 3, 7]
-    assert [s.length for s in m.segments] == [3, 4, 4]
-    assert m.layout == ((0, 3), (3, 8))
+    assert m.blocks == ((mf.euclidean(3), slice(0, 3)),
+                        (mf.sphere(3, multiplicity=2), slice(3, 11)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +156,100 @@ def test_exp_rejects_non_tangent():
         mf.exp_map(m, [1.0, 0.0, 0.0], [0.5, 0.1, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("index", [0, 5])
+def test_exp_rejects_non_finite_tangent(bad, index):
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
+    x = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    v = np.zeros(7)
+    v[index] = bad
+    assert not np.isfinite(mf.tangency_defect(m, x, v))
+    with pytest.raises(NotTangent):
+        mf.exp_map(m, x, v)
+
+
 def test_dimension_mismatch():
     m = mf.ManifoldSpec([mf.sphere(2)])
     with pytest.raises(DimensionMismatch):
         mf.log_map(m, [1.0, 0.0], [0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# per-factor dispatch
+# ---------------------------------------------------------------------------
+
+FACTORS = st.one_of(
+    st.builds(mf.euclidean, st.integers(1, 4), st.integers(1, 4)),
+    st.builds(mf.sphere, st.integers(1, 3), st.integers(1, 4)),
+    st.builds(mf.preshape, st.integers(2, 4), st.integers(1, 3), st.integers(1, 4)),
+)
+
+
+def _copies(m):
+    """(one-copy manifold, slice) for every copy of every factor of m."""
+    out = []
+    for f, sl in m.blocks:
+        one = mf.ManifoldSpec([dataclasses.replace(f, multiplicity=1)])
+        per = f.ambient_dim_per_copy
+        out += [(one, slice(sl.start + j * per, sl.start + (j + 1) * per))
+                for j in range(f.multiplicity)]
+    return out
+
+
+@given(st.lists(FACTORS, min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_product_ops_equal_per_copy_ops(factors, seed):
+    m = mf.ManifoldSpec(factors)
+    rng = np.random.default_rng(seed)
+    x = mf.random_point(m, rng, size=5)
+    v = mf.random_tangent(m, x, rng, max_norm=2.0)
+    y = mf.exp_map(m, x, v)
+    a = rng.standard_normal(x.shape)
+    t = rng.uniform(0.0, 1.0, size=5)
+    ops = {
+        "exp": (mf.exp_map, x, v),
+        "log": (mf.log_map, x, y),
+        "project": (mf.project_tangent, x, a),
+        "velocity": (lambda mm, p, q: mf.geodesic_velocity(mm, p, q, t), x, y),
+    }
+    for name, (op, p, q) in ops.items():
+        whole = op(m, p, q)
+        for one, sl in _copies(m):
+            assert np.array_equal(whole[:, sl], op(one, p[:, sl], q[:, sl])), name
+    per_copy = [mf.tangency_defect(one, x[:, sl], a[:, sl]) for one, sl in _copies(m)]
+    assert mf.tangency_defect(m, x, a) == max(per_copy)
+
+
+@pytest.mark.parametrize("factors", [
+    [mf.euclidean(3), mf.sphere(3, multiplicity=22)],
+    [mf.euclidean(3), mf.sphere(3, multiplicity=22), mf.preshape(22, 3),
+     mf.euclidean(3), mf.euclidean(4, multiplicity=22), mf.euclidean(66)],
+    [mf.preshape(5, 3, multiplicity=3)],
+], ids=["pose", "six_factor", "preshape"])
+def test_chunked_batch_equals_rows(factors):
+    m = mf.ManifoldSpec(factors)
+    B = 2000
+    assert B * m.total_ambient_dim > mf.CHUNK_ELEMENTS
+    rng = np.random.default_rng(17)
+    x = mf.random_point(m, rng, size=B)
+    v = mf.random_tangent(m, x, rng, max_norm=2.0)
+    y = mf.exp_map(m, x, v)
+    a = rng.standard_normal(x.shape)
+    t = rng.uniform(0.0, 1.0, size=B)
+    batched = {
+        "exp": (y, [mf.exp_map(m, x[i], v[i]) for i in range(B)]),
+        "log": (mf.log_map(m, x, y), [mf.log_map(m, x[i], y[i]) for i in range(B)]),
+        "project": (mf.project_tangent(m, x, a),
+                    [mf.project_tangent(m, x[i], a[i]) for i in range(B)]),
+        "velocity": (mf.geodesic_velocity(m, x, y, t),
+                     [mf.geodesic_velocity(m, x[i], y[i], t[i]) for i in range(B)]),
+        "distance": (mf.distance(m, x, y), [mf.distance(m, x[i], y[i]) for i in range(B)]),
+        "pairwise": (mf.distance(m, x[:, None, :], y[None, :50, :]),
+                     [mf.distance(m, x[i], y[:50]) for i in range(B)]),
+    }
+    for name, (whole, rows) in batched.items():
+        assert np.array_equal(whole, np.stack(rows)), name
+    assert mf.tangency_defect(m, x, a) == max(mf.tangency_defect(m, x[i], a[i])
+                                              for i in range(B))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +309,18 @@ def test_validate_point_flags_violations():
     off_center = np.ones(6) / np.sqrt(6.0)
     names = {v.constraint for v in mf.validate_point(pre, off_center)}
     assert "centroid" in names
+    # factor_index counts factors, not copies
+    pose = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3, multiplicity=2)])
+    x = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.1, 0.0, 0.0, 0.0])
+    assert mf.validate_point(pose, x) == [mf.Violation(1, "unit_norm", pytest.approx(0.1))]
+    mixed = mf.ManifoldSpec([mf.sphere(2, multiplicity=3), mf.sphere(3, multiplicity=5)])
+    y = mf.random_point(mixed, np.random.default_rng(3), size=4)
+    y[2, 9 + 4 * 2 : 9 + 4 * 3] *= 1.01
+    bad = mf.validate_point(mixed, y)
+    assert [(v.factor_index, v.constraint) for v in bad] == [(1, "unit_norm")]
+    y[0, 0] = np.nan
+    assert [v.factor_index for v in mf.validate_point(mixed, y)] == [0, 1]
+    assert np.isnan(mf.max_constraint_deviation(mixed, y))
 
 
 def test_wrapped_gaussian_stays_on_manifold(rng):

@@ -104,10 +104,12 @@ def test_pairwise_distance_properties(toy_manifold, rng):
 
 def test_pairwise_distance_blocking_consistent(toy_manifold, rng):
     m = toy_manifold
-    a = mf.random_point(m, rng, size=30)
-    b = mf.random_point(m, rng, size=17)
-    assert np.array_equal(me.pairwise_distance(m, a, b, block=7),
-                          me.pairwise_distance(m, a, b, block=1000))
+    a = mf.random_point(m, rng, size=300)
+    b = mf.random_point(m, rng, size=200)
+    # 300 x 200 x 7 broadcast elements span several of the manifold's row chunks
+    assert 300 * 200 * 7 > 4 * mf.CHUNK_ELEMENTS
+    rows = np.stack([mf.distance(m, a[i], b) for i in range(300)])
+    assert np.array_equal(me.pairwise_distance(m, a, b), rows)
 
 
 def test_median_bandwidth_positive(toy_manifold, rng):
@@ -164,6 +166,14 @@ def test_constraint_stats(toy_manifold, rng):
     x[:, 3:] *= 1.001
     stats = me.constraint_violation_stats(m, x)
     assert 0.0009 < stats.max_sphere_norm_dev < 0.0011
+    # factors of different multiplicity give ragged per-copy deviations
+    mixed = mf.ManifoldSpec([mf.sphere(2, multiplicity=3), mf.sphere(3, multiplicity=5)])
+    y = mf.random_point(mixed, rng, size=50)
+    y[7, 9 + 4 * 2 : 9 + 4 * 3] *= 1.01
+    stats = me.constraint_violation_stats(mixed, y)
+    assert stats.sample_count == 50
+    assert 0.0099 < stats.max_sphere_norm_dev < 0.0101
+    assert stats.max_deviation == stats.max_sphere_norm_dev
 
 
 def test_preshape_constraint_stats(rng):
