@@ -6,7 +6,7 @@ matching model is trained and sampled entirely on the manifold, so every
 generated pose satisfies the geometric constraints by construction.
 """
 
-from . import cli, errors, flow, manifold, metrics, motion, net
+from . import errors, flow, manifold, metrics, motion, net
 
 __all__ = ["cli", "errors", "flow", "manifold", "metrics", "motion", "net"]
 

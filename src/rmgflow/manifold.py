@@ -104,18 +104,7 @@ class FactorSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FactorSpec":
-        kind = d.get("kind")
-        mult = int(d.get("multiplicity", 1))
-        if kind == "preshape":
-            return cls(
-                kind="preshape",
-                landmarks=int(d["landmarks"]),
-                spatial_dim=int(d["spatial_dim"]),
-                multiplicity=mult,
-            )
-        if kind in ("euclidean", "sphere"):
-            return cls(kind=kind, dim=int(d["dim"]), multiplicity=mult)
-        raise InvalidConfig(f"unknown factor kind {kind!r}")
+        return cls(**d)
 
 
 def euclidean(n: int, multiplicity: int = 1) -> FactorSpec:

@@ -8,8 +8,7 @@ and the manifold-preservation claim by aggregate constraint deviations.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,9 +27,9 @@ class MixtureComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        if self.scale < 0:
+        if not self.scale >= 0:  # NaN fails too
             raise InvalidConfig("component scale must be >= 0")
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise InvalidConfig("component weight must be positive")
 
 
@@ -56,6 +55,8 @@ class ToyTaskSpec:
             raise InvalidConfig(f"unknown toy task kind {self.kind!r}")
         if self.sample_count < 1:
             raise InvalidConfig("sample_count must be >= 1")
+        if np.asarray(self.axis, dtype=float).shape != (3,):
+            raise InvalidConfig("axis must have 3 components")
         if self.kind in ("sphere_mixture", "fixed_point") and not self.components:
             raise InvalidConfig(f"{self.kind} needs at least one component")
         if self.kind == "sphere_mixture":
@@ -72,6 +73,8 @@ def generate_toy_dataset(
     n = task.sample_count
     if task.kind == "rotating_joint":
         return _rotating_joint_points(task, m), None
+    if any(c.mean.shape != (m.total_ambient_dim,) for c in task.components):
+        raise InvalidConfig(f"component means must have length {m.total_ambient_dim}")
     if task.kind == "fixed_point":
         comp = task.components[0]
         pts = np.tile(comp.mean, (n, 1))
@@ -99,6 +102,8 @@ def _rotating_joint_points(task: ToyTaskSpec, m: mf.ManifoldSpec) -> np.ndarray:
     cfg = task.representation or mo.RepresentationConfig(
         joints=skeleton.joint_count, translation=True, rotations=True
     )
+    if not 0 <= task.joint < skeleton.joint_count:
+        raise InvalidConfig(f"joint must lie in [0, {skeleton.joint_count})")
     frames = []
     for i in range(task.sample_count + int(cfg.has_differences)):
         phase = 2.0 * np.pi * task.cycles * i / task.sample_count

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -128,7 +128,9 @@ class Skeleton:
     def __post_init__(self):
         self.parents = np.asarray(self.parents, dtype=int)
         self.rest_offsets = np.asarray(self.rest_offsets, dtype=float)
-        J = self.parents.shape[0]
+        J = self.parents.size
+        if self.parents.ndim != 1:
+            raise InvalidConfig("parents must be a flat list of joint indices")
         if self.rest_offsets.shape != (J, 3):
             raise InvalidConfig(f"rest_offsets must be ({J}, 3)")
         if J < 1 or self.parents[0] != -1:
@@ -251,15 +253,7 @@ class RepresentationConfig:
         return self.d_translation or self.d_rotations or self.d_preshape
 
     def to_json_dict(self) -> dict:
-        return {
-            "joints": self.joints,
-            "translation": self.translation,
-            "rotations": self.rotations,
-            "preshape": self.preshape,
-            "d_translation": self.d_translation,
-            "d_rotations": self.d_rotations,
-            "d_preshape": self.d_preshape,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RepresentationConfig":
@@ -267,21 +261,7 @@ class RepresentationConfig:
 
 
 def ambient_dimension(cfg: RepresentationConfig) -> int:
-    J = cfg.joints
-    dim = 0
-    if cfg.translation:
-        dim += 3
-    if cfg.rotations:
-        dim += 4 * J
-    if cfg.preshape:
-        dim += 3 * J
-    if cfg.d_translation:
-        dim += 3
-    if cfg.d_rotations:
-        dim += 4 * J
-    if cfg.d_preshape:
-        dim += 3 * J
-    return dim
+    return config_to_manifold(cfg).total_ambient_dim
 
 
 def config_to_manifold(cfg: RepresentationConfig) -> mf.ManifoldSpec:
@@ -416,9 +396,9 @@ def point_to_frame(
 def sequence_to_points(seq: MotionSequence, cfg: RepresentationConfig) -> np.ndarray:
     """(T, D) or (T-1, D) stack of per-frame points (one fewer with d-blocks)."""
     frames = seq.frames
+    if len(frames) < 1 + cfg.has_differences:
+        raise SequenceTooShort(f"need at least {1 + cfg.has_differences} frames")
     if cfg.has_differences:
-        if len(frames) < 2:
-            raise SequenceTooShort("difference factors need at least 2 frames")
         pairs = zip(frames[:-1], frames[1:])
         return np.stack(
             [frame_to_point(f, cfg, seq.skeleton, nxt, seq.fps) for f, nxt in pairs]
@@ -463,7 +443,8 @@ def load_motion_dict(doc: dict, tol: float = 1e-6) -> MotionSequence:
     frames = []
     flips = 0
     for i, fr in enumerate(doc["frames"]):
-        rot = np.asarray(fr["rotations"], dtype=float)
+        frame = MotionFrame(root_translation=fr["root_translation"], rotations=fr["rotations"])
+        rot = frame.rotations
         norms = np.linalg.norm(rot, axis=-1)
         bad = np.abs(norms - 1.0) > tol
         if np.any(bad):
@@ -471,9 +452,9 @@ def load_motion_dict(doc: dict, tol: float = 1e-6) -> MotionSequence:
             raise InvalidConfig(
                 f"frame {i}: quaternion {j} has norm {norms[j]:.6f} (tolerance {tol})"
             )
-        canon = canonicalize_quaternion(rot)
-        flips += int(np.sum(np.any(canon * rot < -tol, axis=-1)))
-        frames.append(MotionFrame(root_translation=fr["root_translation"], rotations=canon))
+        frame.rotations = canonicalize_quaternion(rot)
+        flips += int(np.sum(np.any(frame.rotations * rot < -tol, axis=-1)))
+        frames.append(frame)
     if flips:
         log.info("canonicalized %d quaternion hemisphere signs on load", flips)
     return MotionSequence(frames=frames, fps=float(doc["fps"]), skeleton=skeleton)

@@ -14,7 +14,7 @@ plain vector while the forward pass uses shaped arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,14 +51,7 @@ class NetworkSpec:
         return self.input_dim + self.time_embed_dim + self.cond_embed_dim
 
     def to_json_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
-            "num_layers": self.num_layers,
-            "time_embed_dim": self.time_embed_dim,
-            "cond_embed_dim": self.cond_embed_dim,
-            "num_condition_classes": self.num_condition_classes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NetworkSpec":
@@ -92,19 +85,11 @@ class TrainConfig:
             raise InvalidConfig("ema_decay must lie in [0, 1]")
         if not 0.0 <= self.cond_dropout_prob <= 1.0:
             raise InvalidConfig("cond_dropout_prob must lie in [0, 1]")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
 
     def to_json_dict(self) -> dict:
-        return {
-            "total_steps": self.total_steps,
-            "batch_size": self.batch_size,
-            "max_lr": self.max_lr,
-            "warmup_ratio": self.warmup_ratio,
-            "grad_clip_norm": self.grad_clip_norm,
-            "ema_decay": self.ema_decay,
-            "weight_decay": self.weight_decay,
-            "cond_dropout_prob": self.cond_dropout_prob,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
@@ -456,12 +441,17 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; exactly two blobs of ``param_count`` float64 values
+    must follow the header line."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
-        spec = NetworkSpec.from_json_dict(header["network"])
-        count = header["param_count"]
-        flat = np.frombuffer(fh.read(count * 8), dtype="<f8").astype(float)
-        shadow = np.frombuffer(fh.read(count * 8), dtype="<f8").astype(float)
+        blobs = fh.read()
+    spec = NetworkSpec.from_json_dict(header["network"])
+    count = header["param_count"]
+    if len(blobs) != 2 * 8 * count:
+        raise ShapeMismatch(f"checkpoint holds {len(blobs)} blob bytes, expected {16 * count}")
+    flat = np.frombuffer(blobs, dtype="<f8", count=count).astype(float)
+    shadow = np.frombuffer(blobs, dtype="<f8", count=count, offset=8 * count).astype(float)
     return Checkpoint(
         header=header,
         net_spec=spec,

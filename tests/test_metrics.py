@@ -75,6 +75,14 @@ def test_generate_fixed_point(toy_manifold, toy_means, rng):
     assert np.all(pts == a) and np.all(cond == 1)
 
 
+@pytest.mark.parametrize("kind", ["fixed_point", "sphere_mixture"])
+def test_component_mean_must_match_manifold(toy_manifold, rng, kind):
+    task = me.ToyTaskSpec(kind=kind, sample_count=3,
+                          components=(me.MixtureComponent(mean=np.zeros(5)),))
+    with pytest.raises(InvalidConfig, match="length 7"):
+        me.generate_toy_dataset(task, toy_manifold, rng)
+
+
 def test_rotating_joint_points(skeleton, rng):
     cfg = mo.RepresentationConfig(joints=22, translation=True, rotations=True)
     m = mo.config_to_manifold(cfg)
