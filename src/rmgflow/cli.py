@@ -448,6 +448,8 @@ def cmd_sweep(config_path, out_dir, checkpoint_path=None, seed_override=None) ->
 def cmd_validate(config_path, out_dir, seed_override=None) -> int:
     doc = _load_config(config_path, "validate")
     tol = float(doc["tolerance"])
+    if not tol >= 0:  # NaN fails too
+        raise ConfigError(f"validate.tolerance must be >= 0, got {tol}")
     seq = _read(partial(mo.load_motion, tol=tol), doc["input"], "motion")
     problems = []
     for i, frame in enumerate(seq.frames):

@@ -69,6 +69,10 @@ class ShapeMismatch(RmgError):
     """Optimizer / EMA state does not match the parameter count."""
 
 
+class ChecksumMismatch(RmgError):
+    """Stored data does not match the sha256 digest recorded with it."""
+
+
 class UnknownConditionClass(RmgError):
     """A condition index is outside the embedding table."""
 

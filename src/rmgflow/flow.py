@@ -51,7 +51,7 @@ class GuidanceConfig:
     enabled: bool = False
 
     def __post_init__(self):
-        if self.scale < 0:
+        if not self.scale >= 0:  # NaN fails too
             raise InvalidConfig("guidance scale must be >= 0")
 
 
@@ -174,7 +174,7 @@ def guided_velocity(
 
 def euler_step(m: mf.ManifoldSpec, x, v, h: float) -> np.ndarray:
     """One geodesic Euler update Exp_x(h v)."""
-    if h < 0:
+    if not h >= 0:  # NaN fails too
         raise DomainError("step size must be nonnegative")
     return mf.exp_map(m, x, h * np.asarray(v, dtype=float))
 

@@ -47,6 +47,7 @@ TANGENT_REJECT = 10.0 * TOL_TANGENT  # hard-error threshold in exp_map
 SMALL_ANGLE = 1e-6        # switch to series expansions below this angle
 ANTIPODAL_MARGIN = 1e-6   # reject geodesics with theta >= pi - margin
 CHUNK_ELEMENTS = 1 << 16  # broadcast elements per dispatch chunk
+PAIRWISE_MIN = 8          # copy width from which numpy's add-reduce uses 8 partial sums
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ class WrappedGaussianSpec:
             )
         if len(self.per_factor_scale) != len(spec.factors):
             raise DimensionMismatch("need one scale per factor")
-        if any(s < 0 for s in self.per_factor_scale):
+        if not all(s >= 0 for s in self.per_factor_scale):  # NaN fails too
             raise InvalidConfig("scales must be nonnegative")
 
 
@@ -195,8 +196,21 @@ class WrappedGaussianSpec:
 # ---------------------------------------------------------------------------
 
 
-def _norm(a, keepdims=True):
-    return np.linalg.norm(a, axis=-1, keepdims=keepdims)
+def _dot(x, y):
+    """Per-copy inner product over the last axis, kept as a length-1 axis;
+    bitwise equal to ``np.sum(x * y, axis=-1, keepdims=True)``."""
+    width = np.broadcast_shapes(x.shape, y.shape)[-1]
+    if width >= PAIRWISE_MIN:
+        return np.sum(x * y, axis=-1, keepdims=True)
+    acc = x[..., 0:1] * y[..., 0:1]
+    for k in range(1, width):
+        acc += x[..., k:k + 1] * y[..., k:k + 1]
+    acc += 0.0  # numpy's zero start: an all -0.0 sum reads +0.0
+    return acc
+
+
+def _norm(a):
+    return np.sqrt(_dot(a, a))
 
 
 def _landmarks(a, f: FactorSpec):
@@ -221,7 +235,7 @@ def _sphere_exp(x, v):
 
 
 def _sphere_angle(x, y):
-    dot = np.clip(np.sum(x * y, axis=-1, keepdims=True), -1.0, 1.0)
+    dot = np.clip(_dot(x, y), -1.0, 1.0)
     return dot, np.arccos(dot)
 
 
@@ -317,15 +331,16 @@ def tangency_defect(m: ManifoldSpec, x, v) -> float:
     x = _as_coords(m, x, "x")
     v = _as_coords(m, v, "v")
     worst = 0.0
-    for _, _, f, (xs, vs) in _per_factor(m, x, v):
-        if f.kind == "euclidean":
-            # no constraint, but non-finite input must still surface
-            if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
-                worst = np.nan
-            continue
-        worst = np.max(np.abs(np.sum(xs * vs, axis=-1)), initial=worst)
-        if f.kind == "preshape":
-            worst = np.max(np.abs(_landmarks(vs, f).mean(axis=-2)), initial=worst)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _, _, f, (xs, vs) in _per_factor(m, x, v):
+            if f.kind == "euclidean":
+                # no constraint, but non-finite input must still surface
+                if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
+                    worst = np.nan
+                continue
+            worst = np.max(np.abs(_dot(xs, vs)), initial=worst)
+            if f.kind == "preshape":
+                worst = np.max(np.abs(_landmarks(vs, f).mean(axis=-2)), initial=worst)
     return float(worst)
 
 
@@ -350,7 +365,7 @@ def log_map(m: ManifoldSpec, x, y) -> np.ndarray:
 
 def _check_t(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
         raise DomainError("interpolation time t must lie in [0, 1]")
     return t
 
@@ -379,7 +394,7 @@ def _project(f: FactorSpec, x, a):
         return a
     if f.kind == "preshape":
         a = _center(a, f)
-    return a - np.sum(a * x, axis=-1, keepdims=True) * x
+    return a - _dot(a, x) * x
 
 
 def project_tangent(m: ManifoldSpec, x, a) -> np.ndarray:
@@ -399,13 +414,15 @@ def distance(m: ManifoldSpec, x, y) -> np.ndarray:
     total = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
     for rows, _, f, (xs, ys) in _per_factor(m, x, y):
         if f.kind == "euclidean":
-            d = np.linalg.norm(ys - xs, axis=-1)
+            d = _norm(ys - xs)
         else:
-            d = _sphere_angle(xs, ys)[1][..., 0]
+            d = _sphere_angle(xs, ys)[1]
+        d *= d
         # Squares are added one copy at a time, in copy order, so the bits do
         # not depend on how copies are grouped into factors.
+        acc = total[rows + (...,)]
         for j in range(f.multiplicity):
-            total[rows] += d[..., j] * d[..., j]
+            acc += d[..., j, 0]
     return np.sqrt(total)
 
 
@@ -427,7 +444,7 @@ def point_deviations(m: ManifoldSpec, x) -> list[tuple[int, str, np.ndarray]]:
     for rows, i, f, (xs,) in _per_factor(m, x):
         if f.kind == "euclidean":
             continue
-        devs = {"unit_norm": np.abs(_norm(xs, keepdims=False) - 1.0)}
+        devs = {"unit_norm": np.abs(_norm(xs)[..., 0] - 1.0)}
         if f.kind == "preshape":
             devs["centroid"] = np.abs(_landmarks(xs, f).mean(axis=-2)).max(axis=-1)
         for name, dev in devs.items():

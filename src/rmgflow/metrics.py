@@ -4,6 +4,13 @@ Fidelity is measured with an unbiased squared MMD under a Gaussian kernel
 on geodesic distances (the estimator may be slightly negative; raw values
 are reported).  Diversity is proxied by geodesic mode-coverage fractions,
 and the manifold-preservation claim by aggregate constraint deviations.
+
+``evaluate_samples`` builds each of its three distance matrices
+(samples x samples, reference x reference, samples x reference) once.  It
+reads the median-heuristic bandwidth and the nearest-neighbour distances
+from them, then overwrites each with its kernel in place, so no more than
+those three N x M arrays (plus pool-sized scratch) are alive at once.  The
+report is bitwise equal to computing a fresh matrix for every term.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import numpy as np
 from . import manifold as mf
 from . import motion as mo
 from .errors import EmptyBatch, InvalidConfig
+
+MEDIAN_POOL_POINTS = 1000  # pool size of the median-heuristic bandwidth
 
 
 @dataclass(frozen=True)
@@ -134,18 +143,68 @@ def pairwise_distance(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> np.nd
     return mf.distance(m, a[:, None, :], b[None, :, :])
 
 
+def _pool(a: np.ndarray, b: np.ndarray, max_points: int) -> tuple[slice, slice]:
+    """Rows of ``a`` and of ``b`` in the median heuristic's pool: every
+    stride-th row of the stacked ``[a; b]``, with the stride chosen so that at
+    most ``max_points`` rows remain (deterministic, no sampling)."""
+    n = a.shape[0]
+    total = n + b.shape[0]
+    stride = int(np.ceil(total / max_points)) if total > max_points else 1
+    return slice(0, n, stride), slice(-n % stride, None, stride)
+
+
+def _pooled_median(d_aa: np.ndarray, d_ab: np.ndarray, d_bb: np.ndarray) -> float:
+    """Median over the distinct pairs of the pool ``[a; b]``, read from its
+    within-a, across and within-b distance blocks."""
+    def upper(d):
+        return d[np.triu(np.ones(d.shape, dtype=bool), k=1)]
+
+    values = np.concatenate([upper(d_aa), d_ab.ravel(), upper(d_bb)])
+    return float(np.median(values, overwrite_input=True))
+
+
 def median_bandwidth(
-    m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray, max_points: int = 1000
+    m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray, max_points: int = MEDIAN_POOL_POINTS
 ) -> float:
     """Median heuristic over pooled pairwise distances (strided subsample
     beyond max_points so the estimate stays deterministic)."""
-    pool = np.concatenate([np.atleast_2d(a), np.atleast_2d(b)])
-    if pool.shape[0] > max_points:
-        stride = int(np.ceil(pool.shape[0] / max_points))
-        pool = pool[::stride]
-    d = pairwise_distance(m, pool, pool)
-    iu = np.triu_indices(pool.shape[0], k=1)
-    return float(np.median(d[iu]))
+    a = np.atleast_2d(a)
+    b = np.atleast_2d(b)
+    ia, ib = _pool(a, b, max_points)
+    pa, pb = a[ia], b[ib]
+    return _pooled_median(pairwise_distance(m, pa, pa), pairwise_distance(m, pa, pb),
+                          pairwise_distance(m, pb, pb))
+
+
+def _check_mmd(a: np.ndarray, b: np.ndarray, bandwidth: Optional[float]) -> None:
+    """Raise unless both sets hold 2 points and the bandwidth, once chosen,
+    is positive."""
+    if a.shape[0] < 2 or b.shape[0] < 2:
+        raise EmptyBatch("MMD needs at least 2 samples per batch")
+    if bandwidth is not None and not bandwidth > 0:  # NaN fails too
+        raise InvalidConfig("bandwidth must be positive")
+
+
+def _kernel_mean(d: np.ndarray, s2: float, same_set: bool):
+    """Mean of the kernel exp(-d^2 / s2) over the pairs of distance matrix
+    ``d``, skipping the diagonal when both sides are one set.  ``d`` is
+    overwritten with the kernel matrix."""
+    np.multiply(d, d, out=d)
+    np.negative(d, out=d)
+    np.divide(d, s2, out=d)
+    np.exp(d, out=d)
+    n, mm = d.shape
+    if same_set:
+        return (d.sum() - np.trace(d)) / (n * (n - 1))
+    return d.sum() / (n * mm)
+
+
+def _mmd(d_aa: np.ndarray, d_bb: np.ndarray, d_ab: np.ndarray, bandwidth: float) -> float:
+    """Unbiased squared MMD from the three distance matrices, which are
+    overwritten with their kernels."""
+    s2 = 2.0 * bandwidth * bandwidth
+    return float(_kernel_mean(d_aa, s2, True) + _kernel_mean(d_bb, s2, True)
+                 - 2.0 * _kernel_mean(d_ab, s2, False))
 
 
 def geodesic_mmd(
@@ -154,24 +213,9 @@ def geodesic_mmd(
     """Unbiased squared MMD with kernel exp(-d(x,y)^2 / (2 sigma^2))."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    n, mm = a.shape[0], b.shape[0]
-    if n < 2 or mm < 2:
-        raise EmptyBatch("MMD needs at least 2 samples per batch")
-    if bandwidth <= 0:
-        raise InvalidConfig("bandwidth must be positive")
-    s2 = 2.0 * bandwidth * bandwidth
-
-    def kernel(x, y):
-        d = pairwise_distance(m, x, y)
-        return np.exp(-(d * d) / s2)
-
-    kaa = kernel(a, a)
-    kbb = kernel(b, b)
-    kab = kernel(a, b)
-    term_aa = (kaa.sum() - np.trace(kaa)) / (n * (n - 1))
-    term_bb = (kbb.sum() - np.trace(kbb)) / (mm * (mm - 1))
-    term_ab = kab.sum() / (n * mm)
-    return float(term_aa + term_bb - 2.0 * term_ab)
+    _check_mmd(a, b, bandwidth)
+    return _mmd(pairwise_distance(m, a, a), pairwise_distance(m, b, b),
+                pairwise_distance(m, a, b), bandwidth)
 
 
 def mode_coverage(
@@ -184,6 +228,8 @@ def mode_coverage(
     outlier fraction; fractions sum to 1 exactly."""
     if len(modes) == 0:
         raise InvalidConfig("mode list must be nonempty")
+    if not assign_radius >= 0:  # NaN fails too
+        raise InvalidConfig("assign_radius must be >= 0")
     samples = np.atleast_2d(samples)
     n = samples.shape[0]
     d = pairwise_distance(m, samples, np.stack([np.asarray(mm) for mm in modes]))
@@ -272,20 +318,27 @@ def evaluate_samples(
     reference = np.atleast_2d(reference)
     if samples.shape[0] == 0 or reference.shape[0] == 0:
         raise EmptyBatch("evaluation needs nonempty sample and reference sets")
-    if bandwidth is None:
-        bandwidth = median_bandwidth(m, samples, reference)
-    mmd = geodesic_mmd(m, samples, reference, bandwidth)
+    _check_mmd(samples, reference, bandwidth)
     if modes:
         mass, outliers = mode_coverage(m, samples, modes, assign_radius)
     else:
         mass, outliers = np.array([1.0]), 0.0
-    nn = pairwise_distance(m, samples, reference).min(axis=1)
+    # Each matrix is built once; _mmd overwrites it with its kernel.
+    d_ss = pairwise_distance(m, samples, samples)
+    d_rr = pairwise_distance(m, reference, reference)
+    d_sr = pairwise_distance(m, samples, reference)
+    if bandwidth is None:
+        ia, ib = _pool(samples, reference, MEDIAN_POOL_POINTS)
+        bandwidth = _pooled_median(d_ss[ia, ia], d_sr[ia, ib], d_rr[ib, ib])
+        _check_mmd(samples, reference, bandwidth)
+    nn = float(d_sr.min(axis=1).mean())
+    mmd = _mmd(d_ss, d_rr, d_sr, bandwidth)
     return MetricReport(
         mmd=mmd,
         per_mode_mass=tuple(float(x) for x in mass),
         outlier_fraction=outliers,
         max_constraint_violation=mf.max_constraint_deviation(m, samples),
-        mean_geodesic_nn_distance=float(nn.mean()),
+        mean_geodesic_nn_distance=nn,
         sample_count=samples.shape[0],
         bandwidth=float(bandwidth),
     )

@@ -208,7 +208,7 @@ class MotionSequence:
     skeleton: Skeleton
 
     def __post_init__(self):
-        if self.fps <= 0:
+        if not self.fps > 0:  # NaN fails too
             raise InvalidConfig("fps must be positive")
         J = self.skeleton.joint_count
         for i, f in enumerate(self.frames):

@@ -13,6 +13,7 @@ plain vector while the forward pass uses shaped arrays.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -22,6 +23,7 @@ import numpy as np
 from . import flow as fl
 from . import manifold as mf
 from .errors import (
+    ChecksumMismatch,
     DimensionMismatch,
     InvalidConfig,
     NonFiniteLoss,
@@ -71,21 +73,24 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.total_steps < 0:
+        # Written as `not ok` so that NaN fails every check.
+        if not self.total_steps >= 0:
             raise InvalidConfig("total_steps must be >= 0")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise InvalidConfig("batch_size must be >= 1")
-        if self.max_lr <= 0:
+        if not self.max_lr > 0:
             raise InvalidConfig("max_lr must be positive")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise InvalidConfig("warmup_ratio must lie in [0, 1]")
-        if self.grad_clip_norm <= 0:
+        if not self.grad_clip_norm > 0:
             raise InvalidConfig("grad_clip_norm must be positive")
+        if not self.weight_decay >= 0:
+            raise InvalidConfig("weight_decay must be >= 0")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise InvalidConfig("ema_decay must lie in [0, 1]")
         if not 0.0 <= self.cond_dropout_prob <= 1.0:
             raise InvalidConfig("cond_dropout_prob must lie in [0, 1]")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise InvalidConfig("seed must be >= 0")
 
     def to_json_dict(self) -> dict:
@@ -423,10 +428,11 @@ def save_checkpoint(
     }
     if extra:
         header.update(extra)
+    blobs = params.flat.astype("<f8").tobytes() + ema.shadow.astype("<f8").tobytes()
+    header["blob_sha256"] = hashlib.sha256(blobs).hexdigest()
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(params.flat.astype("<f8").tobytes())
-        fh.write(ema.shadow.astype("<f8").tobytes())
+        fh.write(blobs)
 
 
 @dataclass
@@ -442,7 +448,8 @@ class Checkpoint:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; exactly two blobs of ``param_count`` float64 values
-    must follow the header line."""
+    must follow the header line, and match its ``blob_sha256`` when the
+    header records one (older checkpoints do not)."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         blobs = fh.read()
@@ -450,6 +457,8 @@ def load_checkpoint(path) -> Checkpoint:
     count = header["param_count"]
     if len(blobs) != 2 * 8 * count:
         raise ShapeMismatch(f"checkpoint holds {len(blobs)} blob bytes, expected {16 * count}")
+    if "blob_sha256" in header and hashlib.sha256(blobs).hexdigest() != header["blob_sha256"]:
+        raise ChecksumMismatch("checkpoint blobs do not match the header's blob_sha256")
     flat = np.frombuffer(blobs, dtype="<f8", count=count).astype(float)
     shadow = np.frombuffer(blobs, dtype="<f8", count=count, offset=8 * count).astype(float)
     return Checkpoint(

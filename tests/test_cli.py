@@ -349,6 +349,52 @@ def test_damaged_checkpoint_exits_2(trained, tmp_path, damage):
     assert _run(tmp_path, "sample", doc, "--checkpoint", str(ckpt)) == 2
 
 
+def test_flipped_checkpoint_blob_byte_exits_2(trained, tmp_path, capsys):
+    head, _, blobs = (trained / "checkpoint.rmg").read_bytes().partition(b"\n")
+    assert json.loads(head)["blob_sha256"]
+    flipped = bytearray(blobs)
+    flipped[len(blobs) // 3] ^= 0x01  # one bit of a params float
+    ckpt = tmp_path / "checkpoint.rmg"
+    ckpt.write_bytes(head + b"\n" + bytes(flipped))
+    assert _run(tmp_path, "sample", {"schema": 1, "use_ema": False},
+                "--checkpoint", str(ckpt)) == 2
+    assert "blob_sha256" in capsys.readouterr().err
+
+
+def test_checkpoint_without_digest_loads(trained, tmp_path):
+    head, _, blobs = (trained / "checkpoint.rmg").read_bytes().partition(b"\n")
+    header = json.loads(head)
+    del header["blob_sha256"]
+    ckpt = tmp_path / "checkpoint.rmg"
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blobs)
+    assert _run(tmp_path, "sample", {"schema": 1}, "--checkpoint", str(ckpt)) == 0
+
+
+def test_nan_max_lr_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(TRAIN_DOC))
+    doc["train"]["max_lr"] = float("nan")
+    assert _run(tmp_path, "train", doc) == 2
+    assert "max_lr" in capsys.readouterr().err
+
+
+def test_nan_motion_fps_exits_2(tmp_path, skeleton, rng, capsys):
+    motion_path, _ = _motion_file(tmp_path, skeleton, rng)
+    doc = json.loads(motion_path.read_text())
+    doc["fps"] = float("nan")
+    motion_path.write_text(json.dumps(doc))
+    assert _run(tmp_path, "convert", {"schema": 1, "input": str(motion_path),
+                                      "target": "positions"}) == 2
+    assert "fps" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "positions.json").exists()
+
+
+def test_nan_validate_tolerance_exits_2(tmp_path, skeleton, rng, capsys):
+    motion_path, _ = _motion_file(tmp_path, skeleton, rng)
+    assert _run(tmp_path, "validate", {"schema": 1, "input": str(motion_path),
+                                       "tolerance": float("nan")}) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
 def test_negative_num_samples_exits_2(trained, tmp_path, capsys):
     code = _run(tmp_path, "sample", {"schema": 1, "num_samples": -1},
                 "--checkpoint", str(trained / "checkpoint.rmg"))

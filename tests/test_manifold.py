@@ -168,6 +168,22 @@ def test_exp_rejects_non_finite_tangent(bad, index):
         mf.exp_map(m, x, v)
 
 
+@pytest.mark.parametrize("width", range(1, 12))
+def test_dot_equals_numpy_reductions(width):
+    # Pins numpy's float64 add-reduce order that _dot relies on: left to right
+    # onto a zero start below 8 elements.  A numpy that changes it fails here.
+    rng = np.random.default_rng(width)
+    for xs, ys in [((50000,), (50000,)), ((200, 7), (200, 7)), ((1, 1000, 22), (1, 1000, 22)),
+                   ((100, 1, 3), (1, 80, 3))]:
+        x = rng.standard_normal(xs + (width,))
+        y = rng.standard_normal(ys + (width,))
+        assert np.array_equal(mf._dot(x, y), np.sum(x * y, axis=-1, keepdims=True))
+        assert np.array_equal(mf._norm(x), np.linalg.norm(x, axis=-1, keepdims=True))
+    # every product -0.0: numpy's sum is +0.0, and so must _dot's be
+    neg, one = -np.zeros((3, width)), np.ones((3, width))
+    assert mf._dot(neg, one).tobytes() == np.sum(neg * one, axis=-1, keepdims=True).tobytes()
+
+
 def test_dimension_mismatch():
     m = mf.ManifoldSpec([mf.sphere(2)])
     with pytest.raises(DimensionMismatch):
@@ -180,7 +196,8 @@ def test_dimension_mismatch():
 
 FACTORS = st.one_of(
     st.builds(mf.euclidean, st.integers(1, 4), st.integers(1, 4)),
-    st.builds(mf.sphere, st.integers(1, 3), st.integers(1, 4)),
+    # sphere copies of width 2-10 run on both sides of mf.PAIRWISE_MIN
+    st.builds(mf.sphere, st.integers(1, 9), st.integers(1, 4)),
     st.builds(mf.preshape, st.integers(2, 4), st.integers(1, 3), st.integers(1, 4)),
 )
 

@@ -2,10 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rmgflow import flow as fl
 from rmgflow import manifold as mf
 from rmgflow import metrics as me
 from rmgflow import motion as mo
+from rmgflow import net as nn
 from rmgflow.errors import EmptyBatch, InvalidConfig
 
 
@@ -225,3 +229,94 @@ def test_evaluate_samples_end_to_end(toy_manifold, toy_means, rng):
     assert report.max_constraint_violation < 1e-9
     with pytest.raises(EmptyBatch):
         me.evaluate_samples(m, np.empty((0, 7)), reference)
+
+
+def _separate_matrices_report(m, samples, reference, bandwidth, modes, assign_radius):
+    """The evaluation composed the straightforward way: a fresh distance
+    matrix for every term, new kernel arrays, and the pooled median."""
+    if bandwidth is None:
+        pool = np.concatenate([samples, reference])
+        if pool.shape[0] > 1000:
+            pool = pool[::int(np.ceil(pool.shape[0] / 1000))]
+        d = me.pairwise_distance(m, pool, pool)
+        bandwidth = float(np.median(d[np.triu_indices(pool.shape[0], k=1)]))
+    s2 = 2.0 * bandwidth * bandwidth
+
+    def kernel(x, y):
+        d = me.pairwise_distance(m, x, y)
+        return np.exp(-(d * d) / s2)
+
+    n, mm = samples.shape[0], reference.shape[0]
+    kss, krr, ksr = kernel(samples, samples), kernel(reference, reference), \
+        kernel(samples, reference)
+    mmd = float((kss.sum() - np.trace(kss)) / (n * (n - 1))
+                + (krr.sum() - np.trace(krr)) / (mm * (mm - 1))
+                - 2.0 * (ksr.sum() / (n * mm)))
+    mass, outliers = (me.mode_coverage(m, samples, modes, assign_radius) if modes
+                      else (np.array([1.0]), 0.0))
+    nn_mean = float(me.pairwise_distance(m, samples, reference).min(axis=1).mean())
+    return {"mmd": mmd, "per_mode_mass": [float(x) for x in mass],
+            "outlier_fraction": outliers, "mean_geodesic_nn_distance": nn_mean,
+            "bandwidth": float(bandwidth)}
+
+
+EVAL_FACTORS = st.one_of(
+    st.builds(mf.euclidean, st.integers(1, 4), st.integers(1, 3)),
+    st.builds(mf.sphere, st.integers(1, 9), st.integers(1, 3)),
+    st.builds(mf.preshape, st.integers(2, 4), st.integers(1, 3), st.integers(1, 2)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(factors=st.lists(EVAL_FACTORS, min_size=1, max_size=3),
+       n=st.integers(2, 40), extra=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       bandwidth=st.sampled_from([None, 0.8]), with_modes=st.booleans())
+@example(factors=[mf.euclidean(3), mf.sphere(3, multiplicity=22)], n=701, extra=-51,
+         seed=3, bandwidth=None, with_modes=True)
+def test_evaluate_samples_equals_separate_matrices(factors, n, extra, seed, bandwidth,
+                                                   with_modes):
+    # N != M; the 701 x 650 example pools every 2nd of 1351 rows, so the
+    # pool's stride crosses the samples/reference boundary off step.
+    m = mf.ManifoldSpec(factors)
+    rng = np.random.default_rng(seed)
+    samples = mf.random_point(m, rng, size=n)
+    reference = mf.random_point(m, rng, size=n + extra)
+    modes = list(mf.random_point(m, rng, size=2)) if with_modes else None
+    report = me.evaluate_samples(m, samples, reference, bandwidth=bandwidth, modes=modes,
+                                 assign_radius=1.5).to_json_dict()
+    expected = _separate_matrices_report(m, samples, reference, bandwidth, modes, 1.5)
+    assert {k: report[k] for k in expected} == expected
+    if bandwidth is None:
+        assert me.median_bandwidth(m, samples, reference) == expected["bandwidth"]
+    assert me.geodesic_mmd(m, samples, reference, expected["bandwidth"]) == expected["mmd"]
+
+
+def test_evaluate_samples_checks_in_order(toy_manifold, rng):
+    m = toy_manifold
+    x = mf.random_point(m, rng, size=4)
+    with pytest.raises(EmptyBatch):
+        me.evaluate_samples(m, x[:1], x, bandwidth=-1.0)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidConfig):
+            me.evaluate_samples(m, x, x, bandwidth=bad)
+        with pytest.raises(InvalidConfig):
+            me.geodesic_mmd(m, x, x, bad)
+    with pytest.raises(InvalidConfig):  # identical points: median bandwidth 0
+        me.evaluate_samples(m, np.tile(x[0], (3, 1)), np.tile(x[0], (3, 1)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: nn.TrainConfig(total_steps=1, max_lr=float("nan")),
+    lambda: nn.TrainConfig(total_steps=1, grad_clip_norm=float("nan")),
+    lambda: nn.TrainConfig(total_steps=1, weight_decay=float("nan")),
+    lambda: mo.MotionSequence(frames=[], fps=float("nan"), skeleton=mo.default_skeleton()),
+    lambda: fl.GuidanceConfig(scale=float("nan")),
+    lambda: mf.WrappedGaussianSpec(mf.ManifoldSpec([mf.sphere(2)]), [0.0, 0.0, 1.0],
+                                   float("nan")),
+    lambda: me.mode_coverage(mf.ManifoldSpec([mf.sphere(2)]), [[0.0, 0.0, 1.0]],
+                             [np.array([0.0, 0.0, 1.0])], float("nan")),
+], ids=["max_lr", "grad_clip_norm", "weight_decay", "fps", "guidance", "prior_scale",
+        "assign_radius"])
+def test_nan_fails_range_checks(build):
+    with pytest.raises(InvalidConfig):
+        build()
