@@ -451,14 +451,6 @@ def cmd_validate(config_path, out_dir, seed_override=None) -> int:
     if not tol >= 0:  # NaN fails too
         raise ConfigError(f"validate.tolerance must be >= 0, got {tol}")
     seq = _read(partial(mo.load_motion, tol=tol), doc["input"], "motion")
-    problems = []
-    for i, frame in enumerate(seq.frames):
-        for msg in frame.violations(tol=tol):
-            problems.append(f"frame {i}: {msg}")
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 2
     print(f"{len(seq)} frames valid (tolerance {tol})")
     return 0
 

@@ -33,10 +33,6 @@ class DegenerateConfiguration(RmgError):
     """A landmark configuration collapses to a single point."""
 
 
-class MissingNextFrame(RmgError):
-    """Temporal-difference factors need the following frame."""
-
-
 class SkeletonMismatch(RmgError):
     """A frame or sequence does not match the skeleton's joint count."""
 
@@ -47,10 +43,6 @@ class ConfigLacksRotations(RmgError):
 
 class SequenceTooShort(RmgError):
     """The operation needs more frames than the sequence holds."""
-
-
-class IndexOutOfRange(RmgError):
-    """A frame index is outside the sequence."""
 
 
 class TimeTooCloseToOne(RmgError):

@@ -66,6 +66,9 @@ class ToyTaskSpec:
             raise InvalidConfig("sample_count must be >= 1")
         if np.asarray(self.axis, dtype=float).shape != (3,):
             raise InvalidConfig("axis must have 3 components")
+        for name in ("axis", "amplitude", "cycles"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind in ("sphere_mixture", "fixed_point") and not self.components:
             raise InvalidConfig(f"{self.kind} needs at least one component")
         if self.kind == "sphere_mixture":

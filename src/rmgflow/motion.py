@@ -1,5 +1,9 @@
 """Skeletal motion data model and its embedding into product manifolds.
 
+Conversion is sequence ↔ points: ``sequence_to_points`` builds each factor
+block from the stacked frames at once, and ``points_to_sequence`` rebuilds
+all frames from the rotation factor at once.
+
 Conventions (fixed for reproducibility): y-up right-handed axes, quaternion
 order (w, x, y, z), rotation index 0 is the global orientation, and all
 quaternions are kept on the upper hemisphere (w > 0, ties broken by the
@@ -20,9 +24,7 @@ from .errors import (
     ConfigLacksRotations,
     DegenerateConfiguration,
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidConfig,
-    MissingNextFrame,
     SequenceTooShort,
     SkeletonMismatch,
     ZeroQuaternion,
@@ -181,18 +183,6 @@ class MotionFrame:
     def joint_count(self) -> int:
         return int(self.rotations.shape[0])
 
-    def violations(self, tol: float = 1e-9) -> list[str]:
-        out = []
-        norms = np.linalg.norm(self.rotations, axis=-1)
-        bad = np.abs(norms - 1.0) > tol
-        for j in np.nonzero(bad)[0]:
-            out.append(f"quaternion {j} has norm {norms[j]:.9f}")
-        canon = canonicalize_quaternion(np.where(norms[:, None] > 0, self.rotations, 1.0))
-        flipped = np.any(canon * self.rotations < -tol, axis=-1)
-        for j in np.nonzero(flipped)[0]:
-            out.append(f"quaternion {j} is not hemisphere-canonical")
-        return out
-
 
 def rest_frame(skeleton: Skeleton) -> MotionFrame:
     return MotionFrame(
@@ -315,101 +305,63 @@ def forward_kinematics(skeleton: Skeleton, frame: MotionFrame) -> np.ndarray:
     return positions
 
 
-def _frame_quats_flat(frame: MotionFrame) -> np.ndarray:
-    return canonicalize_quaternion(frame.rotations).reshape(-1)
+def sequence_to_points(seq: MotionSequence, cfg: RepresentationConfig) -> np.ndarray:
+    """(T, D) or (T-1, D) stack of per-frame points (one fewer with d-blocks).
 
-
-def temporal_difference(
-    seq: MotionSequence, cfg: RepresentationConfig, t_index: int
-) -> dict[str, np.ndarray]:
-    """Log-map tangents from frame t to frame t+1 for the enabled d-blocks."""
-    if t_index < 0 or t_index + 1 >= len(seq):
-        raise IndexOutOfRange(f"t_index {t_index} needs a following frame")
-    cur, nxt = seq.frames[t_index], seq.frames[t_index + 1]
-    out: dict[str, np.ndarray] = {}
-    if cfg.d_translation:
-        out["d_translation"] = nxt.root_translation - cur.root_translation
-    if cfg.d_rotations:
-        s3 = mf.ManifoldSpec([mf.sphere(3, multiplicity=cfg.joints)])
-        out["d_rotations"] = mf.log_map(s3, _frame_quats_flat(cur), _frame_quats_flat(nxt))
-    if cfg.d_preshape:
-        pk = mf.ManifoldSpec([mf.preshape(cfg.joints, 3)])
-        cur_p = compute_preshape(forward_kinematics(seq.skeleton, cur)).reshape(-1)
-        nxt_p = compute_preshape(forward_kinematics(seq.skeleton, nxt)).reshape(-1)
-        out["d_preshape"] = mf.log_map(pk, cur_p, nxt_p)
-    return out
-
-
-def frame_to_point(
-    frame: MotionFrame,
-    cfg: RepresentationConfig,
-    skeleton: Skeleton,
-    next_frame: MotionFrame | None = None,
-    seq_fps: float = 1.0,
-) -> np.ndarray:
-    """Flat manifold coordinates of a frame under the config layout."""
-    if frame.joint_count != cfg.joints or skeleton.joint_count != cfg.joints:
-        raise SkeletonMismatch("frame / skeleton / config joint counts disagree")
-    if cfg.has_differences and next_frame is None:
-        raise MissingNextFrame("temporal-difference factors need the next frame")
+    Each block is built once from the stacked frames; a d-block row holds the
+    tangent from frame t to frame t+1.  Forward kinematics runs once per frame.
+    """
+    frames = seq.frames
+    T = len(frames)
+    if T < 1 + cfg.has_differences:
+        raise SequenceTooShort(f"need at least {1 + cfg.has_differences} frames")
+    if seq.skeleton.joint_count != cfg.joints:
+        raise SkeletonMismatch(
+            f"skeleton has {seq.skeleton.joint_count} joints, config has {cfg.joints}")
+    n = T - cfg.has_differences
+    translations = np.stack([f.root_translation for f in frames])
+    quats = canonicalize_quaternion(np.stack([f.rotations for f in frames])).reshape(T, -1)
+    if cfg.preshape or cfg.d_preshape:
+        shapes = np.stack([compute_preshape(forward_kinematics(seq.skeleton, f)).reshape(-1)
+                           for f in frames])
     blocks = []
     if cfg.translation:
-        blocks.append(frame.root_translation)
+        blocks.append(translations[:n])
     if cfg.rotations:
-        blocks.append(_frame_quats_flat(frame))
+        blocks.append(quats[:n])
     if cfg.preshape:
-        blocks.append(compute_preshape(forward_kinematics(skeleton, frame)).reshape(-1))
-    if cfg.has_differences:
-        tiny = MotionSequence(frames=[frame, next_frame], fps=seq_fps, skeleton=skeleton)
-        diffs = temporal_difference(tiny, cfg, 0)
-        for key in ("d_translation", "d_rotations", "d_preshape"):
-            if key in diffs:
-                blocks.append(np.asarray(diffs[key]).reshape(-1))
-    return np.concatenate(blocks)
-
-
-def point_to_frame(
-    p: np.ndarray, cfg: RepresentationConfig, skeleton: Skeleton
-) -> MotionFrame:
-    """Recover a frame from flat coordinates (rotation recovery path)."""
-    if not cfg.rotations:
-        raise ConfigLacksRotations("cannot rebuild a frame without a rotation factor")
-    p = np.asarray(p, dtype=float)
-    if p.shape != (ambient_dimension(cfg),):
-        raise DimensionMismatch(
-            f"point has shape {p.shape}, expected ({ambient_dimension(cfg)},)"
-        )
-    off = 0
-    translation = np.zeros(3)
-    if cfg.translation:
-        translation = p[0:3]
-        off = 3
-    quats = p[off : off + 4 * cfg.joints].reshape(cfg.joints, 4)
-    norms = np.linalg.norm(quats, axis=-1)
-    drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > 1e-6:
-        log.warning("renormalizing quaternions with max norm drift %.3e", drift)
-    return MotionFrame(root_translation=translation.copy(),
-                       rotations=canonicalize_quaternion(quats))
-
-
-def sequence_to_points(seq: MotionSequence, cfg: RepresentationConfig) -> np.ndarray:
-    """(T, D) or (T-1, D) stack of per-frame points (one fewer with d-blocks)."""
-    frames = seq.frames
-    if len(frames) < 1 + cfg.has_differences:
-        raise SequenceTooShort(f"need at least {1 + cfg.has_differences} frames")
-    if cfg.has_differences:
-        pairs = zip(frames[:-1], frames[1:])
-        return np.stack(
-            [frame_to_point(f, cfg, seq.skeleton, nxt, seq.fps) for f, nxt in pairs]
-        )
-    return np.stack([frame_to_point(f, cfg, seq.skeleton) for f in frames])
+        blocks.append(shapes[:n])
+    if cfg.d_translation:
+        blocks.append(translations[1:] - translations[:-1])
+    if cfg.d_rotations:
+        s3 = mf.ManifoldSpec([mf.sphere(3, multiplicity=cfg.joints)])
+        blocks.append(mf.log_map(s3, quats[:-1], quats[1:]))
+    if cfg.d_preshape:
+        pk = mf.ManifoldSpec([mf.preshape(cfg.joints, 3)])
+        blocks.append(mf.log_map(pk, shapes[:-1], shapes[1:]))
+    return np.concatenate(blocks, axis=1)
 
 
 def points_to_sequence(
     points: np.ndarray, cfg: RepresentationConfig, skeleton: Skeleton, fps: float
 ) -> MotionSequence:
-    frames = [point_to_frame(p, cfg, skeleton) for p in np.atleast_2d(points)]
+    """Rebuild frames from point rows through the rotation factor, with one
+    renormalization over all rows."""
+    if not cfg.rotations:
+        raise ConfigLacksRotations("cannot rebuild a frame without a rotation factor")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    D = ambient_dimension(cfg)
+    if len(points) and points.shape[1:] != (D,):
+        raise DimensionMismatch(f"points have shape {points.shape}, expected (N, {D})")
+    off = 3 if cfg.translation else 0
+    quats = points[:, off : off + 4 * cfg.joints].reshape(len(points), cfg.joints, 4)
+    drift = float(np.max(np.abs(np.linalg.norm(quats, axis=-1) - 1.0), initial=0.0))
+    if drift > 1e-6:
+        log.warning("renormalizing quaternions with max norm drift %.3e", drift)
+    rotations = canonicalize_quaternion(quats)
+    translations = points[:, :3] if cfg.translation else np.zeros((len(points), 3))
+    frames = [MotionFrame(root_translation=t.copy(), rotations=r)
+              for t, r in zip(translations, rotations)]
     return MotionSequence(frames=frames, fps=fps, skeleton=skeleton)
 
 

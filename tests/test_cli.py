@@ -395,6 +395,19 @@ def test_nan_validate_tolerance_exits_2(tmp_path, skeleton, rng, capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("cycles", float("nan")),
+                                          ("amplitude", float("inf")),
+                                          ("axis", [float("nan"), 0.0, 1.0])],
+                         ids=["cycles", "amplitude", "axis"])
+def test_non_finite_toy_task_exits_2(tmp_path, capsys, recwarn, field, value):
+    doc = json.loads(json.dumps(TRAIN_DOC))
+    doc["representation"]["joints"] = 22
+    doc["task"] = {"kind": "rotating_joint", "sample_count": 8, field: value}
+    assert _run(tmp_path, "train", doc) == 2
+    assert field in capsys.readouterr().err
+    assert not recwarn.list
+
+
 def test_negative_num_samples_exits_2(trained, tmp_path, capsys):
     code = _run(tmp_path, "sample", {"schema": 1, "num_samples": -1},
                 "--checkpoint", str(trained / "checkpoint.rmg"))
@@ -621,9 +634,9 @@ def fuzz_inputs(tmp_path_factory) -> dict:
     skeleton = mo.Skeleton(parents=[-1, 0], rest_offsets=[[0, 0, 0], [0, 0.4, 0]])
     (tmp / "skeleton").write_text(json.dumps(skeleton.to_json_dict()))
     (tmp / "points").write_text("".join(json.dumps(p) + "\n" for p in FUZZ_POINTS * 2))
-    frames = [mo.point_to_frame(np.asarray(p), mo.RepresentationConfig(**FUZZ_REPRESENTATION),
-                                skeleton) for p in FUZZ_POINTS]
-    mo.save_motion(mo.MotionSequence(frames=frames, fps=30.0, skeleton=skeleton), tmp / "motion")
+    seq = mo.points_to_sequence(np.asarray(FUZZ_POINTS),
+                                mo.RepresentationConfig(**FUZZ_REPRESENTATION), skeleton, 30.0)
+    mo.save_motion(seq, tmp / "motion")
     files = {name: str(tmp / name) for name in ("skeleton", "points", "motion")}
     files["checkpoint"] = str(tmp / "out" / "checkpoint.rmg")
     command, doc, _ = _fuzz_bases(files)[0]

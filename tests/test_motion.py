@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from rmgflow import motion as mo
 from rmgflow.errors import (
     ConfigLacksRotations,
     InvalidConfig,
-    MissingNextFrame,
     SequenceTooShort,
     SkeletonMismatch,
     ZeroQuaternion,
@@ -171,7 +171,7 @@ def test_config_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# preshape and temporal differences
+# preshape
 # ---------------------------------------------------------------------------
 
 
@@ -185,32 +185,8 @@ def test_compute_preshape_invariants(skeleton, rng):
     assert np.allclose(p, p2, atol=1e-12)
 
 
-def test_temporal_difference_translation(skeleton):
-    f0 = mo.rest_frame(skeleton)
-    f1 = mo.rest_frame(skeleton)
-    f1.root_translation = np.array([0.1, 0.0, 0.0])
-    seq = mo.MotionSequence(frames=[f0, f1], fps=30.0, skeleton=skeleton)
-    cfg = mo.RepresentationConfig(joints=22, translation=True, rotations=True,
-                                  d_translation=True)
-    d = mo.temporal_difference(seq, cfg, 0)
-    assert np.allclose(d["d_translation"], [0.1, 0.0, 0.0], atol=1e-15)
-
-
-def test_temporal_difference_rotation_log(skeleton):
-    f0 = mo.rest_frame(skeleton)
-    f1 = mo.rest_frame(skeleton)
-    f1.rotations[3] = mo.quat_from_axis_angle([1.0, 0.0, 0.0], 0.2)
-    seq = mo.MotionSequence(frames=[f0, f1], fps=30.0, skeleton=skeleton)
-    cfg = mo.RepresentationConfig(joints=22, translation=True, d_rotations=True)
-    d = mo.temporal_difference(seq, cfg, 0)["d_rotations"].reshape(22, 4)
-    s3 = mf.ManifoldSpec([mf.sphere(3)])
-    expected = mf.log_map(s3, mo.QUAT_IDENTITY, f1.rotations[3])
-    assert np.allclose(d[3], expected, atol=1e-12)
-    assert np.max(np.abs(np.delete(d, 3, axis=0))) < 1e-12
-
-
 # ---------------------------------------------------------------------------
-# frame <-> point
+# sequence <-> points
 # ---------------------------------------------------------------------------
 
 
@@ -221,28 +197,115 @@ def _random_frame(skeleton, rng):
     )
 
 
+def _random_sequence(skeleton, rng, frames=5):
+    return mo.MotionSequence(frames=[_random_frame(skeleton, rng) for _ in range(frames)],
+                             fps=30.0, skeleton=skeleton)
+
+
+def _rest_pair(skeleton):
+    return mo.MotionSequence(frames=[mo.rest_frame(skeleton), mo.rest_frame(skeleton)],
+                             fps=30.0, skeleton=skeleton)
+
+
+def _shift_sequence(skeleton, rng):
+    """Two rest frames, the second with its root moved 0.1 along x."""
+    seq = _rest_pair(skeleton)
+    seq.frames[1].root_translation = np.array([0.1, 0.0, 0.0])
+    return seq
+
+
+def _bend_sequence(skeleton, rng):
+    """Two rest frames, the second with joint 3 turned 0.2 rad about x."""
+    seq = _rest_pair(skeleton)
+    seq.frames[1].rotations[3] = mo.quat_from_axis_angle([1.0, 0.0, 0.0], 0.2)
+    return seq
+
+
+def _per_frame_points(seq, cfg):
+    """Reference conversion, one frame at a time: each row is built from its
+    frame and, for the d-blocks, the frame that follows it."""
+    skeleton, J = seq.skeleton, cfg.joints
+    s3 = mf.ManifoldSpec([mf.sphere(3, multiplicity=J)])
+    pk = mf.ManifoldSpec([mf.preshape(J, 3)])
+
+    def quats(f):
+        return mo.canonicalize_quaternion(f.rotations).reshape(-1)
+
+    def shape(f):
+        return mo.compute_preshape(mo.forward_kinematics(skeleton, f)).reshape(-1)
+
+    frames = seq.frames
+    pairs = zip(frames[:-1], frames[1:]) if cfg.has_differences else zip(frames, frames)
+    rows = []
+    for cur, nxt in pairs:
+        blocks = []
+        if cfg.translation:
+            blocks.append(cur.root_translation)
+        if cfg.rotations:
+            blocks.append(quats(cur))
+        if cfg.preshape:
+            blocks.append(shape(cur))
+        if cfg.d_translation:
+            blocks.append(nxt.root_translation - cur.root_translation)
+        if cfg.d_rotations:
+            blocks.append(mf.log_map(s3, quats(cur), quats(nxt)))
+        if cfg.d_preshape:
+            blocks.append(mf.log_map(pk, shape(cur), shape(nxt)))
+        rows.append(np.concatenate(blocks))
+    return np.stack(rows)
+
+
+FLAGS = ("translation", "rotations", "preshape", "d_translation", "d_rotations", "d_preshape")
+VALID_FLAG_SETS = [
+    names for r in range(1, len(FLAGS) + 1) for names in itertools.combinations(FLAGS, r)
+    if {"translation", "d_translation"} & set(names)
+    and {"rotations", "preshape", "d_rotations", "d_preshape"} & set(names)
+]
+
+
+@pytest.mark.parametrize("make_seq", [_random_sequence, _shift_sequence, _bend_sequence],
+                         ids=["random", "shift", "bend"])
+@pytest.mark.parametrize("names", VALID_FLAG_SETS, ids="+".join)
+def test_sequence_to_points_equals_per_frame_oracle(skeleton, rng, caplog, make_seq, names):
+    cfg = mo.RepresentationConfig(joints=22, **dict.fromkeys(names, True))
+    seq = make_seq(skeleton, rng)
+    pts = mo.sequence_to_points(seq, cfg)
+    expected = _per_frame_points(seq, cfg)
+    assert pts.shape == expected.shape == (len(seq) - cfg.has_differences,
+                                           mo.ambient_dimension(cfg))
+    assert np.array_equal(pts, expected)
+    if not cfg.rotations:
+        return
+    # drifted rows: every frame renormalized as on its own, one warning per call
+    noisy = pts + 1e-3 * rng.standard_normal(pts.shape)
+    with caplog.at_level("WARNING", logger="rmgflow.motion"):
+        back = mo.points_to_sequence(noisy, cfg, skeleton, fps=30.0)
+    assert len(caplog.records) == 1
+    off = 3 if cfg.translation else 0
+    assert len(back) == len(noisy)
+    for row, frame in zip(noisy, back.frames):
+        quats = mo.canonicalize_quaternion(row[off : off + 4 * 22].reshape(22, 4))
+        assert np.array_equal(frame.rotations, quats)
+        assert np.array_equal(frame.root_translation, row[:3] if off else np.zeros(3))
+
+
 def test_frame_point_roundtrip(skeleton, rng):
     cfg = mo.RepresentationConfig(joints=22, translation=True, rotations=True)
-    for _ in range(10):
-        frame = _random_frame(skeleton, rng)
-        p = mo.frame_to_point(frame, cfg, skeleton)
-        assert p.shape == (91,)
-        back = mo.point_to_frame(p, cfg, skeleton)
-        assert np.max(np.abs(back.root_translation - frame.root_translation)) < 1e-12
-        assert np.max(np.abs(back.rotations - frame.rotations)) < 1e-12
-
-
-def test_frame_to_point_needs_next_for_differences(skeleton, rng):
-    cfg = mo.RepresentationConfig(joints=22, translation=True, rotations=True,
-                                  d_translation=True)
-    with pytest.raises(MissingNextFrame):
-        mo.frame_to_point(_random_frame(skeleton, rng), cfg, skeleton)
+    seq = _random_sequence(skeleton, rng, frames=10)
+    pts = mo.sequence_to_points(seq, cfg)
+    assert pts.shape == (10, 91)
+    back = mo.points_to_sequence(pts, cfg, skeleton, fps=30.0)
+    for a, b in zip(back.frames, seq.frames):
+        assert np.max(np.abs(a.root_translation - b.root_translation)) < 1e-12
+        assert np.max(np.abs(a.rotations - b.rotations)) < 1e-12
+    # an empty points file reads as (0, 0); no rows give no frames
+    assert len(mo.points_to_sequence(np.empty((0, 0)), cfg, skeleton, fps=30.0)) == 0
 
 
 def test_point_to_frame_needs_rotations(skeleton):
     cfg = mo.RepresentationConfig(joints=22, translation=True, preshape=True)
     with pytest.raises(ConfigLacksRotations):
-        mo.point_to_frame(np.zeros(mo.ambient_dimension(cfg)), cfg, skeleton)
+        mo.points_to_sequence(np.zeros(mo.ambient_dimension(cfg)), cfg, skeleton, fps=30.0)
 
 
 def test_sequence_to_points_difference_count(skeleton, rng):
@@ -324,14 +387,3 @@ def test_load_motion_canonicalizes_hemisphere(skeleton, caplog):
         seq = mo.load_motion_dict(doc)
     assert np.array_equal(seq.frames[0].rotations[2], mo.QUAT_IDENTITY)
     assert any("canonicalized 1" in r.message for r in caplog.records)
-
-
-def test_frame_violations():
-    frame = mo.MotionFrame(root_translation=np.zeros(3),
-                           rotations=np.tile(mo.QUAT_IDENTITY, (3, 1)))
-    assert frame.violations() == []
-    frame.rotations[1] = [0.9, 0.0, 0.0, 0.0]
-    frame.rotations[2] = [-1.0, 0.0, 0.0, 0.0]
-    msgs = frame.violations(tol=1e-9)
-    assert any("norm" in s for s in msgs)
-    assert any("hemisphere" in s for s in msgs)
