@@ -356,6 +356,12 @@ def _eval_manifold(doc: dict) -> mf.ManifoldSpec:
     raise ConfigError("eval config requires 'manifold' or 'representation'")
 
 
+def _check_width(name: str, points: np.ndarray, m: mf.ManifoldSpec) -> None:
+    if points.size and points.shape[1] != m.total_ambient_dim:
+        raise ConfigError(f"{name} dimension {points.shape[1]} does not match "
+                          f"the manifold ({m.total_ambient_dim})")
+
+
 def cmd_eval(config_path, out_dir, seed_override=None) -> int:
     doc = _load_config(config_path, "eval")
     seed = _seed(doc["seed"], seed_override)
@@ -363,9 +369,7 @@ def cmd_eval(config_path, out_dir, seed_override=None) -> int:
     samples = _read(_read_jsonl, doc["samples"], "points")
     reference = _read(_read_jsonl, doc["reference"], "points")
     for name, arr in (("samples", samples), ("reference", reference)):
-        if arr.size and arr.shape[1] != m.total_ambient_dim:
-            raise ConfigError(f"{name} dimension {arr.shape[1]} does not match "
-                              f"the manifold ({m.total_ambient_dim})")
+        _check_width(name, arr, m)
     report = me.evaluate_samples(
         m, samples, reference,
         bandwidth=doc["bandwidth"],
@@ -402,7 +406,14 @@ def cmd_sweep(config_path, out_dir, checkpoint_path=None, seed_override=None) ->
     ckpt, _, _, prior = _read(_load_model, ckpt_path, "checkpoint")
     m = ckpt.manifold
     reference = _read(_read_jsonl, scoring["reference"], "points")
+    _check_width("reference", reference, m)
+    if reference.shape[0] < 2:
+        raise ConfigError(f"reference has {reference.shape[0]} points; "
+                          "MMD needs at least 2 samples per batch")
     modes = _modes(scoring["modes"], m)
+    # Every row scores against the same reference: build its matrix once and
+    # hand each row a copy, which evaluate_samples overwrites.
+    d_rr = me.pairwise_distance(m, reference, reference)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -427,6 +438,7 @@ def cmd_sweep(config_path, out_dir, checkpoint_path=None, seed_override=None) ->
                 bandwidth=scoring["bandwidth"],
                 modes=modes,
                 assign_radius=scoring["assign_radius"],
+                reference_distances=d_rr.copy(),
             )
             return report.csv_row(seed, float(scale)) + ","
         except RmgError as exc:

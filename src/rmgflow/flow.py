@@ -28,6 +28,9 @@ from .errors import (
 # Flow times are sampled on [0, 1 - EPS_T] so the 1/(1-t) target stays bounded.
 EPS_T = 1e-5
 
+# Prior redraws of the rows of one batch that sit antipodal to their data point.
+MAX_PRIOR_REDRAWS = 8
+
 # Reserved condition-class index meaning "unconditional".
 NULL_CLASS = 0
 
@@ -120,17 +123,23 @@ def make_flow_batch(
 
     RNG call order (relied on by seeded reproducibility tests):
     prior normals, then uniform times, then condition-dropout uniforms.
-    On an antipodal prior/data pair the prior draw is resampled once.
+    Rows whose prior draw is antipodal to their data point draw again, just
+    those rows, after the times; after ``MAX_PRIOR_REDRAWS`` such rounds
+    AntipodalPoints propagates.
     """
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     B = x1.shape[0]
     x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
     t = rng.uniform(0.0, 1.0 - eps_t, size=B)
-    try:
-        x_t = mf.geodesic(m, x0, x1, t)
-    except AntipodalPoints:
-        x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
-        x_t = mf.geodesic(m, x0, x1, t)
+    for redraws in range(MAX_PRIOR_REDRAWS + 1):
+        try:
+            x_t = mf.geodesic(m, x0, x1, t)
+            break
+        except AntipodalPoints:
+            if redraws == MAX_PRIOR_REDRAWS:
+                raise
+            bad = mf.antipodal(m, x0, x1)
+            x0[bad] = mf.sample_wrapped_gaussian(m, prior, rng, size=int(bad.sum()))
     v = target_velocity(m, x_t, x1, t, eps_t=eps_t)
     cond = None
     if conditions is not None:

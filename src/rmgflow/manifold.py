@@ -19,12 +19,22 @@ factor to its slice of the flat vector, and each operation views that slice
 as ``(..., multiplicity, per_copy)`` so one formula call covers every copy of
 the factor.  Leading rows are walked in chunks of about ``CHUNK_ELEMENTS``
 broadcast elements, which bounds the temporaries of large or broadcast
-inputs (such as an N x M distance matrix) independently of the batch size.
+inputs independently of the batch size.
+
+``distance`` has its own kernel, because its outputs (such as an N x M
+distance matrix) are large next to its inputs: each factor copy of both
+operands is copied once into contiguous coordinate planes, and the output is
+filled in row blocks of about ``CHUNK_ELEMENTS`` entries, one block at a time
+on each usable CPU.  The arithmetic of every entry is fixed, so the bits do
+not depend on the shape, the blocks or the number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -239,8 +249,12 @@ def _sphere_angle(x, y):
     return dot, np.arccos(dot)
 
 
+def _near_pi(theta):
+    return theta >= np.pi - ANTIPODAL_MARGIN
+
+
 def _check_not_antipodal(theta):
-    if np.any(theta >= np.pi - ANTIPODAL_MARGIN):
+    if np.any(_near_pi(theta)):
         raise AntipodalPoints("sphere angle within 1e-6 of pi: no unique geodesic")
 
 
@@ -363,6 +377,19 @@ def log_map(m: ManifoldSpec, x, y) -> np.ndarray:
                 x, y)
 
 
+def antipodal(m: ManifoldSpec, x, y) -> np.ndarray:
+    """Boolean mask over the broadcast leading axes: True where some sphere or
+    pre-shape copy of x and y is antipodal within ``ANTIPODAL_MARGIN``, the
+    pairs for which ``log_map`` raises AntipodalPoints."""
+    x = _as_coords(m, x, "x")
+    y = _as_coords(m, y, "y")
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1], dtype=bool)
+    for rows, _, f, (xs, ys) in _per_factor(m, x, y):
+        if f.kind != "euclidean":
+            out[rows] |= _near_pi(_sphere_angle(xs, ys)[1]).any(axis=(-2, -1))
+    return out
+
+
 def _check_t(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
@@ -407,23 +434,108 @@ def project_tangent(m: ManifoldSpec, x, a) -> np.ndarray:
     return _map(m, _project, x, a)
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _copies(m: ManifoldSpec, a: np.ndarray) -> list[np.ndarray]:
+    """Each factor copy of ``a`` (leading shape L), in order, copied into
+    contiguous memory: ``(width, *L)`` coordinate planes for copies narrower
+    than PAIRWISE_MIN, ``(*L, width)`` rows for the wider ones."""
+    out = []
+    for f, sl in m.blocks:
+        w = f.ambient_dim_per_copy
+        block = np.moveaxis(a[..., sl].reshape(a.shape[:-1] + (f.multiplicity, w)), -2, 0)
+        if w < PAIRWISE_MIN:
+            block = np.moveaxis(block, -1, 1)
+        out.extend(np.ascontiguousarray(block))
+    return out
+
+
 def distance(m: ManifoldSpec, x, y) -> np.ndarray:
-    """Product geodesic distance (factor-wise Pythagorean combination)."""
+    """Product geodesic distance (factor-wise Pythagorean combination).
+
+    x and y broadcast against each other like numpy arrays over their leading
+    axes; ``x[:, None]`` against ``y[None]`` gives the N x M matrix.  Each
+    factor copy of both operands is copied once into contiguous memory.  The
+    output is then filled in row blocks of about ``CHUNK_ELEMENTS`` entries,
+    spread over a thread pool with one worker per usable CPU (a single block
+    runs inline).  A copy of width below ``PAIRWISE_MIN`` is summed one
+    coordinate plane at a time, left to right; a wider one is summed by
+    ``np.sum`` over its contiguous coordinates.  The copy's distance (sqrt,
+    or clip and arccos) is squared and added to the total in copy order.  So
+    every entry has the same bits whatever the shape, the row blocks and the
+    number of CPUs.
+    """
     x = _as_coords(m, x, "x")
     y = _as_coords(m, y, "y")
-    total = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
-    for rows, _, f, (xs, ys) in _per_factor(m, x, y):
-        if f.kind == "euclidean":
-            d = _norm(ys - xs)
-        else:
-            d = _sphere_angle(xs, ys)[1]
-        d *= d
-        # Squares are added one copy at a time, in copy order, so the bits do
-        # not depend on how copies are grouped into factors.
-        acc = total[rows + (...,)]
-        for j in range(f.multiplicity):
-            acc += d[..., j, 0]
-    return np.sqrt(total)
+    shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
+    if not shape:  # one pair: give it a row axis
+        return distance(m, x[None], y[None])[0]
+    total = np.zeros(shape)
+    inner = max(1, prod(shape[1:]))
+    kinds = [(f.kind == "euclidean", f.ambient_dim_per_copy)
+             for f in m.factors for _ in range(f.multiplicity)]
+    xc, yc = _copies(m, x), _copies(m, y)
+    # Operands that do not span the leading axis broadcast across it whole.
+    x_rows, y_rows = (a.ndim == len(shape) + 1 and a.shape[0] > 1 for a in (x, y))
+
+    def take(a, rows, spans):
+        return a[rows] if spans else a
+
+    def run(rows: slice) -> None:
+        out = total[rows]
+        acc, tmp = np.empty(out.shape), np.empty(out.shape)
+        for (euclid, width), xa, ya in zip(kinds, xc, yc):
+            if width < PAIRWISE_MIN:
+                for k in range(width):
+                    xk, yk = take(xa[k], rows, x_rows), take(ya[k], rows, y_rows)
+                    dst = tmp if k else acc
+                    if euclid:
+                        np.subtract(yk, xk, out=dst)
+                        np.multiply(dst, dst, out=dst)
+                    else:
+                        np.multiply(xk, yk, out=dst)
+                    if k:
+                        np.add(acc, tmp, out=acc)
+            else:
+                # (sub-rows, ..., width) products stay near CHUNK_ELEMENTS too
+                step = max(1, CHUNK_ELEMENTS // (inner * width))
+                for s in range(rows.start, rows.stop, step):
+                    sub = slice(s, min(s + step, rows.stop))
+                    xs, ys = take(xa, sub, x_rows), take(ya, sub, y_rows)
+                    p = ys - xs if euclid else xs * ys
+                    if euclid:
+                        p *= p
+                    acc[s - rows.start:sub.stop - rows.start] = np.sum(p, axis=-1)
+            # _dot's zero start is left out: it only turns a -0.0 sum into
+            # +0.0, and sqrt(-0.0)**2 and arccos(-0.0) equal those of +0.0.
+            if euclid:
+                np.sqrt(acc, out=acc)
+            else:
+                np.clip(acc, -1.0, 1.0, out=acc)
+                np.arccos(acc, out=acc)
+            np.multiply(acc, acc, out=acc)
+            np.add(out, acc, out=out)
+        np.sqrt(out, out=out)
+
+    step = max(1, CHUNK_ELEMENTS // inner)
+    blocks = [slice(s, min(s + step, shape[0])) for s in range(0, shape[0], step)]
+    workers = min(len(blocks), _usable_cpus())
+    if workers <= 1:
+        for rows in blocks:
+            run(rows)
+    else:
+        # Each block runs in a copy of the caller's context, so np.errstate holds there too.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, run, rows) for rows in blocks]
+        for fut in futures:
+            fut.result()
+    return total
 
 
 @dataclass(frozen=True)

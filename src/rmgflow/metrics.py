@@ -10,7 +10,9 @@ and the manifold-preservation claim by aggregate constraint deviations.
 reads the median-heuristic bandwidth and the nearest-neighbour distances
 from them, then overwrites each with its kernel in place, so no more than
 those three N x M arrays (plus pool-sized scratch) are alive at once.  The
-report is bitwise equal to computing a fresh matrix for every term.
+report is bitwise equal to computing a fresh matrix for every term.  A
+caller that scores many sample sets against one reference (``sweep``) builds
+the reference x reference matrix once and hands each call a copy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import manifold as mf
 from . import motion as mo
-from .errors import EmptyBatch, InvalidConfig
+from .errors import DimensionMismatch, EmptyBatch, InvalidConfig
 
 MEDIAN_POOL_POINTS = 1000  # pool size of the median-heuristic bandwidth
 
@@ -140,7 +142,10 @@ def _rotating_joint_points(task: ToyTaskSpec, m: mf.ManifoldSpec) -> np.ndarray:
 
 
 def pairwise_distance(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geodesic distance matrix; ``mf.distance`` bounds memory by row chunks."""
+    """Geodesic distance matrix between the rows of ``a`` and of ``b``.
+
+    ``mf.distance`` fills it in row blocks on every usable CPU, with the same
+    bits as computing each row on its own."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     return mf.distance(m, a[:, None, :], b[None, :, :])
@@ -316,7 +321,14 @@ def evaluate_samples(
     bandwidth: Optional[float] = None,
     modes: Optional[Sequence[np.ndarray]] = None,
     assign_radius: float = 1.0,
+    reference_distances: Optional[np.ndarray] = None,
 ) -> MetricReport:
+    """Score ``samples`` against ``reference``.
+
+    ``reference_distances``, if given, is ``pairwise_distance(m, reference,
+    reference)`` built by the caller (a sweep scores many sample sets against
+    one reference); it is overwritten with its kernel.
+    """
     samples = np.atleast_2d(samples)
     reference = np.atleast_2d(reference)
     if samples.shape[0] == 0 or reference.shape[0] == 0:
@@ -328,7 +340,13 @@ def evaluate_samples(
         mass, outliers = np.array([1.0]), 0.0
     # Each matrix is built once; _mmd overwrites it with its kernel.
     d_ss = pairwise_distance(m, samples, samples)
-    d_rr = pairwise_distance(m, reference, reference)
+    if reference_distances is None:
+        d_rr = pairwise_distance(m, reference, reference)
+    elif reference_distances.shape == (reference.shape[0],) * 2:
+        d_rr = reference_distances
+    else:
+        raise DimensionMismatch(f"reference_distances has shape {reference_distances.shape}, "
+                                f"expected {(reference.shape[0],) * 2}")
     d_sr = pairwise_distance(m, samples, reference)
     if bandwidth is None:
         ia, ib = _pool(samples, reference, MEDIAN_POOL_POINTS)

@@ -309,6 +309,58 @@ def test_sweep_rows(trained, tmp_path):
     assert all(l.endswith(",") for l in lines[1:])  # no errors recorded
 
 
+@pytest.mark.parametrize("cut", ["column", "rows"])
+def test_sweep_unusable_reference_exits_2_before_sampling(trained, tmp_path, capsys, cut):
+    # A reference one column short, or of a single point, can score no row.
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
+    ref = _points_file(tmp_path / "ref.jsonl", m, np.array([0, 0, 0, 1.0, 0, 0, 0]), 40, 5)
+    points = cli._read_jsonl(ref)
+    cli._write_jsonl(points[:, :-1] if cut == "column" else points[:1], ref)
+    out = tmp_path / "out"
+    doc = {"schema": 1, "guidance_scales": [1.0, 3.0],
+           "sample": {"num_samples": 10, "num_steps": 5, "condition": 1},
+           "eval": {"reference": str(ref)}}
+    cfg = write_json(tmp_path / "sw.json", doc)
+    code = cli.main(["sweep", "--config", cfg, "--out", str(out),
+                     "--checkpoint", str(trained / "checkpoint.rmg")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("reference dimension 6 does not match the manifold (7)" in err if cut == "column"
+            else "reference has 1 points" in err)
+    assert not out.exists()  # no row was sampled
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_builds_reference_matrix_once(trained, tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("RMG_THREADS", threads)
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
+    ref_path = _points_file(tmp_path / "ref.jsonl", m, np.array([0, 0, 0, 1.0, 0, 0, 0]), 40, 5)
+    ref = cli._read_jsonl(ref_path)
+    builds = []
+    pairwise = me.pairwise_distance
+
+    def counting(mm, a, b):
+        builds.append(np.array_equal(a, ref) and np.array_equal(b, ref))
+        return pairwise(mm, a, b)
+
+    monkeypatch.setattr(me, "pairwise_distance", counting)
+    scales = [0.0, 1.0, 2.5]
+    cfg = write_json(tmp_path / "sw.json", {
+        "schema": 1, "guidance_scales": scales, "seed": 7,
+        "sample": {"num_samples": 12, "num_steps": 5, "condition": 1},
+        "eval": {"reference": str(ref_path)},
+    })
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                     "--checkpoint", str(trained / "checkpoint.rmg")]) == 0
+    assert sum(builds) == 1
+    monkeypatch.setattr(me, "pairwise_distance", pairwise)
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    for i, scale in enumerate(scales):
+        points = cli._read_jsonl(tmp_path / f"row_{i}" / "samples.jsonl")
+        fresh = me.evaluate_samples(m, points, ref)
+        assert lines[i] == fresh.csv_row(7 + i, scale) + ","
+
+
 # ---------------------------------------------------------------------------
 # every bad input exits 2
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from rmgflow import flow as fl
 from rmgflow import manifold as mf
 from rmgflow import motion as mo
 from rmgflow.errors import (
+    AntipodalPoints,
     DimensionMismatch,
     DomainError,
     InvalidConfig,
@@ -104,6 +105,68 @@ def test_make_flow_batch_condition_dropout(toy_manifold, rng):
     assert np.all(batch.condition == 2)
     with pytest.raises(DimensionMismatch):
         fl.make_flow_batch(m, x1, prior, rng, conditions=np.zeros(3))
+
+
+def _forced_prior(monkeypatch, x1, rows, stay_bad=False):
+    """Patch the prior sampler: its first draw puts ``rows`` of the sphere
+    block exactly antipodal to ``x1``, and with ``stay_bad`` so does every
+    redraw.  Returns the lists of draw sizes and of ``mf.antipodal`` masks."""
+    draw, antipodal = mf.sample_wrapped_gaussian, mf.antipodal
+    sizes, masks = [], []
+
+    def forced(m, g, rng, size=None):
+        sizes.append(size)
+        x = draw(m, g, rng, size=size)
+        if size == x1.shape[0]:
+            x[rows, 3:] = -x1[rows, 3:]
+        elif stay_bad:
+            x[:, 3:] = -x1[rows, 3:]
+        return x
+
+    def counted(m, x, y):
+        masks.append(antipodal(m, x, y))
+        return masks[-1]
+
+    monkeypatch.setattr(mf, "sample_wrapped_gaussian", forced)
+    monkeypatch.setattr(mf, "antipodal", counted)
+    return sizes, masks
+
+
+def test_make_flow_batch_redraws_only_antipodal_rows(toy_manifold, monkeypatch):
+    m = toy_manifold
+    prior = _prior(m)
+    x1 = mf.sample_wrapped_gaussian(m, prior, np.random.default_rng(0), size=16)
+    draw = mf.sample_wrapped_gaussian
+    sizes, masks = _forced_prior(monkeypatch, x1, [2, 9])
+    batch = fl.make_flow_batch(m, x1, prior, np.random.default_rng(4))
+    assert sizes == [16, 2]
+    assert [np.flatnonzero(mask).tolist() for mask in masks] == [[2, 9]]
+    # The same stream replayed: every other row keeps its first draw.
+    rng = np.random.default_rng(4)
+    x0 = draw(m, prior, rng, size=16)
+    t = rng.uniform(0.0, 1.0 - fl.EPS_T, size=16)
+    x0[[2, 9]] = draw(m, prior, rng, size=2)
+    assert np.array_equal(batch.x0, x0) and np.array_equal(batch.t, t)
+    assert np.array_equal(batch.x_t, mf.geodesic(m, x0, x1, t))
+
+
+def test_make_flow_batch_redraws_are_bounded(toy_manifold, monkeypatch):
+    m = toy_manifold
+    prior = _prior(m)
+    x1 = mf.sample_wrapped_gaussian(m, prior, np.random.default_rng(0), size=16)
+    sizes, _ = _forced_prior(monkeypatch, x1, [5], stay_bad=True)
+    with pytest.raises(AntipodalPoints):
+        fl.make_flow_batch(m, x1, prior, np.random.default_rng(4))
+    assert sizes == [16] + [1] * fl.MAX_PRIOR_REDRAWS
+
+
+def test_make_flow_batch_clean_batch_draws_once(toy_manifold, monkeypatch):
+    m = toy_manifold
+    prior = _prior(m)
+    x1 = mf.sample_wrapped_gaussian(m, prior, np.random.default_rng(0), size=16)
+    sizes, masks = _forced_prior(monkeypatch, x1, [])
+    fl.make_flow_batch(m, x1, prior, np.random.default_rng(4))
+    assert sizes == [16] and masks == []
 
 
 def test_fm_loss_zero_on_exact_prediction(toy_manifold, rng):

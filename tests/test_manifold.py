@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -267,6 +270,136 @@ def test_chunked_batch_equals_rows(factors):
         assert np.array_equal(whole, np.stack(rows)), name
     assert mf.tangency_defect(m, x, a) == max(mf.tangency_defect(m, x[i], a[i])
                                               for i in range(B))
+
+
+# ---------------------------------------------------------------------------
+# distance kernel
+# ---------------------------------------------------------------------------
+
+
+def _oracle_dot(x, y):
+    """Per-copy inner product of the per-factor formula: left to right onto a
+    zero start below 8 coordinates, numpy's pairwise sum from 8 on."""
+    if x.shape[-1] >= 8:
+        return np.sum(x * y, axis=-1, keepdims=True)
+    acc = x[..., 0:1] * y[..., 0:1]
+    for k in range(1, x.shape[-1]):
+        acc += x[..., k:k + 1] * y[..., k:k + 1]
+    acc += 0.0
+    return acc
+
+
+def _oracle_distance(m, x, y):
+    """The per-factor distance formula on (..., multiplicity, width) views,
+    squares added to the total in copy order."""
+    total = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1])
+    for f, sl in m.blocks:
+        copies = (f.multiplicity, f.ambient_dim_per_copy)
+        xs = x[..., sl].reshape(x.shape[:-1] + copies)
+        ys = y[..., sl].reshape(y.shape[:-1] + copies)
+        if f.kind == "euclidean":
+            d = np.sqrt(_oracle_dot(ys - xs, ys - xs))
+        else:
+            d = np.arccos(np.clip(_oracle_dot(xs, ys), -1.0, 1.0))
+        d *= d
+        for j in range(f.multiplicity):
+            total += d[..., j, 0]
+    return np.sqrt(total)
+
+
+def _bits(a):
+    """Bytes of ``a`` with every NaN made the same NaN.  A NaN's sign says
+    which operand numpy's add loop passed on: the contiguous and the strided
+    loop differ there, so it is not part of the formula."""
+    a = np.asarray(a)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+WIDE_FACTORS = st.one_of(
+    # copy widths 1-12 and 2-12: both sides of mf.PAIRWISE_MIN
+    st.builds(mf.euclidean, st.integers(1, 12), st.integers(1, 3)),
+    st.builds(mf.sphere, st.integers(1, 11), st.integers(1, 3)),
+    st.builds(mf.preshape, st.integers(2, 4), st.integers(1, 3), st.integers(1, 2)),
+)
+
+
+def _with_specials(rng, a, count):
+    """``a`` with ``count`` entries set to +0.0, -0.0 or NaN."""
+    a = a.copy()
+    flat = a.reshape(-1)
+    idx = rng.integers(0, flat.size, size=count)
+    flat[idx] = rng.choice([0.0, -0.0, np.nan], size=count)
+    return a
+
+
+@given(st.lists(WIDE_FACTORS, min_size=1, max_size=3), st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from([1, 5, 64, mf.CHUNK_ELEMENTS]), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_distance_equals_per_factor_oracle(factors, n, k, chunk, cpus, seed):
+    m = mf.ManifoldSpec(factors)
+    rng = np.random.default_rng(seed)
+    x = mf.random_point(m, rng, size=n)
+    y = mf.random_point(m, rng, size=k)
+    y[: min(n, k) // 2] = x[: min(n, k) // 2]  # equal points: dot products near 1
+    x = _with_specials(rng, x, rng.integers(0, 4))
+    y = _with_specials(rng, y, rng.integers(0, 4))
+    x[rng.integers(0, n)] = -0.0  # every product of a row -0.0
+    shapes = {
+        "elementwise": (x, np.resize(y, x.shape)),
+        "point_vs_set": (x[0], y),
+        "set_vs_point": (x, y[0]),
+        "one_pair": (x[0], y[0]),
+        "matrix": (x[:, None, :], y[None, :, :]),
+        "matrix_3d": (x[:, None, None, :], np.stack([y, y[::-1]])[None]),
+    }
+    with patch.object(mf, "CHUNK_ELEMENTS", chunk), patch.object(mf, "_usable_cpus", lambda: cpus):
+        for name, (a, b) in shapes.items():
+            got, want = mf.distance(m, a, b), _oracle_distance(m, a, b)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want), name
+            assert _bits(got) == _bits(want), name
+
+
+def test_distance_bits_independent_of_cpu_count():
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3, multiplicity=22), mf.euclidean(9)])
+    rng = np.random.default_rng(5)
+    a = mf.random_point(m, rng, size=600)
+    b = mf.random_point(m, rng, size=500)
+    assert 600 * 500 > 4 * mf.CHUNK_ELEMENTS  # several row blocks
+    before = threading.enumerate()
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self._max_workers)
+
+        def shutdown(self, wait=True, **kwargs):
+            pools.append(("shutdown", wait))
+            super().shutdown(wait=wait, **kwargs)
+
+    results = {}
+    with patch.object(mf, "ThreadPoolExecutor", CountingPool):
+        for cpus in (1, 4):
+            with patch.object(mf, "_usable_cpus", lambda: cpus):
+                results[cpus] = mf.distance(m, a[:, None, :], b[None, :, :])
+    # one CPU runs inline; four get a pool of four, joined before the call returns
+    assert pools == [4, ("shutdown", True)]
+    assert results[1].tobytes() == results[4].tobytes()
+    assert results[1].tobytes() == _oracle_distance(m, a[:, None, :], b[None, :, :]).tobytes()
+    assert threading.enumerate() == before  # no worker outlives the call
+
+
+def test_distance_workers_keep_caller_errstate():
+    # inf - inf is invalid: ignored under the caller's errstate on every worker
+    m = mf.ManifoldSpec([mf.euclidean(2)])
+    a = np.zeros((400, 2))
+    a[::7, 0] = np.inf
+    with patch.object(mf, "_usable_cpus", lambda: 2), patch.object(mf, "CHUNK_ELEMENTS", 400):
+        with np.errstate(invalid="ignore"):
+            d = mf.distance(m, a[:, None, :], a[None, :, :])
+        assert np.isnan(d[0, 7]) and d[1, 2] == 0.0
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            mf.distance(m, a[:, None, :], a[None, :, :])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from rmgflow import manifold as mf
 from rmgflow import metrics as me
 from rmgflow import motion as mo
 from rmgflow import net as nn
-from rmgflow.errors import EmptyBatch, InvalidConfig
+from rmgflow.errors import DimensionMismatch, EmptyBatch, InvalidConfig
 
 
 def _sphere_mixture(m, means, scale=0.1, conditions=(None, None)):
@@ -303,6 +303,17 @@ def test_evaluate_samples_checks_in_order(toy_manifold, rng):
             me.geodesic_mmd(m, x, x, bad)
     with pytest.raises(InvalidConfig):  # identical points: median bandwidth 0
         me.evaluate_samples(m, np.tile(x[0], (3, 1)), np.tile(x[0], (3, 1)))
+
+
+def test_evaluate_samples_takes_reference_matrix(toy_manifold, rng):
+    m = toy_manifold
+    samples = mf.random_point(m, rng, size=30)
+    reference = mf.random_point(m, rng, size=40)
+    d_rr = me.pairwise_distance(m, reference, reference)
+    report = me.evaluate_samples(m, samples, reference, reference_distances=d_rr.copy())
+    assert report.to_json_dict() == me.evaluate_samples(m, samples, reference).to_json_dict()
+    with pytest.raises(DimensionMismatch):
+        me.evaluate_samples(m, samples, reference, reference_distances=d_rr[:-1])
 
 
 @pytest.mark.parametrize("build", [
