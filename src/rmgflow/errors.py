@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check
+that every config object applies to its counts."""
+
+from numbers import Integral
 
 
 class RmgError(Exception):
@@ -23,6 +26,13 @@ class DomainError(RmgError):
 
 class InvalidConfig(RmgError):
     """A configuration object violates its invariants."""
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise InvalidConfig naming ``name`` unless ``value`` is an integer of at
+    least ``minimum``; NaN, 2.5 and booleans are not integers."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class ZeroQuaternion(RmgError):

@@ -5,6 +5,14 @@ geodesic x_t = Exp_{x0}(t Log_{x0}(x1)); the supervision signal is the
 tangent velocity Log_{x_t}(x1) / (1 - t).  Sampling integrates the learned
 field with first-order geodesic Euler steps, which keep every iterate on
 the manifold by construction.
+
+Each sampler step is one pass per factor over contiguous copies of the
+point and of the field evaluations (``manifold._blocks``: coordinate planes
+for sphere and pre-shape copies narrower than ``PAIRWISE_MIN``, rows
+otherwise).  The pass projects, applies guidance, checks tangency and
+shoots with the per-element arithmetic of ``project_tangent``,
+``guided_velocity`` and ``euler_step``, in their order, so it gives the
+same bits as that chain of public steps.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from .errors import (
     DomainError,
     InvalidConfig,
     TimeTooCloseToOne,
+    require_int,
 )
 
 # Flow times are sampled on [0, 1 - EPS_T] so the 1/(1-t) target stays bounded.
@@ -65,8 +74,7 @@ class IntegratorConfig:
     num_steps: int = 100
 
     def __post_init__(self):
-        if self.num_steps < 1:
-            raise InvalidConfig("num_steps must be >= 1")
+        require_int("num_steps", self.num_steps, 1)
 
     @property
     def step_size(self) -> float:
@@ -162,6 +170,16 @@ def fm_loss(m: mf.ManifoldSpec, batch: FlowBatch, predicted: np.ndarray) -> floa
     return float(np.mean(np.sum(r * r, axis=-1)))
 
 
+def _guide(project, v_cond, v_uncond, scale: float):
+    """Classifier-free combination of two tangent fields; ``project`` maps an
+    ambient vector onto the tangent space at their base point."""
+    if scale == 1.0:
+        return v_cond
+    if scale == 0.0:
+        return v_uncond
+    return project(v_uncond + scale * (v_cond - v_uncond))
+
+
 def guided_velocity(
     m: mf.ManifoldSpec, base, v_cond: np.ndarray, v_uncond: np.ndarray, scale: float
 ) -> np.ndarray:
@@ -174,21 +192,56 @@ def guided_velocity(
     v_uncond = np.asarray(v_uncond, dtype=float)
     if v_cond.shape != v_uncond.shape:
         raise BaseMismatch("guided velocities must share shape and base point")
-    if scale == 1.0:
-        return v_cond
-    if scale == 0.0:
-        return v_uncond
-    return mf.project_tangent(m, base, v_uncond + scale * (v_cond - v_uncond))
+    return _guide(lambda a: mf.project_tangent(m, base, a), v_cond, v_uncond, scale)
+
+
+def _check_step(h: float) -> None:
+    if not h >= 0:  # NaN fails too
+        raise DomainError("step size must be nonnegative")
 
 
 def euler_step(m: mf.ManifoldSpec, x, v, h: float) -> np.ndarray:
     """One geodesic Euler update Exp_x(h v)."""
-    if not h >= 0:  # NaN fails too
-        raise DomainError("step size must be nonnegative")
+    _check_step(h)
     return mf.exp_map(m, x, h * np.asarray(v, dtype=float))
 
 
 VelocityField = Callable[[np.ndarray, float, Optional[np.ndarray]], np.ndarray]
+
+
+def _field_blocks(m: mf.ManifoldSpec, field: VelocityField, x, t, cond) -> list[np.ndarray]:
+    a = np.asarray(field(x, t, cond), dtype=float)
+    if a.shape != x.shape:
+        raise DimensionMismatch(f"field returned shape {a.shape}, expected {x.shape}")
+    return mf._blocks(m, a)
+
+
+def _euler_pass(m: mf.ManifoldSpec, xb, ab, a0b, scale: float, h: float) -> list[np.ndarray]:
+    """One guided geodesic Euler step on the contiguous blocks of ``mf._blocks``.
+
+    Per factor: project the field ``ab`` (and the null-condition field
+    ``a0b``, if given, combined as in ``guided_velocity``), scale by h, reject
+    a step whose tangency defect exceeds ``TANGENT_REJECT`` (so any
+    non-finite field), then shoot along the geodesic.  The per-element
+    arithmetic is that of project_tangent, guided_velocity and euler_step.
+    """
+    _check_step(h)
+    out = []
+    for i, (f, x, a) in enumerate(zip(m.factors, xb, ab)):
+        axis = mf._coord_axis(f)
+
+        def project(u):
+            return mf._project(f, x, u, axis)
+
+        # A non-finite field fails the tangency check below, so its warnings are moot.
+        with np.errstate(invalid="ignore", over="ignore"):
+            v = project(a)
+            if a0b is not None:
+                v = _guide(project, v, project(a0b[i]), scale)
+            v = h * v
+            mf._check_tangent(mf._defect(f, x, v, axis=axis))
+        out.append(mf._shoot(f, x, v, axis))
+    return out
 
 
 def sample_ode(
@@ -205,8 +258,9 @@ def sample_ode(
 
     ``field(x, t, condition)`` returns ambient vectors; they are projected,
     optionally guidance-combined against a null-condition evaluation, and
-    stepped with geodesic Euler updates.  scale == 1 skips the second field
-    evaluation so guided and unguided runs agree bitwise.
+    stepped with geodesic Euler updates, one ``_euler_pass`` per step.
+    scale == 1 skips the second field evaluation so guided and unguided runs
+    agree bitwise.
     """
     if condition is not None:
         condition = np.asarray(condition)
@@ -216,19 +270,15 @@ def sample_ode(
     else:
         B = 1 if num_samples is None else int(num_samples)
     x = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
+    xb = mf._blocks(m, x)
     N = integ.num_steps
     h = integ.step_size
     use_guidance = guid.enabled and guid.scale != 1.0 and condition is not None
     null_cond = np.full(B, NULL_CLASS) if use_guidance else None
     for k in range(N):
         t = k / N
-        a = np.asarray(field(x, t, condition), dtype=float)
-        if a.shape != x.shape:
-            raise DimensionMismatch(f"field returned shape {a.shape}, expected {x.shape}")
-        v = mf.project_tangent(m, x, a)
-        if use_guidance:
-            a0 = np.asarray(field(x, t, null_cond), dtype=float)
-            v0 = mf.project_tangent(m, x, a0)
-            v = guided_velocity(m, x, v, v0, guid.scale)
-        x = euler_step(m, x, v, h)
+        ab = _field_blocks(m, field, x, t, condition)
+        a0b = _field_blocks(m, field, x, t, null_cond) if use_guidance else None
+        xb = _euler_pass(m, xb, ab, a0b, guid.scale, h)
+        x = mf._unblock(m, xb, (B,))
     return x

@@ -48,6 +48,7 @@ from .errors import (
     DomainError,
     InvalidConfig,
     NotTangent,
+    require_int,
 )
 
 # Centralized tolerance table (double precision throughout).
@@ -75,21 +76,14 @@ class FactorSpec:
     multiplicity: int = 1
 
     def __post_init__(self):
-        if self.multiplicity < 1:
-            raise InvalidConfig(f"multiplicity must be >= 1, got {self.multiplicity}")
-        if self.kind == "euclidean":
-            if self.dim < 1:
-                raise InvalidConfig(f"euclidean dim must be >= 1, got {self.dim}")
-        elif self.kind == "sphere":
-            if self.dim < 1:
-                raise InvalidConfig(f"sphere dim must be >= 1, got {self.dim}")
-        elif self.kind == "preshape":
-            if self.landmarks < 2:
-                raise InvalidConfig(f"preshape needs >= 2 landmarks, got {self.landmarks}")
-            if self.spatial_dim < 1:
-                raise InvalidConfig(f"preshape spatial dim must be >= 1, got {self.spatial_dim}")
-        else:
+        if self.kind not in ("euclidean", "sphere", "preshape"):
             raise InvalidConfig(f"unknown factor kind {self.kind!r}")
+        require_int("multiplicity", self.multiplicity, 1)
+        if self.kind == "preshape":
+            require_int("preshape landmarks", self.landmarks, 2)
+            require_int("preshape spatial_dim", self.spatial_dim, 1)
+        else:
+            require_int(f"{self.kind} dim", self.dim, 1)
 
     @property
     def ambient_dim_per_copy(self) -> int:
@@ -206,42 +200,47 @@ class WrappedGaussianSpec:
 # ---------------------------------------------------------------------------
 
 
-def _dot(x, y):
-    """Per-copy inner product over the last axis, kept as a length-1 axis;
-    bitwise equal to ``np.sum(x * y, axis=-1, keepdims=True)``."""
-    width = np.broadcast_shapes(x.shape, y.shape)[-1]
+def _dot(x, y, axis=-1):
+    """Per-copy inner product over the coordinate axis ``axis`` (negative, so it
+    counts from the right like broadcasting), kept as a length-1 axis; bitwise
+    equal to ``np.sum(x * y, axis=-1, keepdims=True)`` of the same coordinates
+    held on the last axis.  Copies of width PAIRWISE_MIN or more must hold
+    their coordinates on the last axis."""
+    width = np.broadcast_shapes(x.shape, y.shape)[axis]
     if width >= PAIRWISE_MIN:
-        return np.sum(x * y, axis=-1, keepdims=True)
-    acc = x[..., 0:1] * y[..., 0:1]
+        return np.sum(x * y, axis=axis, keepdims=True)
+    tail = (slice(None),) * (-1 - axis)
+    acc = x[(..., slice(0, 1)) + tail] * y[(..., slice(0, 1)) + tail]
     for k in range(1, width):
-        acc += x[..., k:k + 1] * y[..., k:k + 1]
+        acc += x[(..., slice(k, k + 1)) + tail] * y[(..., slice(k, k + 1)) + tail]
     acc += 0.0  # numpy's zero start: an all -0.0 sum reads +0.0
     return acc
 
 
-def _norm(a):
-    return np.sqrt(_dot(a, a))
+def _norm(a, axis=-1):
+    return np.sqrt(_dot(a, a, axis))
 
 
-def _landmarks(a, f: FactorSpec):
-    """View each copy of a pre-shape block as a landmarks x spatial_dim matrix."""
-    return a.reshape(a.shape[:-1] + (f.landmarks, f.spatial_dim))
+def _landmarks(a, f: FactorSpec, axis=-1):
+    """Split the coordinate axis of each pre-shape copy into landmarks x spatial_dim."""
+    at = a.ndim + axis
+    return a.reshape(a.shape[:at] + (f.landmarks, f.spatial_dim) + a.shape[at + 1:])
 
 
-def _center(a, f: FactorSpec):
+def _center(a, f: FactorSpec, axis=-1):
     """Subtract the landmark centroid from each copy of a pre-shape block."""
-    mat = _landmarks(a, f)
-    return (mat - mat.mean(axis=-2, keepdims=True)).reshape(a.shape)
+    mat = _landmarks(a, f, axis)
+    return (mat - mat.mean(axis=axis - 1, keepdims=True)).reshape(a.shape)
 
 
-def _sphere_exp(x, v):
-    n = _norm(v)
+def _sphere_exp(x, v, axis=-1):
+    n = _norm(v, axis)
     small = n < SMALL_ANGLE
     safe = np.where(small, 1.0, n)
     sinc = np.where(small, 1.0 - n * n / 6.0, np.sin(safe) / safe)
     cosn = np.where(small, 1.0 - n * n / 2.0, np.cos(n))
     y = cosn * x + sinc * v
-    return y / _norm(y)
+    return y / _norm(y, axis)
 
 
 def _sphere_angle(x, y):
@@ -336,6 +335,18 @@ def _as_coords(m: ManifoldSpec, a, name: str) -> np.ndarray:
     return a
 
 
+def _defect(f: FactorSpec, x, v, worst=0.0, axis=-1):
+    """``worst`` raised to the largest tangent-constraint violation of v at x
+    over the copies of factor f; NaN once either holds a non-finite entry."""
+    if f.kind == "euclidean":
+        # no constraint, but non-finite input must still surface
+        return worst if np.isfinite(x).all() and np.isfinite(v).all() else np.nan
+    worst = np.max(np.abs(_dot(x, v, axis)), initial=worst)
+    if f.kind == "preshape":
+        worst = np.max(np.abs(_landmarks(v, f, axis).mean(axis=axis - 1)), initial=worst)
+    return worst
+
+
 def tangency_defect(m: ManifoldSpec, x, v) -> float:
     """Largest violation of the tangent-space constraints of v at x.
 
@@ -347,26 +358,25 @@ def tangency_defect(m: ManifoldSpec, x, v) -> float:
     worst = 0.0
     with np.errstate(invalid="ignore", over="ignore"):
         for _, _, f, (xs, vs) in _per_factor(m, x, v):
-            if f.kind == "euclidean":
-                # no constraint, but non-finite input must still surface
-                if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
-                    worst = np.nan
-                continue
-            worst = np.max(np.abs(_dot(xs, vs)), initial=worst)
-            if f.kind == "preshape":
-                worst = np.max(np.abs(_landmarks(vs, f).mean(axis=-2)), initial=worst)
+            worst = _defect(f, xs, vs, worst)
     return float(worst)
+
+
+def _check_tangent(defect) -> None:
+    if not defect <= TANGENT_REJECT:
+        raise NotTangent(f"tangency defect {defect:.3e} is not within {TANGENT_REJECT:.1e}")
+
+
+def _shoot(f: FactorSpec, x, v, axis=-1):
+    return x + v if f.kind == "euclidean" else _sphere_exp(x, v, axis)
 
 
 def exp_map(m: ManifoldSpec, x, v) -> np.ndarray:
     """Shoot v (tangent at x) along its geodesic for unit time."""
     x = _as_coords(m, x, "x")
     v = _as_coords(m, v, "v")
-    defect = tangency_defect(m, x, v)
-    if not defect <= TANGENT_REJECT:
-        raise NotTangent(f"tangency defect {defect:.3e} is not within {TANGENT_REJECT:.1e}")
-    return _map(m, lambda f, xs, vs: xs + vs if f.kind == "euclidean" else _sphere_exp(xs, vs),
-                x, v)
+    _check_tangent(tangency_defect(m, x, v))
+    return _map(m, _shoot, x, v)
 
 
 def log_map(m: ManifoldSpec, x, y) -> np.ndarray:
@@ -416,12 +426,12 @@ def geodesic_velocity(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
                 else _sphere_geodesic_velocity(a, b, tt), x0, x1, t)
 
 
-def _project(f: FactorSpec, x, a):
+def _project(f: FactorSpec, x, a, axis=-1):
     if f.kind == "euclidean":
         return a
     if f.kind == "preshape":
-        a = _center(a, f)
-    return a - _dot(a, x) * x
+        a = _center(a, f, axis)
+    return a - _dot(a, x, axis) * x
 
 
 def project_tangent(m: ManifoldSpec, x, a) -> np.ndarray:
@@ -432,6 +442,34 @@ def project_tangent(m: ManifoldSpec, x, a) -> np.ndarray:
     x = _as_coords(m, x, "x")
     a = _as_coords(m, a, "a")
     return _map(m, _project, x, a)
+
+
+def _coord_axis(f: FactorSpec) -> int:
+    """Axis that holds the coordinates of factor f's block from ``_blocks``."""
+    return -3 if f.kind != "euclidean" and f.ambient_dim_per_copy < PAIRWISE_MIN else -1
+
+
+def _block_view(a: np.ndarray, f: FactorSpec, sl: slice) -> np.ndarray:
+    block = a[..., sl].reshape(a.shape[:-1] + (f.multiplicity, f.ambient_dim_per_copy))
+    return np.moveaxis(block, -1, 0) if _coord_axis(f) == -3 else block
+
+
+def _blocks(m: ManifoldSpec, a: np.ndarray) -> list[np.ndarray]:
+    """Each factor block of ``a`` (leading shape L), in order, copied into
+    contiguous memory: ``(width, *L, multiplicity)`` coordinate planes for
+    sphere and pre-shape copies narrower than PAIRWISE_MIN, so that every
+    per-copy operation runs over whole planes, and ``(*L, multiplicity,
+    width)`` rows for wider copies and Euclidean blocks.  The per-copy
+    formulas take the block's ``_coord_axis``."""
+    return [np.ascontiguousarray(_block_view(a, f, sl)) for f, sl in m.blocks]
+
+
+def _unblock(m: ManifoldSpec, blocks: Sequence[np.ndarray], lead: tuple) -> np.ndarray:
+    """The array of leading shape ``lead`` whose ``_blocks`` are ``blocks``."""
+    out = np.empty(lead + (m.total_ambient_dim,))
+    for (f, sl), block in zip(m.blocks, blocks):
+        _block_view(out, f, sl)[...] = block
+    return out
 
 
 def _usable_cpus() -> int:

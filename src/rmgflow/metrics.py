@@ -24,7 +24,7 @@ import numpy as np
 
 from . import manifold as mf
 from . import motion as mo
-from .errors import DimensionMismatch, EmptyBatch, InvalidConfig
+from .errors import DimensionMismatch, EmptyBatch, InvalidConfig, require_int
 
 MEDIAN_POOL_POINTS = 1000  # pool size of the median-heuristic bandwidth
 
@@ -64,8 +64,7 @@ class ToyTaskSpec:
     def __post_init__(self):
         if self.kind not in ("sphere_mixture", "fixed_point", "rotating_joint"):
             raise InvalidConfig(f"unknown toy task kind {self.kind!r}")
-        if self.sample_count < 1:
-            raise InvalidConfig("sample_count must be >= 1")
+        require_int("sample_count", self.sample_count, 1)
         if np.asarray(self.axis, dtype=float).shape != (3,):
             raise InvalidConfig("axis must have 3 components")
         for name in ("axis", "amplitude", "cycles"):

@@ -9,6 +9,12 @@ samples stay close to the prior.
 Parameters live in one flat float64 vector; the structured weight matrices
 are numpy views into it, so the optimizer and EMA can treat the model as a
 plain vector while the forward pass uses shaped arrays.
+
+One forward pass serves sampling and training.  A single time for the whole
+batch is featurized once and broadcast over the rows, biases are added in
+place and each SiLU is computed in one buffer; the arithmetic of every entry
+is that of the plain formula, so the outputs and the trained weights keep
+their bits.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .errors import (
     ShapeMismatch,
     StepOutOfRange,
     UnknownConditionClass,
+    require_int,
 )
 
 
@@ -45,8 +52,7 @@ class NetworkSpec:
     def __post_init__(self):
         for name in ("input_dim", "hidden_dim", "num_layers", "time_embed_dim",
                      "cond_embed_dim", "num_condition_classes"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1")
+            require_int(name, getattr(self, name), 1)
 
     @property
     def in_features(self) -> int:
@@ -174,7 +180,14 @@ def _sigmoid(z):
 
 
 def _silu(z):
-    return z * _sigmoid(z)
+    """``z * _sigmoid(z)`` with the same arithmetic, in one buffer."""
+    s = np.negative(z)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+    s *= z
+    return s
 
 
 def _silu_grad(z):
@@ -198,34 +211,40 @@ def _cond_indices(spec: NetworkSpec, cond, batch: int) -> np.ndarray:
     return idx
 
 
-def _forward_cached(params: VectorFieldParams, x, t, cond):
+def _forward_cached(params: VectorFieldParams, x, t, cond, keep: bool = True):
+    """Output and backprop cache ``(idx, pre, acts)``: the condition indices,
+    each hidden layer's pre-activation, and each dense layer's input.  With
+    ``keep`` False the cache lists stay empty, so every layer's arrays are
+    freed as soon as the next layer has read them."""
     spec = params.spec
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     if x2.shape[1] != spec.input_dim:
         raise DimensionMismatch(f"x has dim {x2.shape[1]}, expected {spec.input_dim}")
     B = x2.shape[0]
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape == (1,) and B > 1:
-        t = np.full(B, t[0])
     idx = _cond_indices(spec, cond, B)
-    feats = np.concatenate([x2, time_features(t, spec.time_embed_dim),
-                            params.views["cond_emb"][idx]], axis=1)
-    h = feats
-    pre = []
-    acts = [feats]
+    D, T = spec.input_dim, spec.time_embed_dim
+    h = np.empty((B, spec.in_features))
+    h[:, :D] = x2
+    # One time for the whole batch is featurized once and broadcast.
+    h[:, D:D + T] = time_features(t, T)
+    h[:, D + T:] = params.views["cond_emb"][idx]
+    pre, acts = [], [h] if keep else []
     for i in range(spec.num_layers):
-        z = h @ params.views[f"W{i}"] + params.views[f"b{i}"]
-        pre.append(z)
+        z = h @ params.views[f"W{i}"]
+        z += params.views[f"b{i}"]
         h = _silu(z)
-        acts.append(h)
-    out = h @ params.views["W_out"] + params.views["b_out"]
+        if keep:
+            pre.append(z)
+            acts.append(h)
+    out = h @ params.views["W_out"]
+    out += params.views["b_out"]
     return out, (idx, pre, acts)
 
 
 def forward(params: VectorFieldParams, x, t, cond=None) -> np.ndarray:
     """Ambient-space velocity prediction; batched over leading dimension."""
     single = np.asarray(x).ndim == 1
-    out, _ = _forward_cached(params, x, t, cond)
+    out, _ = _forward_cached(params, x, t, cond, keep=False)
     return out[0] if single else out
 
 

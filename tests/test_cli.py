@@ -422,6 +422,19 @@ def test_checkpoint_without_digest_loads(trained, tmp_path):
     assert _run(tmp_path, "sample", {"schema": 1}, "--checkpoint", str(ckpt)) == 0
 
 
+@pytest.mark.parametrize("section, field", [("manifold", "multiplicity"),
+                                            ("network", "hidden_dim")])
+def test_checkpoint_nan_integer_field_exits_2(trained, tmp_path, capsys, section, field):
+    head, _, blobs = (trained / "checkpoint.rmg").read_bytes().partition(b"\n")
+    header = json.loads(head)
+    target = header["manifold"]["factors"][1] if section == "manifold" else header["network"]
+    target[field] = float("nan")
+    ckpt = tmp_path / "checkpoint.rmg"
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blobs)
+    assert _run(tmp_path, "sample", {"schema": 1}, "--checkpoint", str(ckpt)) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+
+
 def test_nan_max_lr_exits_2(tmp_path, capsys):
     doc = json.loads(json.dumps(TRAIN_DOC))
     doc["train"]["max_lr"] = float("nan")

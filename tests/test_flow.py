@@ -293,6 +293,122 @@ def test_sample_ode_guidance_evaluates_null_branch(toy_manifold):
     assert seen.count(1) == 5 and seen.count(fl.NULL_CLASS) == 5
 
 
+# ---------------------------------------------------------------------------
+# the sampler against the chain of public steps
+# ---------------------------------------------------------------------------
+
+
+def _sample_ode_chain(m, field, prior, integ, guid, condition, rng, num_samples=None):
+    """Reference sampler: per step project_tangent, then guided_velocity, then
+    euler_step, exactly as the sampler composed them before its fused pass."""
+    if condition is not None:
+        condition = np.asarray(condition)
+        B = condition.shape[0]
+    else:
+        B = 1 if num_samples is None else int(num_samples)
+    x = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
+    N = integ.num_steps
+    use_guidance = guid.enabled and guid.scale != 1.0 and condition is not None
+    null_cond = np.full(B, fl.NULL_CLASS) if use_guidance else None
+    for k in range(N):
+        t = k / N
+        v = mf.project_tangent(m, x, np.asarray(field(x, t, condition), dtype=float))
+        if use_guidance:
+            v0 = mf.project_tangent(m, x, np.asarray(field(x, t, null_cond), dtype=float))
+            v = fl.guided_velocity(m, x, v, v0, guid.scale)
+        x = fl.euler_step(m, x, v, integ.step_size)
+    return x
+
+
+def _recorded_field(calls):
+    """A smooth field with normal and off-centre components; records each call."""
+    def field(x, t, cond):
+        calls.append((t, None if cond is None else cond.tobytes(), x.tobytes()))
+        c = 0.0 if cond is None else cond[:, None]
+        return np.sin(3.0 * x + 2.0 * t + c) + 0.5 * x
+    return field
+
+
+SIX_FACTOR = mo.RepresentationConfig(joints=22, translation=True, rotations=True, preshape=True,
+                                     d_translation=True, d_rotations=True, d_preshape=True)
+ORACLE_MANIFOLDS = {
+    "toy": [mf.euclidean(3), mf.sphere(3)],
+    "pose": [mf.euclidean(3), mf.sphere(3, multiplicity=22)],
+    "six_factor": list(mo.config_to_manifold(SIX_FACTOR).factors),
+    # copy widths 7 and 8: coordinate planes below PAIRWISE_MIN, rows from it on
+    "s6_x_s7": [mf.sphere(6), mf.sphere(7)],
+    "narrow_preshapes": [mf.preshape(3, 1, multiplicity=2), mf.preshape(3, 2)],
+}
+ORACLE_GUIDANCE = {
+    "scale0": (fl.GuidanceConfig(scale=0.0, enabled=True), True),
+    "scale0.5": (fl.GuidanceConfig(scale=0.5, enabled=True), True),
+    "scale2.5": (fl.GuidanceConfig(scale=2.5, enabled=True), True),
+    "unguided": (fl.GuidanceConfig(scale=2.5, enabled=False), True),
+    "no_condition": (fl.GuidanceConfig(scale=2.5, enabled=True), False),
+}
+
+
+@pytest.mark.parametrize("B", [1, 3, 257])
+@pytest.mark.parametrize("guidance", list(ORACLE_GUIDANCE))
+@pytest.mark.parametrize("manifold", list(ORACLE_MANIFOLDS))
+def test_sample_ode_matches_step_chain(manifold, guidance, B):
+    m = mf.ManifoldSpec(ORACLE_MANIFOLDS[manifold])
+    prior = mf.WrappedGaussianSpec(m, mf.random_point(m, np.random.default_rng(1)), 0.5)
+    guid, conditioned = ORACLE_GUIDANCE[guidance]
+    cond = 1 + np.arange(B) % 2 if conditioned else None
+    calls, ref_calls = [], []
+    out = fl.sample_ode(m, _recorded_field(calls), prior, fl.IntegratorConfig(5), guid, cond,
+                        np.random.default_rng(7), num_samples=B)
+    ref = _sample_ode_chain(m, _recorded_field(ref_calls), prior, fl.IntegratorConfig(5), guid,
+                            cond, np.random.default_rng(7), num_samples=B)
+    assert out.shape == (B, m.total_ambient_dim)
+    assert out.tobytes() == ref.tobytes()
+    assert calls == ref_calls  # the same field calls, in the same order, on the same points
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, 2.5])
+@pytest.mark.parametrize("column", [1, 5], ids=["euclidean", "sphere"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_ode_rejects_non_finite_null_field(toy_manifold, bad, column, scale):
+    m = toy_manifold
+
+    def field(x, t, cond):
+        a = 0.1 * np.ones_like(x)
+        if cond[0] == fl.NULL_CLASS:
+            a[2, column] = bad
+        return a
+
+    with pytest.raises(NotTangent):
+        fl.sample_ode(m, field, _prior(m), fl.IntegratorConfig(5),
+                      fl.GuidanceConfig(scale=scale, enabled=True), np.full(4, 1),
+                      np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("branch", ["conditional", "null"])
+@pytest.mark.parametrize("shape", [(3, 7), (1, 7), (4, 6), (4, 7, 1)])
+def test_sample_ode_rejects_misshapen_field(toy_manifold, branch, shape):
+    m = toy_manifold
+
+    def field(x, t, cond):
+        if (cond[0] == fl.NULL_CLASS) == (branch == "null"):
+            return np.zeros(shape)
+        return np.zeros_like(x)
+
+    with pytest.raises(DimensionMismatch):
+        fl.sample_ode(m, field, _prior(m), fl.IntegratorConfig(5),
+                      fl.GuidanceConfig(scale=2.5, enabled=True), np.full(4, 1),
+                      np.random.default_rng(0))
+
+
+def test_euler_pass_rejects_negative_step(toy_manifold, rng):
+    m = toy_manifold
+    x = mf.random_point(m, rng, size=4)
+    blocks = mf._blocks(m, x)
+    tangent = mf._blocks(m, mf.random_tangent(m, x, rng))
+    with pytest.raises(DomainError):
+        fl._euler_pass(m, blocks, tangent, None, 1.0, -0.1)
+
+
 def test_reference_point_layout(skeleton):
     cfg = mo.RepresentationConfig(joints=22, translation=True, rotations=True,
                                   preshape=True, d_translation=True)
@@ -307,4 +423,7 @@ def test_reference_point_layout(skeleton):
 def test_integrator_config_validation():
     with pytest.raises(InvalidConfig):
         fl.IntegratorConfig(0)
+    for bad in (float("nan"), 2.5, True):
+        with pytest.raises(InvalidConfig, match="num_steps"):
+            fl.IntegratorConfig(bad)
     assert fl.IntegratorConfig(4).step_size == 0.25

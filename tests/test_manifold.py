@@ -51,6 +51,34 @@ def test_factor_validation():
         mf.ManifoldSpec([])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 2.5, True], ids=["nan", "fraction", "bool"])
+@pytest.mark.parametrize("kwargs, field", [
+    ({"kind": "euclidean", "dim": None}, "euclidean dim"),
+    ({"kind": "sphere", "dim": None}, "sphere dim"),
+    ({"kind": "sphere", "dim": 3, "multiplicity": None}, "multiplicity"),
+    ({"kind": "preshape", "landmarks": None, "spatial_dim": 3}, "landmarks"),
+    ({"kind": "preshape", "landmarks": 4, "spatial_dim": None}, "spatial_dim"),
+], ids=["euclidean_dim", "sphere_dim", "multiplicity", "landmarks", "spatial_dim"])
+def test_factor_integer_fields_reject_non_integers(kwargs, field, bad):
+    with pytest.raises(InvalidConfig, match=field):
+        mf.FactorSpec(**{k: bad if v is None else v for k, v in kwargs.items()})
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_blocks_round_trip(lead):
+    """Contiguous factor blocks: planes for copies narrower than PAIRWISE_MIN
+    on sphere and pre-shape factors, rows otherwise."""
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3, multiplicity=4), mf.sphere(7),
+                         mf.preshape(3, 2, multiplicity=2), mf.euclidean(2, multiplicity=3)])
+    a = np.random.default_rng(0).standard_normal(lead + (m.total_ambient_dim,))
+    blocks = mf._blocks(m, a)
+    shapes = [lead + (1, 3), (4,) + lead + (4,), lead + (1, 8), (6,) + lead + (2,),
+              lead + (3, 2)]
+    assert [b.shape for b in blocks] == shapes
+    assert all(b.flags.c_contiguous for b in blocks)
+    assert mf._unblock(m, blocks, lead).tobytes() == a.tobytes()
+
+
 def test_ambient_dimensions():
     assert mf.euclidean(3).ambient_dim == 3
     assert mf.sphere(3).ambient_dim == 4

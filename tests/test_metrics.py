@@ -39,6 +39,10 @@ def test_task_validation(toy_means):
     a, b = toy_means
     with pytest.raises(InvalidConfig):
         me.ToyTaskSpec(kind="nope", sample_count=10)
+    for bad in (float("nan"), 2.5, True, 0):
+        with pytest.raises(InvalidConfig, match="sample_count"):
+            me.ToyTaskSpec(kind="fixed_point", sample_count=bad,
+                           components=(me.MixtureComponent(mean=a),))
     with pytest.raises(InvalidConfig):
         me.ToyTaskSpec(kind="sphere_mixture", sample_count=10)
     with pytest.raises(InvalidConfig):
@@ -116,11 +120,11 @@ def test_pairwise_distance_properties(toy_manifold, rng):
 
 def test_pairwise_distance_blocking_consistent(toy_manifold, rng):
     m = toy_manifold
-    a = mf.random_point(m, rng, size=300)
-    b = mf.random_point(m, rng, size=200)
-    # 300 x 200 x 7 broadcast elements span several of the manifold's row chunks
-    assert 300 * 200 * 7 > 4 * mf.CHUNK_ELEMENTS
-    rows = np.stack([mf.distance(m, a[i], b) for i in range(300)])
+    a = mf.random_point(m, rng, size=600)
+    b = mf.random_point(m, rng, size=500)
+    # 600 x 500 output entries span several of mf.distance's row blocks
+    assert 600 * 500 > 4 * mf.CHUNK_ELEMENTS
+    rows = np.stack([mf.distance(m, a[i], b) for i in range(600)])
     assert np.array_equal(me.pairwise_distance(m, a, b), rows)
 
 

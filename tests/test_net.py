@@ -91,6 +91,71 @@ def test_time_features_bounded():
     assert np.all(np.abs(f) <= 1.0)
 
 
+@pytest.mark.parametrize("N", [1, 7, 100, 1000])
+def test_time_features_scalar_equals_every_row(N):
+    for dim in (1, 7, 8, 16, 32, 33):
+        for k in range(N + 1):
+            rows = nn.time_features(np.full(5, k / N), dim)
+            assert rows.tobytes() == np.tile(nn.time_features(k / N, dim), (5, 1)).tobytes()
+
+
+def _forward_reference(params, x, t, cond):
+    """The forward pass as one formula, with the time features of every row."""
+    spec = params.spec
+    x2 = np.atleast_2d(np.asarray(x, dtype=float))
+    B = x2.shape[0]
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if t.shape == (1,) and B > 1:
+        t = np.full(B, t[0])
+    idx = nn._cond_indices(spec, cond, B)
+    feats = np.concatenate([x2, nn.time_features(t, spec.time_embed_dim),
+                            params.views["cond_emb"][idx]], axis=1)
+    h, pre, acts = feats, [], [feats]
+    for i in range(spec.num_layers):
+        z = h @ params.views[f"W{i}"] + params.views[f"b{i}"]
+        pre.append(z)
+        with np.errstate(over="ignore"):
+            h = z * (1.0 / (1.0 + np.exp(-z)))
+        acts.append(h)
+    return h @ params.views["W_out"] + params.views["b_out"], (idx, pre, acts)
+
+
+def _assert_forward_matches(params, x, t, cond):
+    out, (idx, pre, acts) = nn._forward_cached(params, x, t, cond)
+    ref, (ref_idx, ref_pre, ref_acts) = _forward_reference(params, x, t, cond)
+    assert out.tobytes() == ref.tobytes()
+    assert np.array_equal(idx, ref_idx)
+    assert [a.tobytes() for a in pre] == [a.tobytes() for a in ref_pre]
+    assert [a.tobytes() for a in acts] == [a.tobytes() for a in ref_acts]
+    lean, (lean_idx, lean_pre, lean_acts) = nn._forward_cached(params, x, t, cond, keep=False)
+    assert lean.tobytes() == out.tobytes()
+    assert np.array_equal(lean_idx, idx) and lean_pre == lean_acts == []
+    return pre
+
+
+@pytest.mark.parametrize("B", [1, 5, 64])
+def test_forward_cached_matches_formula(rng, B):
+    p = nn.VectorFieldParams.init_random(SPEC, rng)
+    p.flat[:] += 0.3 * rng.standard_normal(p.count)
+    x = rng.standard_normal((B, 7))
+    cond = rng.integers(0, 3, size=B)
+    for t in (0.37, np.array([0.37]), rng.random(B)):
+        for c in (cond, None, 2):
+            _assert_forward_matches(p, x, t, c)
+    _assert_forward_matches(p, x[0], 0.37, 1)  # one point, 1-D
+
+
+def test_forward_cached_large_preactivations_warn_nothing(rng):
+    """SiLU saturates at |z| ~ 1e3: exp(-z) overflows to inf and is ignored,
+    as before; tier-1 turns any RuntimeWarning into an error."""
+    p = nn.VectorFieldParams.init_random(SPEC, rng)
+    p.flat[:] = 40.0 * rng.standard_normal(p.count)
+    x = 10.0 * rng.standard_normal((64, 7))
+    pre = _assert_forward_matches(p, x, rng.random(64), rng.integers(0, 3, size=64))
+    z = np.concatenate([a.ravel() for a in pre])
+    assert z.min() <= -1e3 and z.max() >= 1e3
+
+
 # ---------------------------------------------------------------------------
 # schedule, clipping, optimizer, EMA
 # ---------------------------------------------------------------------------
@@ -107,6 +172,14 @@ def test_lr_schedule_shape():
     assert 0 < mid < 1e-4
     with pytest.raises(StepOutOfRange):
         nn.lr_at(cfg, 1001)
+
+
+@pytest.mark.parametrize("field", ["input_dim", "hidden_dim", "num_layers", "time_embed_dim",
+                                   "cond_embed_dim", "num_condition_classes"])
+@pytest.mark.parametrize("bad", [float("nan"), 2.5, 0, True])
+def test_network_spec_rejects_non_integer_fields(field, bad):
+    with pytest.raises(InvalidConfig, match=field):
+        nn.NetworkSpec(**{"input_dim": 7, field: bad})
 
 
 def test_train_config_validation():
