@@ -55,10 +55,6 @@ class SequenceTooShort(RmgError):
     """The operation needs more frames than the sequence holds."""
 
 
-class TimeTooCloseToOne(RmgError):
-    """Flow time too close to 1; the target velocity would blow up."""
-
-
 class BaseMismatch(RmgError):
     """Two tangent vectors do not share a base point."""
 

@@ -21,6 +21,12 @@ the factor.  Leading rows are walked in chunks of about ``CHUNK_ELEMENTS``
 broadcast elements, which bounds the temporaries of large or broadcast
 inputs independently of the batch size.
 
+``geodesic``, ``geodesic_velocity`` and ``sample_wrapped_gaussian`` (and the
+flow module's batch and sampler steps) make one pass per factor over
+contiguous copies instead (``_blocks``: coordinate planes for sphere and
+pre-shape copies narrower than ``PAIRWISE_MIN``, rows otherwise), with the
+per-copy formulas given the block's coordinate axis.
+
 ``distance`` has its own kernel, because its outputs (such as an N x M
 distance matrix) are large next to its inputs: each factor copy of both
 operands is copied once into contiguous coordinate planes, and the output is
@@ -243,8 +249,8 @@ def _sphere_exp(x, v, axis=-1):
     return y / _norm(y, axis)
 
 
-def _sphere_angle(x, y):
-    dot = np.clip(_dot(x, y), -1.0, 1.0)
+def _sphere_angle(x, y, axis=-1):
+    dot = np.clip(_dot(x, y, axis), -1.0, 1.0)
     return dot, np.arccos(dot)
 
 
@@ -269,14 +275,24 @@ def _sphere_log(x, y):
     return scale * u
 
 
-def _sphere_geodesic_velocity(x0, x1, t):
-    # Analytic d/dt of the geodesic in sin-weighted form; constant speed ||.|| = theta.
-    dot, theta = _sphere_angle(x0, x1)
+def _sphere_geodesic(x0, x1, t, axis=-1):
+    """Point and velocity at time t of the geodesic from x0 to x1, both from
+    one clipped angle theta: the sin-weighted slerp
+    (sin((1-t) theta) x0 + sin(t theta) x1) / sin(theta) and its analytic
+    time derivative, of constant speed theta.  Below SMALL_ANGLE the weights
+    sin(a theta) / sin(theta) and theta / sin(theta) take their series."""
+    _, theta = _sphere_angle(x0, x1, axis)
     _check_not_antipodal(theta)
     small = theta < SMALL_ANGLE
     safe_sin = np.where(small, 1.0, np.sin(theta))
-    ratio = np.where(small, 1.0 + theta * theta / 6.0, theta / safe_sin)
-    return ratio * (-np.cos((1.0 - t) * theta) * x0 + np.cos(t * theta) * x1)
+    s = 1.0 - t
+    th2 = theta * theta / 6.0
+    w0 = np.where(small, s * (1.0 + (1.0 - s * s) * th2), np.sin(s * theta) / safe_sin)
+    w1 = np.where(small, t * (1.0 + (1.0 - t * t) * th2), np.sin(t * theta) / safe_sin)
+    ratio = np.where(small, 1.0 + th2, theta / safe_sin)
+    point = w0 * x0 + w1 * x1
+    velocity = ratio * (-np.cos(s * theta) * x0 + np.cos(t * theta) * x1)
+    return point, velocity
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +423,55 @@ def _check_t(t) -> np.ndarray:
     return t
 
 
-def geodesic(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
-    """Constant-speed geodesic point Exp_{x0}(t Log_{x0}(x1)), t in [0, 1].
+def _time_view(t: np.ndarray, f: FactorSpec) -> np.ndarray:
+    """t (one time per point, of the leading shape) shaped to broadcast over
+    factor f's block from ``_blocks``."""
+    return t.reshape(t.shape + ((1,) if _coord_axis(f) == -3 else (1, 1)))
 
-    This is the flow-matching interpolant; on Euclidean factors it is
-    ``x0 + t (x1 - x0)`` bit for bit.
+
+def _geodesic(f: FactorSpec, x0, x1, t, axis=-1):
+    """Point and velocity of the geodesic per copy of factor f; on Euclidean
+    factors ``x0 + t (x1 - x0)`` and ``x1 - x0``."""
+    if f.kind == "euclidean":
+        d = x1 - x0
+        return x0 + t * d, d
+    return _sphere_geodesic(x0, x1, t, axis)
+
+
+def _geodesic_blocks(m: ManifoldSpec, x0, x1, t, part: int) -> np.ndarray:
+    """Part ``part`` (0 point, 1 velocity) of ``_geodesic`` computed on the
+    ``_blocks`` of x0 and x1, as an array of their broadcast shape."""
+    x0 = _as_coords(m, x0, "x0")
+    x1 = _as_coords(m, x1, "x1")
+    t = _check_t(t)
+    shape = np.broadcast_shapes(x0.shape, x1.shape, t.shape + (1,))
+    # at least one leading axis, which the blocks need
+    lead = np.broadcast_shapes(x0.shape[:-1], x1.shape[:-1], t.shape, (1,))
+
+    def pad(a, trail):  # leading axes of length 1 up to len(lead)
+        return a.reshape((1,) * (len(lead) + trail - a.ndim) + a.shape)
+
+    t = pad(t, 0)
+    parts = [_geodesic(f, a, b, _time_view(t, f), _coord_axis(f))[part]
+             for f, a, b in zip(m.factors, _blocks(m, pad(x0, 1)), _blocks(m, pad(x1, 1)))]
+    return _unblock(m, parts, lead).reshape(shape)
+
+
+def geodesic(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
+    """Constant-speed geodesic point at t in [0, 1] from x0 to x1.
+
+    Sphere and pre-shape copies take the sin-weighted slerp of one clipped
+    angle (not Exp_{x0}(t Log_{x0}(x1))); it is x0 at t = 0 and x1 at t = 1
+    exactly.  This is the flow-matching interpolant; on Euclidean factors it
+    is ``x0 + t (x1 - x0)`` bit for bit.
     """
-    t = _check_t(t)[..., None]
-    return exp_map(m, x0, t * log_map(m, x0, x1))
+    return _geodesic_blocks(m, x0, x1, t, 0)
 
 
 def geodesic_velocity(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
-    """Time derivative of ``geodesic`` (tangent at the geodesic point)."""
-    x0 = _as_coords(m, x0, "x0")
-    x1 = _as_coords(m, x1, "x1")
-    t = _check_t(t)[..., None]
-    return _map(m, lambda f, a, b, tt: b - a if f.kind == "euclidean"
-                else _sphere_geodesic_velocity(a, b, tt), x0, x1, t)
+    """Time derivative of ``geodesic`` (tangent at the geodesic point), from
+    the same per-copy kernel and angle."""
+    return _geodesic_blocks(m, x0, x1, t, 1)
 
 
 def _project(f: FactorSpec, x, a, axis=-1):
@@ -472,6 +520,13 @@ def _unblock(m: ManifoldSpec, blocks: Sequence[np.ndarray], lead: tuple) -> np.n
     return out
 
 
+def _project_blocks(m: ManifoldSpec, xb: Sequence[np.ndarray], a: np.ndarray) -> np.ndarray:
+    """``project_tangent(m, x, a)`` for a of shape (B, D) and x given as its
+    ``_blocks``, with the same bits."""
+    return _unblock(m, [_project(f, x, b, _coord_axis(f))
+                        for f, x, b in zip(m.factors, xb, _blocks(m, a))], a.shape[:1])
+
+
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on."""
     try:
@@ -509,11 +564,20 @@ def distance(m: ManifoldSpec, x, y) -> np.ndarray:
     every entry has the same bits whatever the shape, the row blocks and the
     number of CPUs.
     """
+    return _distance(m, x, y)
+
+
+def _distance(m: ManifoldSpec, x, y, symmetric: bool = False) -> np.ndarray:
+    """``distance``; with ``symmetric``, x is ``p[:, None]`` and y is
+    ``p[None]`` of one (N, D) array p, and each row block fills only its
+    entries on and right of the diagonal and mirrors the rest of its columns
+    below it.  Every entry keeps its bits: the per-copy arithmetic is
+    symmetric in its operands (x y = y x, (y - x)^2 = (x - y)^2)."""
     x = _as_coords(m, x, "x")
     y = _as_coords(m, y, "y")
     shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
     if not shape:  # one pair: give it a row axis
-        return distance(m, x[None], y[None])[0]
+        return _distance(m, x[None], y[None])[0]
     total = np.zeros(shape)
     inner = max(1, prod(shape[1:]))
     kinds = [(f.kind == "euclidean", f.ambient_dim_per_copy)
@@ -526,9 +590,15 @@ def distance(m: ManifoldSpec, x, y) -> np.ndarray:
         return a[rows] if spans else a
 
     def run(rows: slice) -> None:
-        out = total[rows]
-        acc, tmp = np.empty(out.shape), np.empty(out.shape)
+        out = total[rows, rows.start:] if symmetric else total[rows]
+        # Contiguous scratch carved from a buffer sized for a whole block, so
+        # the shorter rows of a triangle do not fragment the heap.
+        n = out.size
+        scratch = np.empty(2 * total[rows].size)
+        acc, tmp = scratch[:n].reshape(out.shape), scratch[n:2 * n].reshape(out.shape)
         for (euclid, width), xa, ya in zip(kinds, xc, yc):
+            if symmetric:  # the columns from the diagonal on
+                ya = ya[..., rows.start:] if width < PAIRWISE_MIN else ya[..., rows.start:, :]
             if width < PAIRWISE_MIN:
                 for k in range(width):
                     xk, yk = take(xa[k], rows, x_rows), take(ya[k], rows, y_rows)
@@ -560,6 +630,8 @@ def distance(m: ManifoldSpec, x, y) -> np.ndarray:
             np.multiply(acc, acc, out=acc)
             np.add(out, acc, out=out)
         np.sqrt(out, out=out)
+        if symmetric:
+            total[rows.stop:, rows] = total[rows, rows.stop:].T
 
     step = max(1, CHUNK_ELEMENTS // inner)
     blocks = [slice(s, min(s + step, shape[0])) for s in range(0, shape[0], step)]
@@ -630,11 +702,23 @@ def sample_wrapped_gaussian(
 ) -> np.ndarray:
     """Draw ambient Gaussian noise, project to the tangent space at the mean,
     and wrap through the exponential map.  Deterministic given the rng state.
+
+    One pass per factor over the contiguous ``_blocks`` of the noise: scale,
+    project at the mean, check tangency, shoot; the same bits as
+    ``exp_map(m, mean, project_tangent(m, mean, scale * noise))``.
     """
     xi = rng.standard_normal(_draw_shape(m, size))
-    scale = np.repeat(g.per_factor_scale, [f.ambient_dim for f in m.factors])
-    v = project_tangent(m, g.mean, xi * scale)
-    return exp_map(m, g.mean, v)
+    rows = xi.reshape(-1, m.total_ambient_dim)  # the blocks need one leading axis
+    out = []
+    for f, scale, x, a in zip(m.factors, g.per_factor_scale, _blocks(m, g.mean[None]),
+                              _blocks(m, rows)):
+        axis = _coord_axis(f)
+        a *= scale
+        v = _project(f, x, a, axis)
+        with np.errstate(invalid="ignore", over="ignore"):
+            _check_tangent(_defect(f, x, v, axis=axis))
+        out.append(_shoot(f, x, v, axis))
+    return _unblock(m, out, rows.shape[:1]).reshape(xi.shape)
 
 
 def _normalize(f: FactorSpec, x):

@@ -10,9 +10,11 @@ and the manifold-preservation claim by aggregate constraint deviations.
 reads the median-heuristic bandwidth and the nearest-neighbour distances
 from them, then overwrites each with its kernel in place, so no more than
 those three N x M arrays (plus pool-sized scratch) are alive at once.  The
-report is bitwise equal to computing a fresh matrix for every term.  A
-caller that scores many sample sets against one reference (``sweep``) builds
-the reference x reference matrix once and hands each call a copy.
+report is bitwise equal to computing a fresh matrix for every term.  The
+two matrices of a set against itself fill one triangle and mirror it
+(``pairwise_distance``).  A caller that scores many sample sets against one
+reference (``sweep``) builds the reference x reference matrix once and hands
+each call a copy.
 """
 
 from __future__ import annotations
@@ -144,10 +146,13 @@ def pairwise_distance(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> np.nd
     """Geodesic distance matrix between the rows of ``a`` and of ``b``.
 
     ``mf.distance`` fills it in row blocks on every usable CPU, with the same
-    bits as computing each row on its own."""
+    bits as computing each row on its own.  When ``b`` is ``a`` itself, only
+    the diagonal and one triangle are computed and the other is mirrored,
+    which gives the same bits, because each distance is bitwise symmetric."""
+    symmetric = b is a
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    return mf.distance(m, a[:, None, :], b[None, :, :])
+    return mf._distance(m, a[:, None, :], b[None, :, :], symmetric)
 
 
 def _pool(a: np.ndarray, b: np.ndarray, max_points: int) -> tuple[slice, slice]:

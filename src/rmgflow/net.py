@@ -14,7 +14,9 @@ One forward pass serves sampling and training.  A single time for the whole
 batch is featurized once and broadcast over the rows, biases are added in
 place and each SiLU is computed in one buffer; the arithmetic of every entry
 is that of the plain formula, so the outputs and the trained weights keep
-their bits.
+their bits.  For training the forward also keeps SiLU's derivative at each
+layer, computed from the sigmoid it has at hand, so the backward does not
+compute the sigmoid again.
 """
 
 from __future__ import annotations
@@ -175,24 +177,20 @@ def time_features(t, dim: int) -> np.ndarray:
 
 
 def _sigmoid(z):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
-
-
-def _silu(z):
-    """``z * _sigmoid(z)`` with the same arithmetic, in one buffer."""
+    """``1 / (1 + exp(-z))`` with the same arithmetic, in one buffer."""
     s = np.negative(z)
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
         s += 1.0
         np.divide(1.0, s, out=s)
-    s *= z
     return s
 
 
-def _silu_grad(z):
+def _silu(z):
+    """``z * _sigmoid(z)`` in one buffer."""
     s = _sigmoid(z)
-    return s * (1.0 + z * (1.0 - s))
+    s *= z
+    return s
 
 
 def _cond_indices(spec: NetworkSpec, cond, batch: int) -> np.ndarray:
@@ -212,10 +210,12 @@ def _cond_indices(spec: NetworkSpec, cond, batch: int) -> np.ndarray:
 
 
 def _forward_cached(params: VectorFieldParams, x, t, cond, keep: bool = True):
-    """Output and backprop cache ``(idx, pre, acts)``: the condition indices,
-    each hidden layer's pre-activation, and each dense layer's input.  With
-    ``keep`` False the cache lists stay empty, so every layer's arrays are
-    freed as soon as the next layer has read them."""
+    """Output and backprop cache ``(idx, dsilu, acts)``: the condition
+    indices, SiLU's derivative s (1 + z (1 - s)) at each hidden layer's
+    pre-activation z, from the sigmoid s the forward computes anyway, and
+    each dense layer's input.  With ``keep`` False the cache lists stay
+    empty, so every layer's arrays are freed as soon as the next layer has
+    read them."""
     spec = params.spec
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     if x2.shape[1] != spec.input_dim:
@@ -228,17 +228,26 @@ def _forward_cached(params: VectorFieldParams, x, t, cond, keep: bool = True):
     # One time for the whole batch is featurized once and broadcast.
     h[:, D:D + T] = time_features(t, T)
     h[:, D + T:] = params.views["cond_emb"][idx]
-    pre, acts = [], [h] if keep else []
+    dsilu, acts = [], [h] if keep else []
+    w = np.empty((B, spec.hidden_dim)) if keep else None
     for i in range(spec.num_layers):
         z = h @ params.views[f"W{i}"]
         z += params.views[f"b{i}"]
-        h = _silu(z)
         if keep:
-            pre.append(z)
+            s = _sigmoid(z)
+            h = s * z
+            # s (1 + z (1 - s)), built in z's buffer
+            np.subtract(1.0, s, out=w)
+            z *= w
+            z += 1.0
+            z *= s
+            dsilu.append(z)
             acts.append(h)
+        else:
+            h = _silu(z)
     out = h @ params.views["W_out"]
     out += params.views["b_out"]
-    return out, (idx, pre, acts)
+    return out, (idx, dsilu, acts)
 
 
 def forward(params: VectorFieldParams, x, t, cond=None) -> np.ndarray:
@@ -249,33 +258,40 @@ def forward(params: VectorFieldParams, x, t, cond=None) -> np.ndarray:
 
 
 def loss_and_grad(
-    params: VectorFieldParams, batch: fl.FlowBatch, m: mf.ManifoldSpec
+    params: VectorFieldParams, batch: fl.FlowBatch, m: mf.ManifoldSpec,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Flow-matching loss and its exact gradient in the flat layout.
 
     The tangent projection is linear in the prediction at fixed x_t and
-    self-adjoint, so its pull-back is another projection.
+    self-adjoint, so its pull-back is another projection; both run on the
+    contiguous blocks of x_t.  SiLU's derivative comes from the forward's
+    cache.  Every gradient entry is written, into ``out`` when it is given
+    (a reusable buffer of ``params.count`` floats).
     """
     spec = params.spec
-    pred, (idx, pre, acts) = _forward_cached(params, batch.x_t, batch.t, batch.condition)
+    pred, (idx, dsilu, acts) = _forward_cached(params, batch.x_t, batch.t, batch.condition)
     B = pred.shape[0]
-    r = batch.target_v - mf.project_tangent(m, batch.x_t, pred)
+    xb = mf._blocks(m, batch.x_t)
+    r = batch.target_v - mf._project_blocks(m, xb, pred)
     loss = float(np.mean(np.sum(r * r, axis=-1)))
-    d_out = -(2.0 / B) * mf.project_tangent(m, batch.x_t, r)
+    d_out = mf._project_blocks(m, xb, r)
+    d_out *= -(2.0 / B)
 
-    grads = VectorFieldParams(spec)  # zero-initialized gradient buffer
-    h_last = acts[-1]
-    grads.views["W_out"][:] = h_last.T @ d_out
-    grads.views["b_out"][:] = d_out.sum(axis=0)
+    flat = VectorFieldParams(spec, np.empty(params.count) if out is None else out)
+    grads = flat.views
+    np.matmul(acts[-1].T, d_out, out=grads["W_out"])
+    np.sum(d_out, axis=0, out=grads["b_out"])
     d_h = d_out @ params.views["W_out"].T
     for i in range(spec.num_layers - 1, -1, -1):
-        d_z = d_h * _silu_grad(pre[i])
-        grads.views[f"W{i}"][:] = acts[i].T @ d_z
-        grads.views[f"b{i}"][:] = d_z.sum(axis=0)
+        d_z = dsilu[i]
+        d_z *= d_h
+        np.matmul(acts[i].T, d_z, out=grads[f"W{i}"])
+        np.sum(d_z, axis=0, out=grads[f"b{i}"])
         d_h = d_z @ params.views[f"W{i}"].T
-    d_cond = d_h[:, spec.input_dim + spec.time_embed_dim :]
-    np.add.at(grads.views["cond_emb"], idx, d_cond)
-    return loss, grads.flat
+    grads["cond_emb"][...] = 0.0
+    np.add.at(grads["cond_emb"], idx, d_h[:, spec.input_dim + spec.time_embed_dim:])
+    return loss, flat.flat
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +313,29 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
     return cfg.max_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def clip_gradient(grad: np.ndarray, max_norm: float) -> np.ndarray:
-    norm = float(np.linalg.norm(grad))
+def clip_gradient(grad: np.ndarray, max_norm: float, norm: float | None = None) -> np.ndarray:
+    """``grad`` rescaled to norm ``max_norm`` if longer; ``norm`` is its
+    already computed ``np.linalg.norm``, if the caller has it."""
+    if norm is None:
+        norm = float(np.linalg.norm(grad))
     if norm <= max_norm:
         return grad
     return grad * (max_norm / norm)
+
+
+# Elements per chunk of the in-place optimizer and EMA updates.  Each chunk
+# costs a dozen numpy calls (about 3 us each); at 32768 elements that stays
+# small, and the two scratch vectors stay at 256 KB whatever the model size.
+UPDATE_CHUNK = 32768
+
+
+def _chunks(n: int, k: int):
+    """Slices of at most UPDATE_CHUNK elements covering range(n), each with
+    ``k`` scratch vectors of its length."""
+    scratch = np.empty((k, min(n, UPDATE_CHUNK)))
+    for lo in range(0, n, UPDATE_CHUNK):
+        sl = slice(lo, min(lo + UPDATE_CHUNK, n))
+        yield (sl, *scratch[:, :sl.stop - lo])
 
 
 @dataclass
@@ -323,15 +357,36 @@ class OptimizerState:
 def adamw_step(
     opt: OptimizerState, params: VectorFieldParams, grad: np.ndarray, lr: float
 ) -> None:
-    """Decoupled-weight-decay Adam update with bias correction, in place."""
+    """Decoupled-weight-decay Adam update with bias correction, in place.
+
+    Chunk by chunk, with the operations of the formulas in the comments in
+    their order, so the bits are those of the whole-array formulas."""
     if grad.shape != params.flat.shape or opt.m.shape != params.flat.shape:
         raise ShapeMismatch("gradient / moment shapes must match the parameters")
     opt.step += 1
-    opt.m[:] = opt.beta1 * opt.m + (1.0 - opt.beta1) * grad
-    opt.v[:] = opt.beta2 * opt.v + (1.0 - opt.beta2) * grad * grad
-    m_hat = opt.m / (1.0 - opt.beta1 ** opt.step)
-    v_hat = opt.v / (1.0 - opt.beta2 ** opt.step)
-    params.flat -= lr * (m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * params.flat)
+    b1, b2 = opt.beta1, opt.beta2
+    c1, c2 = 1.0 - b1 ** opt.step, 1.0 - b2 ** opt.step
+    for sl, a, b in _chunks(grad.shape[0], 2):
+        m, v, g, p = opt.m[sl], opt.v[sl], grad[sl], params.flat[sl]
+        # m = beta1 m + (1 - beta1) g
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=a)
+        m += a
+        # v = beta2 v + (1 - beta2) g g
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
+        v += a
+        # p -= lr ((m / c1) / (sqrt(v / c2) + eps) + weight_decay p)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += opt.eps
+        np.divide(m, c1, out=a)
+        a /= b
+        np.multiply(p, opt.weight_decay, out=b)
+        a += b
+        a *= lr
+        p -= a
 
 
 @dataclass
@@ -345,9 +400,14 @@ class EmaState:
 
 
 def ema_update(ema: EmaState, params: VectorFieldParams) -> None:
+    """shadow = decay shadow + (1 - decay) p, in place, chunk by chunk."""
     if ema.shadow.shape != params.flat.shape:
         raise ShapeMismatch("EMA shadow must match the parameter count")
-    ema.shadow[:] = ema.decay * ema.shadow + (1.0 - ema.decay) * params.flat
+    for sl, a in _chunks(ema.shadow.shape[0], 1):
+        shadow = ema.shadow[sl]
+        shadow *= ema.decay
+        np.multiply(params.flat[sl], 1.0 - ema.decay, out=a)
+        shadow += a
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +448,7 @@ def train(
     ema = EmaState(shadow=params.flat.copy(), decay=cfg.ema_decay)
     history: list[dict] = []
     n = data.shape[0]
+    grad_buffer = np.empty(params.count)  # reused by every step
     for step in range(cfg.total_steps):
         idx = rng.integers(0, n, size=cfg.batch_size)
         batch = fl.make_flow_batch(
@@ -395,11 +456,11 @@ def train(
             cond_dropout_prob=cfg.cond_dropout_prob,
             conditions=None if conditions is None else conditions[idx],
         )
-        loss, grad = loss_and_grad(params, batch, m)
+        loss, grad = loss_and_grad(params, batch, m, out=grad_buffer)
         if not np.isfinite(loss):
             raise NonFiniteLoss(step)
         grad_norm = float(np.linalg.norm(grad))
-        grad = clip_gradient(grad, cfg.grad_clip_norm)
+        grad = clip_gradient(grad, cfg.grad_clip_norm, grad_norm)
         lr = lr_at(cfg, step)
         adamw_step(opt, params, grad, lr)
         ema_update(ema, params)

@@ -12,7 +12,6 @@ from rmgflow.errors import (
     DomainError,
     InvalidConfig,
     NotTangent,
-    TimeTooCloseToOne,
 )
 
 
@@ -49,12 +48,18 @@ def test_interpolate_domain():
         mf.geodesic(m, x, x, np.array([-0.1, 0.5]))
 
 
-def test_target_velocity_euclidean():
+def test_flow_pairs_euclidean():
     m = mf.ManifoldSpec([mf.euclidean(2)])
-    x0, x1 = np.array([0.0, 0.0]), np.array([2.0, 0.0])
-    x_t = mf.geodesic(m, x0, x1, np.array(0.5))
-    v = fl.target_velocity(m, x_t, x1, np.array(0.5))
-    assert np.allclose(v, [2.0, 0.0], atol=1e-15)
+    x0, x1 = np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]])
+    [(x_t, v)] = fl._flow_pairs(m, x0, mf._blocks(m, x1), np.array([0.5]))
+    assert np.array_equal(x_t[0, 0], [1.0, 0.0])
+    assert np.array_equal(v[0, 0], [2.0, 0.0])
+
+
+def _log_target(m, x_t, x1, t):
+    """The former supervision Log_{x_t}(x1) / (1 - t), kept as the oracle of
+    the analytic geodesic velocity."""
+    return mf.log_map(m, x_t, x1) / (1.0 - np.asarray(t))[..., None]
 
 
 def test_target_velocity_matches_geodesic_velocity(toy_manifold, rng):
@@ -63,15 +68,86 @@ def test_target_velocity_matches_geodesic_velocity(toy_manifold, rng):
     x1 = mf.exp_map(m, x0, mf.random_tangent(m, x0, rng, max_norm=2.0))
     t = rng.uniform(0.05, 0.9, size=16)
     x_t = mf.geodesic(m, x0, x1, t)
-    v = fl.target_velocity(m, x_t, x1, t)
+    v = _log_target(m, x_t, x1, t)
     assert np.max(np.abs(v - mf.geodesic_velocity(m, x0, x1, t))) < 1e-8
 
 
-def test_target_velocity_time_clamp(toy_manifold, rng):
-    m = toy_manifold
-    x = mf.random_point(m, rng, size=2)
-    with pytest.raises(TimeTooCloseToOne):
-        fl.target_velocity(m, x, x, np.array([0.5, 1.0 - 1e-7]))
+def _sphere_geodesic_longdouble(x0, x1, t):
+    """Point and velocity of the unit-sphere geodesic from x0 to x1 in
+    extended precision: (sin((1 - t) theta) x0 + sin(t theta) x1) / sin(theta)
+    and theta / sin(theta) (-cos((1 - t) theta) x0 + cos(t theta) x1), with
+    theta = 2 atan2(|x1 - x0|, |x1 + x0|), which is accurate at every angle."""
+    x0, x1 = x0.astype(np.longdouble), x1.astype(np.longdouble)
+    t = np.asarray(t, dtype=np.longdouble)[..., None]
+    theta = 2 * np.arctan2(np.linalg.norm(x1 - x0, axis=-1, keepdims=True),
+                           np.linalg.norm(x1 + x0, axis=-1, keepdims=True))
+    nonzero = theta > 0
+    sin = np.sin(np.where(nonzero, theta, 1))
+    point = np.where(nonzero, (np.sin((1 - t) * theta) * x0 + np.sin(t * theta) * x1) / sin, x0)
+    ratio = np.where(nonzero, theta / sin, 1)
+    return point, ratio * (-np.cos((1 - t) * theta) * x0 + np.cos(t * theta) * x1)
+
+
+def _rows(f, block):
+    """A block of ``mf._blocks`` as (B, multiplicity, width) rows."""
+    return np.moveaxis(block, 0, -1) if mf._coord_axis(f) == -3 else block
+
+
+def _longdouble_errors(m, x0, x1, t, pairs):
+    """Largest errors of the sphere and pre-shape x_t and targets in ``pairs``
+    (from ``fl._flow_pairs``) against the extended-precision geodesic."""
+    worst = np.zeros(2)
+    for f, a, b, pair in zip(m.factors, mf._blocks(m, x0), mf._blocks(m, x1), pairs):
+        if f.kind != "euclidean":
+            refs = _sphere_geodesic_longdouble(_rows(f, a), _rows(f, b), t[:, None])
+            worst = np.maximum(worst, [float(np.max(np.abs(_rows(f, got) - ref)))
+                                       for got, ref in zip(pair, refs)])
+    return worst
+
+
+EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+
+
+@pytest.mark.skipif(not EXTENDED, reason="no extended precision")
+def test_target_near_one_matches_longdouble_reference(pose_manifold, rng):
+    """Near t = 1 - EPS_T the analytic target stays accurate; the former
+    Log_{x_t}(x1) / (1 - t) was off by about 1e-5 there."""
+    m = pose_manifold
+    B = 256
+    x0 = mf.random_point(m, rng, size=B)
+    x1 = mf.exp_map(m, x0, mf.random_tangent(m, x0, rng, max_norm=2.0))
+    t = 1.0 - fl.EPS_T * rng.uniform(1.0, 2.0, size=B)
+    pairs = fl._flow_pairs(m, x0, mf._blocks(m, x1), t)
+    x_t_error, target_error = _longdouble_errors(m, x0, x1, t, pairs)
+    assert x_t_error <= 1e-15 and target_error <= 1e-13
+
+
+SMALL_ANGLE_MANIFOLDS = {
+    "toy": [mf.euclidean(3), mf.sphere(3)],
+    "pose": [mf.euclidean(3), mf.sphere(3, multiplicity=22)],
+    "narrow_preshapes": [mf.preshape(3, 1, multiplicity=2), mf.preshape(3, 2)],
+    "preshape53": [mf.preshape(5, 3)],
+}
+
+
+@pytest.mark.parametrize("manifold", list(SMALL_ANGLE_MANIFOLDS))
+@pytest.mark.parametrize("angle", [2.0, 1e-3, 9e-7, 1e-7, 0.0])
+def test_batch_on_manifold_and_tangent(manifold, angle, rng):
+    """x_t stays on the manifold and its target tangent at x_t, at angles up
+    to 2 and below SMALL_ANGLE, for t up to 1 - EPS_T."""
+    m = mf.ManifoldSpec(SMALL_ANGLE_MANIFOLDS[manifold])
+    B = 64
+    x0 = mf.random_point(m, rng, size=B)
+    x1 = mf.exp_map(m, x0, mf.random_tangent(m, x0, rng, max_norm=angle))
+    t = np.concatenate([rng.uniform(0.0, 1.0 - fl.EPS_T, size=B - 2), [0.0, 1.0 - fl.EPS_T]])
+    pairs = fl._flow_pairs(m, x0, mf._blocks(m, x1), t)
+    x_t = mf._unblock(m, [p for p, _ in pairs], (B,))
+    v = mf._unblock(m, [v for _, v in pairs], (B,))
+    assert mf.max_constraint_deviation(m, x_t) <= 1e-9
+    assert mf.tangency_defect(m, x_t, v) <= 1e-9
+    if EXTENDED:
+        x_t_error, target_error = _longdouble_errors(m, x0, x1, t, pairs)
+        assert x_t_error <= 1e-15 and target_error <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +422,23 @@ ORACLE_GUIDANCE = {
     "unguided": (fl.GuidanceConfig(scale=2.5, enabled=False), True),
     "no_condition": (fl.GuidanceConfig(scale=2.5, enabled=True), False),
 }
+
+
+@pytest.mark.parametrize("B", [1, 3, 256])
+@pytest.mark.parametrize("manifold", list(ORACLE_MANIFOLDS))
+def test_make_flow_batch_equals_geodesic(manifold, B):
+    """x_t is mf.geodesic bit for bit; the target is mf.geodesic_velocity on
+    sphere and pre-shape blocks and (x1 - x_t) / (1 - t) on Euclidean ones."""
+    m = mf.ManifoldSpec(ORACLE_MANIFOLDS[manifold])
+    prior = mf.WrappedGaussianSpec(m, mf.random_point(m, np.random.default_rng(1)), 0.5)
+    x1 = mf.sample_wrapped_gaussian(m, prior, np.random.default_rng(2), size=B)
+    batch = fl.make_flow_batch(m, x1, prior, np.random.default_rng(3))
+    assert batch.x_t.tobytes() == mf.geodesic(m, batch.x0, x1, batch.t).tobytes()
+    velocity = mf.geodesic_velocity(m, batch.x0, x1, batch.t)
+    line = (x1 - batch.x_t) / (1.0 - batch.t)[:, None]
+    for f, sl in m.blocks:
+        expected = line if f.kind == "euclidean" else velocity
+        assert batch.target_v[:, sl].tobytes() == expected[:, sl].tobytes(), f.kind
 
 
 @pytest.mark.parametrize("B", [1, 3, 257])

@@ -535,3 +535,28 @@ def test_sampling_deterministic(rng):
     a = mf.sample_wrapped_gaussian(m, g, np.random.default_rng(7), size=10)
     b = mf.sample_wrapped_gaussian(m, g, np.random.default_rng(7), size=10)
     assert np.array_equal(a, b)
+
+
+def _wrapped_gaussian_chain(m, g, rng, size=None):
+    """The former prior draw: scaled noise, project_tangent, then exp_map."""
+    xi = rng.standard_normal(mf._draw_shape(m, size))
+    scale = np.repeat(g.per_factor_scale, [f.ambient_dim for f in m.factors])
+    return mf.exp_map(m, g.mean, mf.project_tangent(m, g.mean, xi * scale))
+
+
+@pytest.mark.parametrize("size", [None, 1, 3, 256, (2, 3)])
+@pytest.mark.parametrize("factors", [
+    [mf.euclidean(3), mf.sphere(3)],
+    [mf.euclidean(3), mf.sphere(3, multiplicity=22)],
+    [mf.euclidean(3), mf.sphere(3, multiplicity=22), mf.preshape(22, 3),
+     mf.euclidean(3), mf.euclidean(4, multiplicity=22), mf.euclidean(66)],
+    [mf.preshape(3, 1, multiplicity=2), mf.preshape(3, 2)],
+    [mf.sphere(6), mf.sphere(7)],
+], ids=["toy", "pose", "six_factor", "narrow_preshapes", "s6_x_s7"])
+def test_wrapped_gaussian_matches_chain_bitwise(factors, size):
+    m = mf.ManifoldSpec(factors)
+    mean = mf.random_point(m, np.random.default_rng(1))
+    g = mf.WrappedGaussianSpec(m, mean, [0.2 + 0.1 * i for i in range(len(factors))])
+    a = mf.sample_wrapped_gaussian(m, g, np.random.default_rng(5), size=size)
+    b = _wrapped_gaussian_chain(m, g, np.random.default_rng(5), size=size)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -128,6 +128,29 @@ def test_pairwise_distance_blocking_consistent(toy_manifold, rng):
     assert np.array_equal(me.pairwise_distance(m, a, b), rows)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 700])
+@pytest.mark.parametrize("factors", [
+    [mf.euclidean(3), mf.sphere(3, multiplicity=22)],
+    [mf.euclidean(3), mf.sphere(3, multiplicity=22), mf.preshape(22, 3),
+     mf.euclidean(3), mf.euclidean(4, multiplicity=22), mf.euclidean(66)],
+    [mf.preshape(3, 1, multiplicity=2), mf.preshape(3, 2), mf.sphere(7)],
+], ids=["pose", "six_factor", "narrow"])
+def test_self_distance_triangle_bitwise(factors, n):
+    """A set against itself fills one triangle and mirrors it: the same bits
+    as the full matrix against a copy, diagonal included (it is not 0)."""
+    m = mf.ManifoldSpec(factors)
+    x = mf.random_point(m, np.random.default_rng(n), size=n)
+    if n == 700:  # several row blocks, on a thread pool when CPUs allow
+        assert n * n > 4 * mf.CHUNK_ELEMENTS
+    d = me.pairwise_distance(m, x, x)
+    assert d.tobytes() == me.pairwise_distance(m, x, x.copy()).tobytes()
+    assert d.tobytes() == d.T.copy().tobytes()
+    # another set of the same shape takes the full path
+    y = mf.random_point(m, np.random.default_rng(n + 1), size=n)
+    rows = np.stack([mf.distance(m, x[i], y) for i in range(n)])
+    assert me.pairwise_distance(m, x, y).tobytes() == rows.tobytes()
+
+
 def test_median_bandwidth_positive(toy_manifold, rng):
     m = toy_manifold
     a = mf.random_point(m, rng, size=50)

@@ -120,17 +120,27 @@ def _forward_reference(params, x, t, cond):
     return h @ params.views["W_out"] + params.views["b_out"], (idx, pre, acts)
 
 
+def _sigmoid_reference(z):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _silu_grad_reference(z):
+    s = _sigmoid_reference(z)
+    return s * (1.0 + z * (1.0 - s))
+
+
 def _assert_forward_matches(params, x, t, cond):
-    out, (idx, pre, acts) = nn._forward_cached(params, x, t, cond)
+    out, (idx, dsilu, acts) = nn._forward_cached(params, x, t, cond)
     ref, (ref_idx, ref_pre, ref_acts) = _forward_reference(params, x, t, cond)
     assert out.tobytes() == ref.tobytes()
     assert np.array_equal(idx, ref_idx)
-    assert [a.tobytes() for a in pre] == [a.tobytes() for a in ref_pre]
+    assert [g.tobytes() for g in dsilu] == [_silu_grad_reference(z).tobytes() for z in ref_pre]
     assert [a.tobytes() for a in acts] == [a.tobytes() for a in ref_acts]
-    lean, (lean_idx, lean_pre, lean_acts) = nn._forward_cached(params, x, t, cond, keep=False)
+    lean, (lean_idx, lean_dsilu, lean_acts) = nn._forward_cached(params, x, t, cond, keep=False)
     assert lean.tobytes() == out.tobytes()
-    assert np.array_equal(lean_idx, idx) and lean_pre == lean_acts == []
-    return pre
+    assert np.array_equal(lean_idx, idx) and lean_dsilu == lean_acts == []
+    return ref_pre
 
 
 @pytest.mark.parametrize("B", [1, 5, 64])
@@ -154,6 +164,57 @@ def test_forward_cached_large_preactivations_warn_nothing(rng):
     pre = _assert_forward_matches(p, x, rng.random(64), rng.integers(0, 3, size=64))
     z = np.concatenate([a.ravel() for a in pre])
     assert z.min() <= -1e3 and z.max() >= 1e3
+
+
+def _loss_and_grad_reference(params, batch, m):
+    """The former loss and backward: whole-array tangent projections, and a
+    backward that recomputes each layer's sigmoid."""
+    spec = params.spec
+    pred, (idx, pre, acts) = _forward_reference(params, batch.x_t, batch.t, batch.condition)
+    B = pred.shape[0]
+    r = batch.target_v - mf.project_tangent(m, batch.x_t, pred)
+    loss = float(np.mean(np.sum(r * r, axis=-1)))
+    d_out = -(2.0 / B) * mf.project_tangent(m, batch.x_t, r)
+    grads = nn.VectorFieldParams(spec)
+    grads.views["W_out"][:] = acts[-1].T @ d_out
+    grads.views["b_out"][:] = d_out.sum(axis=0)
+    d_h = d_out @ params.views["W_out"].T
+    for i in range(spec.num_layers - 1, -1, -1):
+        d_z = d_h * _silu_grad_reference(pre[i])
+        grads.views[f"W{i}"][:] = acts[i].T @ d_z
+        grads.views[f"b{i}"][:] = d_z.sum(axis=0)
+        d_h = d_z @ params.views[f"W{i}"].T
+    np.add.at(grads.views["cond_emb"], idx, d_h[:, spec.input_dim + spec.time_embed_dim:])
+    return loss, grads.flat
+
+
+LOSS_MANIFOLDS = {
+    "toy": [mf.euclidean(3), mf.sphere(3)],
+    "pose": [mf.euclidean(3), mf.sphere(3, multiplicity=22)],
+    "six_factor": [mf.euclidean(3), mf.sphere(3, multiplicity=22), mf.preshape(22, 3),
+                   mf.euclidean(3), mf.euclidean(4, multiplicity=22), mf.euclidean(66)],
+}
+
+
+@pytest.mark.parametrize("B", [1, 3, 256])
+@pytest.mark.parametrize("manifold", list(LOSS_MANIFOLDS))
+def test_loss_and_grad_matches_reference_bitwise(manifold, B):
+    m = mf.ManifoldSpec(LOSS_MANIFOLDS[manifold])
+    rng = np.random.default_rng(B)
+    spec = nn.NetworkSpec(input_dim=m.total_ambient_dim, hidden_dim=32, num_layers=3,
+                          num_condition_classes=3)
+    params = nn.VectorFieldParams.init_random(spec, rng)
+    params.flat[:] += 0.3 * rng.standard_normal(params.count)
+    prior = mf.WrappedGaussianSpec(m, mf.random_point(m, rng), 0.5)
+    x1 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
+    batch = fl.make_flow_batch(m, x1, prior, rng, conditions=rng.integers(0, 3, size=B))
+    ref_loss, ref_grad = _loss_and_grad_reference(params, batch, m)
+    loss, grad = nn.loss_and_grad(params, batch, m)
+    assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+    out = np.full(params.count, np.nan)  # a reused buffer: every entry is written
+    loss, grad = nn.loss_and_grad(params, batch, m, out=out)
+    assert grad is out
+    assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +276,36 @@ def test_adamw_decoupled_weight_decay():
     opt = nn.OptimizerState.new(p.count, weight_decay=0.5)
     nn.adamw_step(opt, p, np.zeros(p.count), lr=0.1)
     assert np.allclose(p.flat, 2.0 - 0.1 * 0.5 * 2.0)
+
+
+@pytest.mark.parametrize("chunk", [nn.UPDATE_CHUNK, 100])
+def test_adamw_and_ema_match_formulas_bitwise(rng, monkeypatch, chunk):
+    monkeypatch.setattr(nn, "UPDATE_CHUNK", chunk)  # 100: several chunks, the last partial
+    p = nn.VectorFieldParams(SPEC, rng.standard_normal(nn.VectorFieldParams(SPEC).count))
+    assert p.count % 100
+    ref = p.flat.copy()
+    opt = nn.OptimizerState.new(p.count, weight_decay=0.05)
+    m, v = np.zeros(p.count), np.zeros(p.count)
+    ema = nn.EmaState(shadow=p.flat.copy(), decay=0.9)
+    shadow = p.flat.copy()
+    for step in range(1, 4):
+        g = rng.standard_normal(p.count)
+        nn.adamw_step(opt, p, g, lr=1e-2)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat, v_hat = m / (1.0 - 0.9 ** step), v / (1.0 - 0.999 ** step)
+        ref -= 1e-2 * (m_hat / (np.sqrt(v_hat) + 1e-8) + 0.05 * ref)
+        nn.ema_update(ema, p)
+        shadow = 0.9 * shadow + (1.0 - 0.9) * ref
+        assert p.flat.tobytes() == ref.tobytes()
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+        assert ema.shadow.tobytes() == shadow.tobytes()
+
+
+def test_clip_gradient_takes_known_norm(rng):
+    g = 3.0 * rng.standard_normal(50)
+    norm = float(np.linalg.norm(g))
+    assert nn.clip_gradient(g, 0.5, norm).tobytes() == nn.clip_gradient(g, 0.5).tobytes()
 
 
 def test_ema_update_converges():
