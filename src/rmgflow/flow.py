@@ -17,14 +17,30 @@ otherwise).  The pass projects, applies guidance, checks tangency and
 shoots with the per-element arithmetic of ``project_tangent``,
 ``guided_velocity`` and ``euler_step``, in their order, so it gives the
 same bits as that chain of public steps.
+
+The sampler cuts the rows after the prior draw into fixed blocks of
+``SAMPLE_BLOCK_ROWS`` and integrates each block on its own, the blocks in
+parallel on the usable CPUs: the field is called concurrently on disjoint
+rows.  OpenBLAS is held at one thread while it runs, so a block's field
+evaluations have the same bits whatever the number of CPUs; so do the
+samples, because the blocks depend on the batch size alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
 
 from . import manifold as mf
 from . import motion as mo
@@ -45,6 +61,11 @@ MAX_PRIOR_REDRAWS = 8
 
 # Reserved condition-class index meaning "unconditional".
 NULL_CLASS = 0
+
+# Rows per sampler block.  Blocks depend on the batch size only, not on the
+# CPU count; at a few hundred rows one block's net forward is still an
+# efficient GEMM, and two blocks keep two CPUs busy at B = 1000.
+SAMPLE_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -255,6 +276,65 @@ def _euler_pass(m: mf.ManifoldSpec, xb, ab, a0b, scale: float, h: float) -> list
     return out
 
 
+# OpenBLAS thread-count setters and getters, in lookup order: numpy's bundled
+# scipy-openblas, then a plain OpenBLAS with and without 64-bit integers.
+_BLAS_THREAD_API = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS numpy calls, found
+    through numpy's own extension module on first use, or None."""
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for set_name, get_name in _BLAS_THREAD_API:
+        try:
+            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+        except AttributeError:
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return getter, setter
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread for the scope; yields False, changing
+    nothing, if no thread-count setter was found.  Nested and concurrent
+    scopes share one pin: the first to enter saves the count, the last to
+    leave restores it, exceptions included."""
+    global _pin_depth, _pin_saved
+    api = _blas_threads()
+    if api is None:
+        yield False
+        return
+    get, set_ = api
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield True
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
+
+
 def sample_ode(
     m: mf.ManifoldSpec,
     field: VelocityField,
@@ -272,6 +352,15 @@ def sample_ode(
     stepped with geodesic Euler updates, one ``_euler_pass`` per step.
     scale == 1 skips the second field evaluation so guided and unguided runs
     agree bitwise.
+
+    After the prior draw the rows are cut into blocks of
+    ``SAMPLE_BLOCK_ROWS``, and each block integrates all steps on its own.
+    The blocks run on a pool of ``min(blocks, usable CPUs)`` threads (see
+    ``mf._map_blocks``), so ``field`` is called concurrently on disjoint
+    rows; ``net.forward`` is safe for this.  OpenBLAS is held at one thread
+    meanwhile, so every field call's arithmetic is fixed by its block, and
+    the samples have the same bits on any number of CPUs.  Where no OpenBLAS
+    thread setter is found, the blocks run one after another.
     """
     if condition is not None:
         condition = np.asarray(condition)
@@ -280,16 +369,26 @@ def sample_ode(
             raise DimensionMismatch("num_samples disagrees with condition batch")
     else:
         B = 1 if num_samples is None else int(num_samples)
-    x = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
-    xb = mf._blocks(m, x)
+    x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
     N = integ.num_steps
     h = integ.step_size
     use_guidance = guid.enabled and guid.scale != 1.0 and condition is not None
-    null_cond = np.full(B, NULL_CLASS) if use_guidance else None
-    for k in range(N):
-        t = k / N
-        ab = _field_blocks(m, field, x, t, condition)
-        a0b = _field_blocks(m, field, x, t, null_cond) if use_guidance else None
-        xb = _euler_pass(m, xb, ab, a0b, guid.scale, h)
-        x = mf._unblock(m, xb, (B,))
-    return x
+
+    def integrate(rows: slice) -> np.ndarray:
+        x = x0[rows]
+        n = x.shape[0]
+        cond = None if condition is None else condition[rows]
+        null_cond = np.full(n, NULL_CLASS) if use_guidance else None
+        xb = mf._blocks(m, x)
+        for k in range(N):
+            t = k / N
+            ab = _field_blocks(m, field, x, t, cond)
+            a0b = _field_blocks(m, field, x, t, null_cond) if use_guidance else None
+            xb = _euler_pass(m, xb, ab, a0b, guid.scale, h)
+            x = mf._unblock(m, xb, (n,))
+        return x
+
+    # B = 0 still makes one (empty) block.
+    blocks = [slice(s, s + SAMPLE_BLOCK_ROWS) for s in range(0, max(B, 1), SAMPLE_BLOCK_ROWS)]
+    with _one_blas_thread() as pinned:
+        return np.concatenate(mf._map_blocks(integrate, blocks, parallel=pinned))

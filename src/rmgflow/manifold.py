@@ -176,8 +176,9 @@ class ManifoldSpec:
 class WrappedGaussianSpec:
     """Tangent Gaussian at ``mean`` wrapped through the exponential map.
 
-    ``per_factor_scale`` holds one isotropic sigma per factor (sigma = 0 is
-    the degenerate distribution concentrated at the mean).
+    ``per_factor_scale`` holds one finite, nonnegative isotropic sigma per
+    factor (sigma = 0 is the degenerate distribution concentrated at the
+    mean).
     """
 
     spec: ManifoldSpec
@@ -196,8 +197,9 @@ class WrappedGaussianSpec:
             )
         if len(self.per_factor_scale) != len(spec.factors):
             raise DimensionMismatch("need one scale per factor")
-        if not all(s >= 0 for s in self.per_factor_scale):  # NaN fails too
-            raise InvalidConfig("scales must be nonnegative")
+        if not all(0 <= s < np.inf for s in self.per_factor_scale):  # NaN fails too
+            raise InvalidConfig(f"prior scales must be finite and >= 0, "
+                                f"got {list(self.per_factor_scale)}")
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +537,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _map_blocks(run, blocks: Sequence, parallel: bool = True) -> list:
+    """``[run(b) for b in blocks]``, on a pool of ``min(len(blocks),
+    _usable_cpus())`` threads, or inline for one worker or without
+    ``parallel``.  Each block runs in a copy of the caller's context, so
+    np.errstate holds there too.  The results come in block order, and so
+    does the error raised: the first block's, in order, that raised."""
+    workers = min(len(blocks), _usable_cpus()) if parallel else 1
+    if workers <= 1:
+        return [run(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, b) for b in blocks]
+    return [fut.result() for fut in futures]
+
+
 def _copies(m: ManifoldSpec, a: np.ndarray) -> list[np.ndarray]:
     """Each factor copy of ``a`` (leading shape L), in order, copied into
     contiguous memory: ``(width, *L)`` coordinate planes for copies narrower
@@ -634,17 +650,7 @@ def _distance(m: ManifoldSpec, x, y, symmetric: bool = False) -> np.ndarray:
             total[rows.stop:, rows] = total[rows, rows.stop:].T
 
     step = max(1, CHUNK_ELEMENTS // inner)
-    blocks = [slice(s, min(s + step, shape[0])) for s in range(0, shape[0], step)]
-    workers = min(len(blocks), _usable_cpus())
-    if workers <= 1:
-        for rows in blocks:
-            run(rows)
-    else:
-        # Each block runs in a copy of the caller's context, so np.errstate holds there too.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, run, rows) for rows in blocks]
-        for fut in futures:
-            fut.result()
+    _map_blocks(run, [slice(s, min(s + step, shape[0])) for s in range(0, shape[0], step)])
     return total
 
 

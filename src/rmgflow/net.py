@@ -313,11 +313,19 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
     return cfg.max_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
+def _grad_norm(grad: np.ndarray) -> float:
+    """Euclidean norm of a flat vector, summed by ``np.einsum`` without a
+    temporary.  Not ``np.linalg.norm``: that is an OpenBLAS dot, whose bits
+    depend on the thread count, and with it the CPU count, for vectors over
+    10000 long."""
+    return float(np.sqrt(np.einsum("i,i->", grad, grad)))
+
+
 def clip_gradient(grad: np.ndarray, max_norm: float, norm: float | None = None) -> np.ndarray:
     """``grad`` rescaled to norm ``max_norm`` if longer; ``norm`` is its
-    already computed ``np.linalg.norm``, if the caller has it."""
+    already computed ``_grad_norm``, if the caller has it."""
     if norm is None:
-        norm = float(np.linalg.norm(grad))
+        norm = _grad_norm(grad)
     if norm <= max_norm:
         return grad
     return grad * (max_norm / norm)
@@ -459,12 +467,12 @@ def train(
         loss, grad = loss_and_grad(params, batch, m, out=grad_buffer)
         if not np.isfinite(loss):
             raise NonFiniteLoss(step)
-        grad_norm = float(np.linalg.norm(grad))
-        grad = clip_gradient(grad, cfg.grad_clip_norm, grad_norm)
+        norm = _grad_norm(grad)
+        grad = clip_gradient(grad, cfg.grad_clip_norm, norm)
         lr = lr_at(cfg, step)
         adamw_step(opt, params, grad, lr)
         ema_update(ema, params)
-        history.append({"step": step, "lr": lr, "loss": loss, "grad_norm": grad_norm})
+        history.append({"step": step, "lr": lr, "loss": loss, "grad_norm": norm})
     return TrainResult(params=params, ema=ema, history=history,
                        rng_state=rng.bit_generator.state)
 

@@ -442,6 +442,17 @@ def test_nan_max_lr_exits_2(tmp_path, capsys):
     assert "max_lr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [float("inf"), float("nan"), -0.5])
+def test_bad_prior_scale_exits_2_before_training(tmp_path, capsys, recwarn, monkeypatch, scale):
+    monkeypatch.setattr(nn, "train", lambda *a, **k: pytest.fail("training started"))
+    doc = {**TRAIN_DOC, "prior_scale": scale}
+    assert _run(tmp_path, "train", doc) == 2
+    err = capsys.readouterr().err
+    assert "prior scales must be finite and >= 0" in err and str(scale) in err
+    assert not (tmp_path / "out").exists()
+    assert not recwarn.list
+
+
 def test_nan_motion_fps_exits_2(tmp_path, skeleton, rng, capsys):
     motion_path, _ = _motion_file(tmp_path, skeleton, rng)
     doc = json.loads(motion_path.read_text())

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from rmgflow import flow as fl
 from rmgflow import manifold as mf
 from rmgflow import motion as mo
+from rmgflow import net as nn
 from rmgflow.errors import (
     AntipodalPoints,
     DimensionMismatch,
@@ -457,6 +461,180 @@ def test_sample_ode_matches_step_chain(manifold, guidance, B):
     assert out.shape == (B, m.total_ambient_dim)
     assert out.tobytes() == ref.tobytes()
     assert calls == ref_calls  # the same field calls, in the same order, on the same points
+
+
+# ---------------------------------------------------------------------------
+# the sampler's row blocks and its BLAS pin
+# ---------------------------------------------------------------------------
+
+
+def _net_field(m, rng):
+    """net.forward with random weights, the last layer included."""
+    spec = nn.NetworkSpec(input_dim=m.total_ambient_dim, hidden_dim=16, num_layers=2,
+                          num_condition_classes=3)
+    params = nn.VectorFieldParams(spec, 0.3 * rng.standard_normal(nn.VectorFieldParams(spec).count))
+    return nn.field_from_params(params)
+
+
+@pytest.mark.parametrize("manifold", ["pose", "six_factor"])
+def test_sample_ode_bits_do_not_depend_on_cpu_count(manifold, monkeypatch):
+    m = mf.ManifoldSpec(ORACLE_MANIFOLDS[manifold])
+    prior = mf.WrappedGaussianSpec(m, mf.random_point(m, np.random.default_rng(1)), 0.5)
+    field = _net_field(m, np.random.default_rng(2))
+    B = 2 * fl.SAMPLE_BLOCK_ROWS + 76  # two full blocks and a short one
+    cond = 1 + np.arange(B) % 2
+    out = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(mf, "_usable_cpus", lambda: cpus)
+        out[cpus] = fl.sample_ode(m, field, prior, fl.IntegratorConfig(2),
+                                  fl.GuidanceConfig(scale=2.5, enabled=True), cond,
+                                  np.random.default_rng(7))
+    assert out[1].shape == (B, m.total_ambient_dim)
+    assert out[1].tobytes() == out[4].tobytes()
+
+
+@pytest.mark.parametrize("guidance", ["scale2.5", "no_condition"])
+@pytest.mark.parametrize("manifold", ["toy", "six_factor", "narrow_preshapes"])
+def test_sample_ode_equals_step_chain_block_by_block(manifold, guidance, monkeypatch):
+    """Each block integrates on its own: its field calls come in order, on
+    its rows only, and its rows are the step chain's on those rows."""
+    monkeypatch.setattr(fl, "SAMPLE_BLOCK_ROWS", 8)
+    monkeypatch.setattr(mf, "_usable_cpus", lambda: 4)
+    m = mf.ManifoldSpec(ORACLE_MANIFOLDS[manifold])
+    prior = mf.WrappedGaussianSpec(m, mf.random_point(m, np.random.default_rng(1)), 0.5)
+    guid, conditioned = ORACLE_GUIDANCE[guidance]
+    B = 21
+    cond = 1 + np.arange(B) % 2 if conditioned else None
+    calls = []
+    out = fl.sample_ode(m, _recorded_field(calls), prior, fl.IntegratorConfig(5), guid, cond,
+                        np.random.default_rng(7), num_samples=B)
+    x0 = mf.sample_wrapped_gaussian(m, prior, np.random.default_rng(7), size=B)
+    seen = 0
+    for s in range(0, B, 8):
+        rows = slice(s, s + 8)
+        monkeypatch.setattr(mf, "sample_wrapped_gaussian", lambda m, prior, rng, size: x0[rows])
+        block_calls = []
+        ref = _sample_ode_chain(m, _recorded_field(block_calls), prior, fl.IntegratorConfig(5),
+                                guid, None if cond is None else cond[rows], None,
+                                num_samples=x0[rows].shape[0])
+        assert out[rows].tobytes() == ref.tobytes()
+        assert [c for c in calls if c in block_calls] == block_calls
+        seen += len(block_calls)
+    assert seen == len(calls)
+
+
+needs_blas_setter = pytest.mark.skipif(fl._blas_threads() is None,
+                                       reason="no OpenBLAS thread-count setter found")
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of the BLAS thread count, set to 3 for the test and put
+    back after it."""
+    get, set_ = fl._blas_threads()
+    before = get()
+    set_(3)
+    yield get, set_
+    set_(before)
+
+
+def _counting_field(get, seen, fail=False):
+    def field(x, t, cond):
+        seen.append(get())
+        if fail:
+            raise RuntimeError("field failed")
+        return np.zeros_like(x)
+    return field
+
+
+@needs_blas_setter
+def test_sample_ode_pins_blas_and_restores_it(toy_manifold, blas_threads):
+    get, _ = blas_threads
+    seen = []
+    fl.sample_ode(toy_manifold, _counting_field(get, seen), _prior(toy_manifold),
+                  fl.IntegratorConfig(3), fl.GuidanceConfig(), None, np.random.default_rng(0),
+                  num_samples=2 * fl.SAMPLE_BLOCK_ROWS + 1)
+    assert seen == [1] * 9 and get() == 3
+    with pytest.raises(RuntimeError, match="field failed"):
+        fl.sample_ode(toy_manifold, _counting_field(get, seen, fail=True),
+                      _prior(toy_manifold), fl.IntegratorConfig(3), fl.GuidanceConfig(), None,
+                      np.random.default_rng(0), num_samples=4)
+    assert get() == 3
+
+
+@needs_blas_setter
+def test_concurrent_samplers_restore_blas_once(toy_manifold, blas_threads):
+    """The first sampler to leave keeps the pin while the second still runs."""
+    get, _ = blas_threads
+    both_inside, first_done = threading.Barrier(2, timeout=30), threading.Event()
+    seen = {}
+
+    def field(name):
+        def f(x, t, cond):
+            if t == 0.0:
+                both_inside.wait()
+                if name == "second":
+                    assert first_done.wait(timeout=30)
+            seen.setdefault(name, []).append(get())
+            return np.zeros_like(x)
+        return f
+
+    def run(name):
+        fl.sample_ode(toy_manifold, field(name), _prior(toy_manifold), fl.IntegratorConfig(2),
+                      fl.GuidanceConfig(), None, np.random.default_rng(0), num_samples=3)
+        if name == "first":
+            first_done.set()
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in ("first", "second")]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+        assert not th.is_alive()
+    assert seen == {"first": [1, 1], "second": [1, 1]}
+    assert get() == 3
+
+
+@needs_blas_setter
+def test_many_concurrent_samplers_keep_one_pin(toy_manifold, blas_threads):
+    """More samplers than CPUs, switching threads often: every field call
+    sees one BLAS thread, and the count is restored once all have left."""
+    get, _ = blas_threads
+    seen = []
+
+    def run():
+        fl.sample_ode(toy_manifold, _counting_field(get, seen), _prior(toy_manifold),
+                      fl.IntegratorConfig(20), fl.GuidanceConfig(), None,
+                      np.random.default_rng(0), num_samples=2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [1] * 8 * 20
+    assert get() == 3
+
+
+def test_sample_ode_without_blas_setter_runs_blocks_inline(toy_manifold, monkeypatch):
+    monkeypatch.setattr(fl, "_blas_threads", lambda: None)
+    monkeypatch.setattr(mf, "_usable_cpus", lambda: 4)
+    callers = set()
+
+    def field(x, t, cond):
+        callers.add(threading.get_ident())
+        return np.zeros_like(x)
+
+    fl.sample_ode(toy_manifold, field, _prior(toy_manifold), fl.IntegratorConfig(2),
+                  fl.GuidanceConfig(), None, np.random.default_rng(0),
+                  num_samples=2 * fl.SAMPLE_BLOCK_ROWS)
+    assert callers == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("scale", [0.0, 0.5, 2.5])

@@ -304,8 +304,26 @@ def test_adamw_and_ema_match_formulas_bitwise(rng, monkeypatch, chunk):
 
 def test_clip_gradient_takes_known_norm(rng):
     g = 3.0 * rng.standard_normal(50)
-    norm = float(np.linalg.norm(g))
+    norm = nn._grad_norm(g)
     assert nn.clip_gradient(g, 0.5, norm).tobytes() == nn.clip_gradient(g, 0.5).tobytes()
+
+
+@pytest.mark.skipif(fl._blas_threads() is None, reason="no OpenBLAS thread-count setter found")
+def test_grad_norm_does_not_depend_on_blas_threads():
+    """For this vector OpenBLAS's dot, and so np.linalg.norm, gives other
+    bits on 1 and on 2 threads; the gradient norm does not."""
+    g = np.random.default_rng(2).standard_normal(20000)
+    get, set_ = fl._blas_threads()
+    before = get()
+    try:
+        norms = []
+        for threads in (1, 2):
+            set_(threads)
+            norms.append(nn._grad_norm(g))
+    finally:
+        set_(before)
+    assert norms[0] == norms[1]
+    assert norms[0] == pytest.approx(np.linalg.norm(g), rel=1e-14)
 
 
 def test_ema_update_converges():
