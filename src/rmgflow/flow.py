@@ -10,13 +10,12 @@ x0 + t (x1 - x0) and its target (x1 - x_t) / (1 - t), bit for bit.
 Sampling integrates the learned field with first-order geodesic Euler
 steps, which keep every iterate on the manifold by construction.
 
-Each sampler step is one pass per factor over contiguous copies of the
-point and of the field evaluations (``manifold._blocks``: coordinate planes
-for sphere and pre-shape copies narrower than ``PAIRWISE_MIN``, rows
-otherwise).  The pass projects, applies guidance, checks tangency and
-shoots with the per-element arithmetic of ``project_tangent``,
-``guided_velocity`` and ``euler_step``, in their order, so it gives the
-same bits as that chain of public steps.
+Each sampler step is one pass per factor over the contiguous blocks of
+the point and of the field evaluations (``manifold._blocks``).  The pass
+projects, applies guidance, checks tangency and shoots with the
+per-element arithmetic of ``project_tangent``, ``guided_velocity`` and
+``euler_step``, in their order, so it gives the same bits as that chain
+of public steps.
 
 The sampler cuts the rows after the prior draw into fixed blocks of
 ``SAMPLE_BLOCK_ROWS`` and integrates each block on its own, the blocks in
@@ -140,7 +139,7 @@ def _flow_pairs(m: mf.ManifoldSpec, x0, x1b, t) -> list[tuple[np.ndarray, np.nda
     out = []
     for f, a, b in zip(m.factors, mf._blocks(m, x0), x1b):
         tt = mf._time_view(t, f)
-        x_t, v = mf._geodesic(f, a, b, tt, mf._coord_axis(f))
+        x_t, v = mf._geodesic(f, a, b, tt, mf._coord_axis(f, t.ndim))
         if f.kind == "euclidean":
             v = (b - x_t) / (1.0 - tt)
         out.append((x_t, v))
@@ -218,7 +217,9 @@ def guided_velocity(
     """Classifier-free combination v_uncond + scale (v_cond - v_uncond).
 
     scale 0 and 1 return the respective input exactly; other scales are
-    re-projected onto the tangent space at the shared base point.
+    re-projected onto the tangent space at the shared base point.  With
+    ``project_tangent`` and ``euler_step`` it is the sampler's reference
+    chain: each ``sample_ode`` step has the bits of that chain.
     """
     v_cond = np.asarray(v_cond, dtype=float)
     v_uncond = np.asarray(v_uncond, dtype=float)
@@ -233,7 +234,8 @@ def _check_step(h: float) -> None:
 
 
 def euler_step(m: mf.ManifoldSpec, x, v, h: float) -> np.ndarray:
-    """One geodesic Euler update Exp_x(h v)."""
+    """One geodesic Euler update Exp_x(h v); the last link of the sampler's
+    reference chain (see ``guided_velocity``)."""
     _check_step(h)
     return mf.exp_map(m, x, h * np.asarray(v, dtype=float))
 
@@ -252,26 +254,26 @@ def _euler_pass(m: mf.ManifoldSpec, xb, ab, a0b, scale: float, h: float) -> list
     """One guided geodesic Euler step on the contiguous blocks of ``mf._blocks``.
 
     Per factor: project the field ``ab`` (and the null-condition field
-    ``a0b``, if given, combined as in ``guided_velocity``), scale by h, reject
-    a step whose tangency defect exceeds ``TANGENT_REJECT`` (so any
-    non-finite field), then shoot along the geodesic.  The per-element
-    arithmetic is that of project_tangent, guided_velocity and euler_step.
+    ``a0b``, if given, combined as in ``guided_velocity``), scale by h, then
+    shoot along the geodesic with ``mf._shoot``, which rejects a step whose
+    tangency defect exceeds ``TANGENT_REJECT`` (so any non-finite field).
+    The per-element arithmetic is that of project_tangent, guided_velocity
+    and euler_step.
     """
     _check_step(h)
     out = []
     for i, (f, x, a) in enumerate(zip(m.factors, xb, ab)):
-        axis = mf._coord_axis(f)
+        axis = mf._coord_axis(f, 1)
 
         def project(u):
             return mf._project(f, x, u, axis)
 
-        # A non-finite field fails the tangency check below, so its warnings are moot.
+        # A non-finite field fails the tangency check in _shoot, so its warnings are moot.
         with np.errstate(invalid="ignore", over="ignore"):
             v = project(a)
             if a0b is not None:
                 v = _guide(project, v, project(a0b[i]), scale)
             v = h * v
-            mf._check_tangent(mf._defect(f, x, v, axis=axis))
         out.append(mf._shoot(f, x, v, axis))
     return out
 

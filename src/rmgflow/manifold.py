@@ -14,25 +14,23 @@ Supported factors:
   subspace, so geodesics reuse the sphere formulas; only the tangent
   projection additionally re-centers.
 
-Dispatch is per factor, not per copy: ``ManifoldSpec.blocks`` maps each
-factor to its slice of the flat vector, and each operation views that slice
-as ``(..., multiplicity, per_copy)`` so one formula call covers every copy of
-the factor.  Leading rows are walked in chunks of about ``CHUNK_ELEMENTS``
-broadcast elements, which bounds the temporaries of large or broadcast
-inputs independently of the batch size.
-
-``geodesic``, ``geodesic_velocity`` and ``sample_wrapped_gaussian`` (and the
-flow module's batch and sampler steps) make one pass per factor over
-contiguous copies instead (``_blocks``: coordinate planes for sphere and
-pre-shape copies narrower than ``PAIRWISE_MIN``, rows otherwise), with the
-per-copy formulas given the block's coordinate axis.
+Dispatch is per factor, not per copy, on one layout: ``ManifoldSpec.blocks``
+maps each factor to its slice of the flat vector, and ``_blocks`` copies
+that slice into one contiguous block, ``(width, *L, multiplicity)``
+coordinate planes for copies narrower than ``PAIRWISE_MIN`` and ``(*L,
+multiplicity, width)`` rows for wider ones (``_coord_axis``), so one formula
+call covers every copy of the factor.  The public operations walk the
+leading rows in chunks whose blocks stay near ``CHUNK_ELEMENTS`` elements,
+which bounds the temporaries of large or broadcast inputs independently of
+the batch size; the flow module's batch, loss and sampler steps take the
+blocks of a whole batch.
 
 ``distance`` has its own kernel, because its outputs (such as an N x M
 distance matrix) are large next to its inputs: each factor copy of both
-operands is copied once into contiguous coordinate planes, and the output is
-filled in row blocks of about ``CHUNK_ELEMENTS`` entries, one block at a time
-on each usable CPU.  The arithmetic of every entry is fixed, so the bits do
-not depend on the shape, the blocks or the number of CPUs.
+operands is copied once from its block into contiguous memory, and the
+output is filled in row blocks of about ``CHUNK_ELEMENTS`` entries, one
+block at a time on each usable CPU.  The arithmetic of every entry is fixed,
+so the bits do not depend on the shape, the blocks or the number of CPUs.
 """
 
 from __future__ import annotations
@@ -203,8 +201,8 @@ class WrappedGaussianSpec:
 
 
 # ---------------------------------------------------------------------------
-# per-copy formulas on (..., multiplicity, per_copy) views; the sphere
-# formulas also serve pre-shape factors
+# per-copy formulas on the factor blocks of ``_blocks``, each given the
+# block's ``_coord_axis``; the sphere formulas also serve pre-shape factors
 # ---------------------------------------------------------------------------
 
 
@@ -229,19 +227,19 @@ def _norm(a, axis=-1):
     return np.sqrt(_dot(a, a, axis))
 
 
-def _landmarks(a, f: FactorSpec, axis=-1):
+def _landmarks(a, f: FactorSpec, axis):
     """Split the coordinate axis of each pre-shape copy into landmarks x spatial_dim."""
     at = a.ndim + axis
     return a.reshape(a.shape[:at] + (f.landmarks, f.spatial_dim) + a.shape[at + 1:])
 
 
-def _center(a, f: FactorSpec, axis=-1):
+def _center(a, f: FactorSpec, axis):
     """Subtract the landmark centroid from each copy of a pre-shape block."""
     mat = _landmarks(a, f, axis)
     return (mat - mat.mean(axis=axis - 1, keepdims=True)).reshape(a.shape)
 
 
-def _sphere_exp(x, v, axis=-1):
+def _sphere_exp(x, v, axis):
     n = _norm(v, axis)
     small = n < SMALL_ANGLE
     safe = np.where(small, 1.0, n)
@@ -251,7 +249,7 @@ def _sphere_exp(x, v, axis=-1):
     return y / _norm(y, axis)
 
 
-def _sphere_angle(x, y, axis=-1):
+def _sphere_angle(x, y, axis):
     dot = np.clip(_dot(x, y, axis), -1.0, 1.0)
     return dot, np.arccos(dot)
 
@@ -265,11 +263,11 @@ def _check_not_antipodal(theta):
         raise AntipodalPoints("sphere angle within 1e-6 of pi: no unique geodesic")
 
 
-def _sphere_log(x, y):
-    dot, theta = _sphere_angle(x, y)
+def _sphere_log(x, y, axis):
+    dot, theta = _sphere_angle(x, y, axis)
     _check_not_antipodal(theta)
     u = y - dot * x
-    un = _norm(u)
+    un = _norm(u, axis)
     small = theta < SMALL_ANGLE
     safe_un = np.where(small, 1.0, un)
     # theta / sin(theta) with its series for tiny angles (||u|| = sin(theta))
@@ -277,7 +275,7 @@ def _sphere_log(x, y):
     return scale * u
 
 
-def _sphere_geodesic(x0, x1, t, axis=-1):
+def _sphere_geodesic(x0, x1, t, axis):
     """Point and velocity at time t of the geodesic from x0 to x1, both from
     one clipped angle theta: the sin-weighted slerp
     (sin((1-t) theta) x0 + sin(t theta) x1) / sin(theta) and its analytic
@@ -298,44 +296,108 @@ def _sphere_geodesic(x0, x1, t, axis=-1):
 
 
 # ---------------------------------------------------------------------------
-# per-factor dispatch
+# the block layout and the chunked per-factor driver
 # ---------------------------------------------------------------------------
 
 
-def _per_factor(m: ManifoldSpec, *arrays):
-    """Yield ``(rows, i, factor, views)`` for each row chunk and each factor.
-
-    ``rows`` indexes the chunk along the leading axis of the broadcast shape
-    (``()`` when there is no batch axis).  ``views`` holds each array's block
-    of factor ``i`` for those rows, shaped ``(..., multiplicity, per_copy)``;
-    an array whose trailing axis is 1 (a time per point) broadcasts over
-    every copy instead.
-    """
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    if len(shape) < 2:
-        chunks = [()]
-    else:
-        step = max(1, CHUNK_ELEMENTS // max(1, prod(shape[1:])))
-        chunks = [(slice(s, s + step),) for s in range(0, shape[0], step)]
-    for rows in chunks:
-        # Arrays that do not span the leading axis broadcast across it whole.
-        part = [a[rows] if rows and a.ndim == len(shape) and a.shape[0] > 1 else a
-                for a in arrays]
-        for i, (f, sl) in enumerate(m.blocks):
-            copies = (f.multiplicity, f.ambient_dim_per_copy)
-            yield rows, i, f, [p[..., None] if p.shape[-1] == 1
-                               else p[..., sl].reshape(p.shape[:-1] + copies)
-                               for p in part]
+def _coord_axis(f: FactorSpec, rank: int) -> int:
+    """Axis that holds the coordinates of factor f's block from ``_blocks`` of
+    an array with ``rank`` leading axes: the first (coordinate planes) for
+    copies narrower than PAIRWISE_MIN, the last (rows) for wider ones."""
+    return -(rank + 2) if f.ambient_dim_per_copy < PAIRWISE_MIN else -1
 
 
-def _map(m: ManifoldSpec, fn, *arrays) -> np.ndarray:
-    """Assemble ``fn(factor, *views)`` over all chunks and factors into one
-    array of the broadcast shape."""
-    out = np.empty(np.broadcast_shapes(*(a.shape for a in arrays)))
-    for rows, i, f, views in _per_factor(m, *arrays):
-        r = fn(f, *views)
-        out[rows + (..., m.blocks[i][1])] = r.reshape(r.shape[:-2] + (f.ambient_dim,))
+def _block_view(a: np.ndarray, f: FactorSpec, sl: slice) -> np.ndarray:
+    block = a[..., sl].reshape(a.shape[:-1] + (f.multiplicity, f.ambient_dim_per_copy))
+    # transpose, not np.moveaxis, which costs several times more per call
+    return block if _coord_axis(f, a.ndim - 1) == -1 else block.transpose(-1, *range(a.ndim))
+
+
+def _blocks(m: ManifoldSpec, a: np.ndarray) -> list[np.ndarray]:
+    """Each factor block of ``a`` (leading shape L), in order, copied into
+    contiguous memory: ``(width, *L, multiplicity)`` coordinate planes for
+    copies narrower than PAIRWISE_MIN, so that every per-copy operation runs
+    over whole planes, and ``(*L, multiplicity, width)`` rows for wider
+    copies.  The per-copy formulas take the block's ``_coord_axis``."""
+    return [np.ascontiguousarray(_block_view(a, f, sl)) for f, sl in m.blocks]
+
+
+def _unblock(m: ManifoldSpec, blocks: Sequence[np.ndarray], lead: tuple) -> np.ndarray:
+    """The array of leading shape ``lead`` whose ``_blocks`` are ``blocks``."""
+    out = np.empty(lead + (m.total_ambient_dim,))
+    for (f, sl), block in zip(m.blocks, blocks):
+        _block_view(out, f, sl)[...] = block
     return out
+
+
+def _time_view(t: np.ndarray, f: FactorSpec) -> np.ndarray:
+    """t (one time per point, of the leading shape) shaped to broadcast over
+    factor f's block from ``_blocks``."""
+    return t.reshape(t.shape + ((1, 1) if _coord_axis(f, t.ndim) == -1 else (1,)))
+
+
+def _project_blocks(m: ManifoldSpec, xb: Sequence[np.ndarray], a: np.ndarray) -> np.ndarray:
+    """``project_tangent(m, x, a)`` for a of shape (B, D) and x given as its
+    ``_blocks``, with the same bits."""
+    return _unblock(m, [_project(f, x, b, _coord_axis(f, 1))
+                        for f, x, b in zip(m.factors, xb, _blocks(m, a))], a.shape[:1])
+
+
+def _per_factor(m: ManifoldSpec, *arrays: np.ndarray, t=None):
+    """``(shape, chunks)``: the broadcast leading shape of the arrays (and of
+    t, one time per point, if given), and an iterator of ``(rows, factors)``
+    per row chunk, where ``factors`` lists ``(factor, axis, blocks)`` in
+    factor order.
+
+    The arrays are padded with leading axes of length 1 to a common rank of
+    at least one leading axis, and ``rows`` slices a chunk of the first one.
+    Each array's chunk is copied into ``_blocks`` once (an array that does
+    not span the first axis broadcasts across it whole); ``blocks`` holds
+    each array's block of the factor, then t's ``_time_view``, and ``axis``
+    is their ``_coord_axis``.  A chunk holds about CHUNK_ELEMENTS elements
+    over its copied blocks and its result.
+    """
+    shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays),
+                                *(() if t is None else (t.shape,)))
+    lead = shape or (1,)
+    arrays = [a.reshape((1,) * (len(lead) + 1 - a.ndim) + a.shape) for a in arrays]
+    copies = 1 + sum(a.shape[0] > 1 for a in arrays)
+    step = max(1, CHUNK_ELEMENTS // max(1, copies * prod(lead[1:]) * m.total_ambient_dim))
+    if t is not None:
+        t = t.reshape((1,) * (len(lead) - t.ndim) + t.shape)
+
+    def factors(rows):
+        part = [_blocks(m, a[rows] if a.shape[0] > 1 else a) for a in arrays]
+        times = [] if t is None else [t[rows] if t.shape[0] > 1 else t]
+        return [(f, _coord_axis(f, len(lead)),
+                 [b[i] for b in part] + [_time_view(tt, f) for tt in times])
+                for i, f in enumerate(m.factors)]
+
+    def chunks():  # holds no reference to a chunk's blocks once it is yielded
+        for s in range(0, lead[0], step):
+            rows = slice(s, s + step)
+            yield rows, factors(rows)
+
+    return shape, chunks()
+
+
+def _map(m: ManifoldSpec, fn, *arrays: np.ndarray, t=None) -> np.ndarray:
+    """Assemble ``fn(factor, *blocks, axis)`` over the chunks and factors of
+    ``_per_factor`` into one array of the broadcast shape."""
+    shape, chunks = _per_factor(m, *arrays, t=t)
+    out = np.empty(0)
+    for rows, factors in chunks:
+        results = [fn(f, *blocks, axis) for f, axis, blocks in factors]
+        del factors
+        # Allocated only now, after the chunk's blocks and temporaries are
+        # freed: with glibc's malloc, an output allocated first lets the heap
+        # top above it be trimmed and the next call fault it back in (the
+        # 256 x 91 prior draw measured about 20% slower).
+        if not out.size:
+            out = np.empty((shape or (1,)) + (m.total_ambient_dim,))
+        for (f, sl), r in zip(m.blocks, results):
+            _block_view(out[rows], f, sl)[...] = r
+    return out.reshape(shape + (m.total_ambient_dim,))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +415,7 @@ def _as_coords(m: ManifoldSpec, a, name: str) -> np.ndarray:
     return a
 
 
-def _defect(f: FactorSpec, x, v, worst=0.0, axis=-1):
+def _defect(f: FactorSpec, x, v, axis, worst=0.0):
     """``worst`` raised to the largest tangent-constraint violation of v at x
     over the copies of factor f; NaN once either holds a non-finite entry."""
     if f.kind == "euclidean":
@@ -375,8 +437,9 @@ def tangency_defect(m: ManifoldSpec, x, v) -> float:
     v = _as_coords(m, v, "v")
     worst = 0.0
     with np.errstate(invalid="ignore", over="ignore"):
-        for _, _, f, (xs, vs) in _per_factor(m, x, v):
-            worst = _defect(f, xs, vs, worst)
+        for _, factors in _per_factor(m, x, v)[1]:
+            for f, axis, (xs, vs) in factors:
+                worst = _defect(f, xs, vs, axis, worst)
     return float(worst)
 
 
@@ -385,7 +448,11 @@ def _check_tangent(defect) -> None:
         raise NotTangent(f"tangency defect {defect:.3e} is not within {TANGENT_REJECT:.1e}")
 
 
-def _shoot(f: FactorSpec, x, v, axis=-1):
+def _shoot(f: FactorSpec, x, v, axis):
+    """Exp_x(v) per copy of factor f, after rejecting with NotTangent a v
+    whose tangency defect exceeds TANGENT_REJECT (so any non-finite x or v)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        _check_tangent(_defect(f, x, v, axis))
     return x + v if f.kind == "euclidean" else _sphere_exp(x, v, axis)
 
 
@@ -393,7 +460,6 @@ def exp_map(m: ManifoldSpec, x, v) -> np.ndarray:
     """Shoot v (tangent at x) along its geodesic for unit time."""
     x = _as_coords(m, x, "x")
     v = _as_coords(m, v, "v")
-    _check_tangent(tangency_defect(m, x, v))
     return _map(m, _shoot, x, v)
 
 
@@ -401,8 +467,8 @@ def log_map(m: ManifoldSpec, x, y) -> np.ndarray:
     """Tangent vector at x pointing to y with length equal to distance."""
     x = _as_coords(m, x, "x")
     y = _as_coords(m, y, "y")
-    return _map(m, lambda f, xs, ys: ys - xs if f.kind == "euclidean" else _sphere_log(xs, ys),
-                x, y)
+    return _map(m, lambda f, xs, ys, axis: ys - xs if f.kind == "euclidean"
+                else _sphere_log(xs, ys, axis), x, y)
 
 
 def antipodal(m: ManifoldSpec, x, y) -> np.ndarray:
@@ -411,27 +477,17 @@ def antipodal(m: ManifoldSpec, x, y) -> np.ndarray:
     pairs for which ``log_map`` raises AntipodalPoints."""
     x = _as_coords(m, x, "x")
     y = _as_coords(m, y, "y")
-    out = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1], dtype=bool)
-    for rows, _, f, (xs, ys) in _per_factor(m, x, y):
-        if f.kind != "euclidean":
-            out[rows] |= _near_pi(_sphere_angle(xs, ys)[1]).any(axis=(-2, -1))
-    return out
+    shape, chunks = _per_factor(m, x, y)
+    out = np.zeros(shape or (1,), dtype=bool)
+    for rows, factors in chunks:
+        for f, axis, (xs, ys) in factors:
+            if f.kind != "euclidean":
+                near = _near_pi(_sphere_angle(xs, ys, axis)[1])
+                out[rows] |= near.squeeze(axis).any(axis=-1)
+    return out.reshape(shape)
 
 
-def _check_t(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
-        raise DomainError("interpolation time t must lie in [0, 1]")
-    return t
-
-
-def _time_view(t: np.ndarray, f: FactorSpec) -> np.ndarray:
-    """t (one time per point, of the leading shape) shaped to broadcast over
-    factor f's block from ``_blocks``."""
-    return t.reshape(t.shape + ((1,) if _coord_axis(f) == -3 else (1, 1)))
-
-
-def _geodesic(f: FactorSpec, x0, x1, t, axis=-1):
+def _geodesic(f: FactorSpec, x0, x1, t, axis):
     """Point and velocity of the geodesic per copy of factor f; on Euclidean
     factors ``x0 + t (x1 - x0)`` and ``x1 - x0``."""
     if f.kind == "euclidean":
@@ -440,23 +496,14 @@ def _geodesic(f: FactorSpec, x0, x1, t, axis=-1):
     return _sphere_geodesic(x0, x1, t, axis)
 
 
-def _geodesic_blocks(m: ManifoldSpec, x0, x1, t, part: int) -> np.ndarray:
-    """Part ``part`` (0 point, 1 velocity) of ``_geodesic`` computed on the
-    ``_blocks`` of x0 and x1, as an array of their broadcast shape."""
+def _geodesic_part(m: ManifoldSpec, x0, x1, t, part: int) -> np.ndarray:
+    """Part ``part`` (0 point, 1 velocity) of ``_geodesic`` over x0, x1 and t."""
     x0 = _as_coords(m, x0, "x0")
     x1 = _as_coords(m, x1, "x1")
-    t = _check_t(t)
-    shape = np.broadcast_shapes(x0.shape, x1.shape, t.shape + (1,))
-    # at least one leading axis, which the blocks need
-    lead = np.broadcast_shapes(x0.shape[:-1], x1.shape[:-1], t.shape, (1,))
-
-    def pad(a, trail):  # leading axes of length 1 up to len(lead)
-        return a.reshape((1,) * (len(lead) + trail - a.ndim) + a.shape)
-
-    t = pad(t, 0)
-    parts = [_geodesic(f, a, b, _time_view(t, f), _coord_axis(f))[part]
-             for f, a, b in zip(m.factors, _blocks(m, pad(x0, 1)), _blocks(m, pad(x1, 1)))]
-    return _unblock(m, parts, lead).reshape(shape)
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
+        raise DomainError("interpolation time t must lie in [0, 1]")
+    return _map(m, lambda f, a, b, tt, axis: _geodesic(f, a, b, tt, axis)[part], x0, x1, t=t)
 
 
 def geodesic(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
@@ -467,16 +514,16 @@ def geodesic(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
     exactly.  This is the flow-matching interpolant; on Euclidean factors it
     is ``x0 + t (x1 - x0)`` bit for bit.
     """
-    return _geodesic_blocks(m, x0, x1, t, 0)
+    return _geodesic_part(m, x0, x1, t, 0)
 
 
 def geodesic_velocity(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
     """Time derivative of ``geodesic`` (tangent at the geodesic point), from
     the same per-copy kernel and angle."""
-    return _geodesic_blocks(m, x0, x1, t, 1)
+    return _geodesic_part(m, x0, x1, t, 1)
 
 
-def _project(f: FactorSpec, x, a, axis=-1):
+def _project(f: FactorSpec, x, a, axis):
     if f.kind == "euclidean":
         return a
     if f.kind == "preshape":
@@ -492,41 +539,6 @@ def project_tangent(m: ManifoldSpec, x, a) -> np.ndarray:
     x = _as_coords(m, x, "x")
     a = _as_coords(m, a, "a")
     return _map(m, _project, x, a)
-
-
-def _coord_axis(f: FactorSpec) -> int:
-    """Axis that holds the coordinates of factor f's block from ``_blocks``."""
-    return -3 if f.kind != "euclidean" and f.ambient_dim_per_copy < PAIRWISE_MIN else -1
-
-
-def _block_view(a: np.ndarray, f: FactorSpec, sl: slice) -> np.ndarray:
-    block = a[..., sl].reshape(a.shape[:-1] + (f.multiplicity, f.ambient_dim_per_copy))
-    return np.moveaxis(block, -1, 0) if _coord_axis(f) == -3 else block
-
-
-def _blocks(m: ManifoldSpec, a: np.ndarray) -> list[np.ndarray]:
-    """Each factor block of ``a`` (leading shape L), in order, copied into
-    contiguous memory: ``(width, *L, multiplicity)`` coordinate planes for
-    sphere and pre-shape copies narrower than PAIRWISE_MIN, so that every
-    per-copy operation runs over whole planes, and ``(*L, multiplicity,
-    width)`` rows for wider copies and Euclidean blocks.  The per-copy
-    formulas take the block's ``_coord_axis``."""
-    return [np.ascontiguousarray(_block_view(a, f, sl)) for f, sl in m.blocks]
-
-
-def _unblock(m: ManifoldSpec, blocks: Sequence[np.ndarray], lead: tuple) -> np.ndarray:
-    """The array of leading shape ``lead`` whose ``_blocks`` are ``blocks``."""
-    out = np.empty(lead + (m.total_ambient_dim,))
-    for (f, sl), block in zip(m.blocks, blocks):
-        _block_view(out, f, sl)[...] = block
-    return out
-
-
-def _project_blocks(m: ManifoldSpec, xb: Sequence[np.ndarray], a: np.ndarray) -> np.ndarray:
-    """``project_tangent(m, x, a)`` for a of shape (B, D) and x given as its
-    ``_blocks``, with the same bits."""
-    return _unblock(m, [_project(f, x, b, _coord_axis(f))
-                        for f, x, b in zip(m.factors, xb, _blocks(m, a))], a.shape[:1])
 
 
 def _usable_cpus() -> int:
@@ -549,20 +561,6 @@ def _map_blocks(run, blocks: Sequence, parallel: bool = True) -> list:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(contextvars.copy_context().run, run, b) for b in blocks]
     return [fut.result() for fut in futures]
-
-
-def _copies(m: ManifoldSpec, a: np.ndarray) -> list[np.ndarray]:
-    """Each factor copy of ``a`` (leading shape L), in order, copied into
-    contiguous memory: ``(width, *L)`` coordinate planes for copies narrower
-    than PAIRWISE_MIN, ``(*L, width)`` rows for the wider ones."""
-    out = []
-    for f, sl in m.blocks:
-        w = f.ambient_dim_per_copy
-        block = np.moveaxis(a[..., sl].reshape(a.shape[:-1] + (f.multiplicity, w)), -2, 0)
-        if w < PAIRWISE_MIN:
-            block = np.moveaxis(block, -1, 1)
-        out.extend(np.ascontiguousarray(block))
-    return out
 
 
 def distance(m: ManifoldSpec, x, y) -> np.ndarray:
@@ -598,7 +596,10 @@ def _distance(m: ManifoldSpec, x, y, symmetric: bool = False) -> np.ndarray:
     inner = max(1, prod(shape[1:]))
     kinds = [(f.kind == "euclidean", f.ambient_dim_per_copy)
              for f in m.factors for _ in range(f.multiplicity)]
-    xc, yc = _copies(m, x), _copies(m, y)
+    # Each factor copy of both operands, copied from its _block_view into
+    # contiguous (width, ...) planes or (..., width) rows.
+    xc, yc = ([np.ascontiguousarray(c) for f, sl in m.blocks for c in np.moveaxis(
+        _block_view(a, f, sl), -1 if _coord_axis(f, 0) != -1 else -2, 0)] for a in (x, y))
     # Operands that do not span the leading axis broadcast across it whole.
     x_rows, y_rows = (a.ndim == len(shape) + 1 and a.shape[0] > 1 for a in (x, y))
 
@@ -668,16 +669,19 @@ def point_deviations(m: ManifoldSpec, x) -> list[tuple[int, str, np.ndarray]]:
     factor, so deviations of different factors do not stack.
     """
     x = _as_coords(m, x, "x")
+    shape, chunks = _per_factor(m, x)
     out = {}
-    for rows, i, f, (xs,) in _per_factor(m, x):
-        if f.kind == "euclidean":
-            continue
-        devs = {"unit_norm": np.abs(_norm(xs)[..., 0] - 1.0)}
-        if f.kind == "preshape":
-            devs["centroid"] = np.abs(_landmarks(xs, f).mean(axis=-2)).max(axis=-1)
-        for name, dev in devs.items():
-            out.setdefault((i, name), np.empty(x.shape[:-1] + (f.multiplicity,)))[rows] = dev
-    return [(i, name, dev) for (i, name), dev in out.items()]
+    for rows, factors in chunks:
+        for i, (f, axis, (xs,)) in enumerate(factors):
+            if f.kind == "euclidean":
+                continue
+            devs = {"unit_norm": np.abs(_norm(xs, axis).squeeze(axis) - 1.0)}
+            if f.kind == "preshape":
+                mean = _landmarks(xs, f, axis).mean(axis=axis - 1)
+                devs["centroid"] = np.abs(mean).max(axis=axis)
+            for name, dev in devs.items():
+                out.setdefault((i, name), np.empty((shape or (1,)) + (f.multiplicity,)))[rows] = dev
+    return [(i, name, dev.reshape(shape + dev.shape[-1:])) for (i, name), dev in out.items()]
 
 
 def validate_point(m: ManifoldSpec, x, tol: float = TOL_POINT) -> list[Violation]:
@@ -709,30 +713,22 @@ def sample_wrapped_gaussian(
     """Draw ambient Gaussian noise, project to the tangent space at the mean,
     and wrap through the exponential map.  Deterministic given the rng state.
 
-    One pass per factor over the contiguous ``_blocks`` of the noise: scale,
-    project at the mean, check tangency, shoot; the same bits as
+    The scaled noise is projected at the mean and shot in one pass per
+    factor and chunk; the same bits as
     ``exp_map(m, mean, project_tangent(m, mean, scale * noise))``.
     """
     xi = rng.standard_normal(_draw_shape(m, size))
-    rows = xi.reshape(-1, m.total_ambient_dim)  # the blocks need one leading axis
-    out = []
-    for f, scale, x, a in zip(m.factors, g.per_factor_scale, _blocks(m, g.mean[None]),
-                              _blocks(m, rows)):
-        axis = _coord_axis(f)
-        a *= scale
-        v = _project(f, x, a, axis)
-        with np.errstate(invalid="ignore", over="ignore"):
-            _check_tangent(_defect(f, x, v, axis=axis))
-        out.append(_shoot(f, x, v, axis))
-    return _unblock(m, out, rows.shape[:1]).reshape(xi.shape)
+    xi *= np.repeat(g.per_factor_scale, [f.ambient_dim for f in m.factors])
+    return _map(m, lambda f, x, a, axis: _shoot(f, x, _project(f, x, a, axis), axis),
+                g.mean, xi)
 
 
-def _normalize(f: FactorSpec, x):
+def _normalize(f: FactorSpec, x, axis):
     if f.kind == "euclidean":
         return x
     if f.kind == "preshape":
-        x = _center(x, f)
-    return x / _norm(x)
+        x = _center(x, f, axis)
+    return x / _norm(x, axis)
 
 
 def random_point(m: ManifoldSpec, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -745,15 +741,13 @@ def random_tangent(
 ) -> np.ndarray:
     """Random tangent vector at x, optionally capped per sphere-like copy."""
     x = _as_coords(m, x, "x")
-    v = project_tangent(m, x, rng.standard_normal(x.shape))
-    if max_norm is None:
-        return v
 
-    def cap(f, vs):
-        if f.kind == "euclidean":
-            return vs
-        n = _norm(vs)
+    def draw(f, xs, a, axis):
+        v = _project(f, xs, a, axis)
+        if max_norm is None or f.kind == "euclidean":
+            return v
+        n = _norm(v, axis)
         over = n > max_norm
-        return np.where(over, vs * (max_norm / np.where(over, n, 1.0)), vs)
+        return np.where(over, v * (max_norm / np.where(over, n, 1.0)), v)
 
-    return _map(m, cap, v)
+    return _map(m, draw, x, rng.standard_normal(x.shape))

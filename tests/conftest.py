@@ -5,7 +5,7 @@ from hypothesis import settings
 from rmgflow import manifold as mf
 from rmgflow import motion as mo
 
-settings.register_profile("ci", deadline=None, max_examples=50)
+settings.register_profile("ci", deadline=None, max_examples=50, print_blob=True)
 settings.load_profile("ci")
 
 

@@ -56,8 +56,8 @@ def test_flow_pairs_euclidean():
     m = mf.ManifoldSpec([mf.euclidean(2)])
     x0, x1 = np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]])
     [(x_t, v)] = fl._flow_pairs(m, x0, mf._blocks(m, x1), np.array([0.5]))
-    assert np.array_equal(x_t[0, 0], [1.0, 0.0])
-    assert np.array_equal(v[0, 0], [2.0, 0.0])
+    assert np.array_equal(x_t[:, 0, 0], [1.0, 0.0])
+    assert np.array_equal(v[:, 0, 0], [2.0, 0.0])
 
 
 def _log_target(m, x_t, x1, t):
@@ -94,7 +94,7 @@ def _sphere_geodesic_longdouble(x0, x1, t):
 
 def _rows(f, block):
     """A block of ``mf._blocks`` as (B, multiplicity, width) rows."""
-    return np.moveaxis(block, 0, -1) if mf._coord_axis(f) == -3 else block
+    return block if mf._coord_axis(f, 1) == -1 else np.moveaxis(block, 0, -1)
 
 
 def _longdouble_errors(m, x0, x1, t, pairs):
