@@ -6,7 +6,11 @@ its JSON type and default; a section that configures a dataclass
 (``representation``, ``network``, ``train``, ``task`` and its components, the
 factors of an eval ``manifold``) takes that dataclass's fields, types and
 defaults.  Unknown keys, missing required keys and values of the wrong JSON
-type are rejected.  Outputs are bitwise deterministic given config + seed.
+type are rejected.  ``main`` loads and fills the config once and calls
+``cmd_<command>(doc, args)``.  A command whose config has a ``seed`` key
+(train, sample, eval, sweep) takes ``--seed``, which replaces that key;
+``sample`` and ``sweep`` take ``--checkpoint``.  Outputs are bitwise
+deterministic given config + seed.
 Exit codes: 0 success, 2 configuration or validation error (an input file
 that cannot be read or parsed included), 3 non-finite training loss.
 """
@@ -16,10 +20,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -122,13 +124,6 @@ def _build(cls, d, ctx: str, **fixed):
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def _seed(value: int, override) -> int:
-    seed = value if override is None else override
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 # ---------------------------------------------------------------------------
 # input files
 # ---------------------------------------------------------------------------
@@ -226,16 +221,15 @@ def _toy_task(d: dict, cfg: mo.RepresentationConfig, skeleton: mo.Skeleton) -> m
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(config_path, out_dir, seed_override=None) -> int:
-    doc = _load_config(config_path, "train")
+def cmd_train(doc: dict, args) -> int:
     cfg = _build(mo.RepresentationConfig, doc["representation"], "train.representation")
     skeleton = _skeleton(doc["skeleton"])
     m = mo.config_to_manifold(cfg)
     net_spec = _build(nn.NetworkSpec, doc["network"], "train.network",
                       input_dim=m.total_ambient_dim)
     train_doc = doc["train"]
-    if seed_override is not None or "seed" not in train_doc:
-        train_doc = {**train_doc, "seed": doc["seed"] if seed_override is None else seed_override}
+    if args.seed is not None or "seed" not in train_doc:
+        train_doc = {**train_doc, "seed": doc["seed"]}
     train_cfg = _build(nn.TrainConfig, train_doc, "train.train")
 
     prior = _prior(m, cfg, skeleton, doc["prior_scale"])
@@ -245,7 +239,7 @@ def cmd_train(config_path, out_dir, seed_override=None) -> int:
 
     result = nn.train(train_cfg, net_spec, m, data, prior, conditions)
 
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     nn.save_checkpoint(
         out / "checkpoint.rmg", net_spec, train_cfg, m, result.params, result.ema,
@@ -263,7 +257,7 @@ def _sample_points(ckpt: nn.Checkpoint, prior: mf.WrappedGaussianSpec, num_steps
                    use_ema: bool) -> np.ndarray:
     params = ckpt.params
     if use_ema:
-        params = nn.VectorFieldParams(ckpt.net_spec, ckpt.ema.shadow.copy())
+        params = nn.VectorFieldParams(ckpt.net_spec, ckpt.ema.shadow)
     field = nn.field_from_params(params)
     rng = np.random.default_rng(seed)
     cond_arr = None if condition is None else np.full(num_samples, condition)
@@ -272,11 +266,10 @@ def _sample_points(ckpt: nn.Checkpoint, prior: mf.WrappedGaussianSpec, num_steps
                          cond_arr, rng, num_samples=num_samples)
 
 
-def cmd_sample(checkpoint_path, config_path, out_dir, seed_override=None) -> int:
-    if not checkpoint_path:
+def cmd_sample(doc: dict, args) -> int:
+    if not args.checkpoint:
         raise ConfigError("sample requires --checkpoint")
-    doc = _load_config(config_path, "sample")
-    ckpt, cfg, skeleton, prior = _read(_load_model, checkpoint_path, "checkpoint")
+    ckpt, cfg, skeleton, prior = _read(_load_model, args.checkpoint, "checkpoint")
     if doc["representation"] is not None:
         asked = _build(mo.RepresentationConfig, doc["representation"], "sample.representation")
         if mo.ambient_dimension(asked) != ckpt.manifold.total_ambient_dim:
@@ -287,15 +280,11 @@ def cmd_sample(checkpoint_path, config_path, out_dir, seed_override=None) -> int
     if num_samples < 0:
         raise ConfigError(f"num_samples must be >= 0, got {num_samples}")
     guidance_scale = float(doc["guidance_scale"])
-    seed = _seed(doc["seed"], seed_override)
 
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if num_samples == 0:
-        points = np.empty((0, ckpt.manifold.total_ambient_dim))
-    else:
-        points = _sample_points(ckpt, prior, doc["num_steps"], guidance_scale, seed,
-                                num_samples, doc["condition"], doc["use_ema"])
+    points = _sample_points(ckpt, prior, doc["num_steps"], guidance_scale, doc["seed"],
+                            num_samples, doc["condition"], doc["use_ema"])
     _write_jsonl(points, out / "samples.jsonl")
     if doc["output_format"] == "motion" and num_samples > 0:
         seq = mo.points_to_sequence(points, cfg, skeleton, fps=doc["fps"])
@@ -303,7 +292,7 @@ def cmd_sample(checkpoint_path, config_path, out_dir, seed_override=None) -> int
     meta = {
         "num_steps": doc["num_steps"],
         "guidance_scale": guidance_scale,
-        "seed": seed,
+        "seed": doc["seed"],
         "num_samples": num_samples,
         "condition": doc["condition"],
         "use_ema": doc["use_ema"],
@@ -314,10 +303,9 @@ def cmd_sample(checkpoint_path, config_path, out_dir, seed_override=None) -> int
     return 0
 
 
-def cmd_convert(config_path, out_dir, seed_override=None) -> int:
-    doc = _load_config(config_path, "convert")
+def cmd_convert(doc: dict, args) -> int:
     target = doc["target"]
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if target == "rmg-point":
         cfg = _build(mo.RepresentationConfig, doc["representation"], "convert.representation")
@@ -362,9 +350,7 @@ def _check_width(name: str, points: np.ndarray, m: mf.ManifoldSpec) -> None:
                           f"the manifold ({m.total_ambient_dim})")
 
 
-def cmd_eval(config_path, out_dir, seed_override=None) -> int:
-    doc = _load_config(config_path, "eval")
-    seed = _seed(doc["seed"], seed_override)
+def cmd_eval(doc: dict, args) -> int:
     m = _eval_manifold(doc)
     samples = _read(_read_jsonl, doc["samples"], "points")
     reference = _read(_read_jsonl, doc["reference"], "points")
@@ -376,20 +362,18 @@ def cmd_eval(config_path, out_dir, seed_override=None) -> int:
         modes=_modes(doc["modes"], m),
         assign_radius=doc["assign_radius"],
     )
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=1)
     with open(out / "report.csv", "w") as fh:
         fh.write(me.CSV_HEADER + "\n")
-        fh.write(report.csv_row(seed, doc["guidance_scale"]) + "\n")
+        fh.write(report.csv_row(doc["seed"], doc["guidance_scale"]) + "\n")
     print(f"mmd={report.mmd:.6g} -> {out / 'report.json'}")
     return 0
 
 
-def cmd_sweep(config_path, out_dir, checkpoint_path=None, seed_override=None) -> int:
-    doc = _load_config(config_path, "sweep")
-    workers = max(1, _read(int, os.environ.get("RMG_THREADS", "1"), "RMG_THREADS"))
+def cmd_sweep(doc: dict, args) -> int:
     scales = doc["guidance_scales"]
     if not scales:
         raise ConfigError("sweep config requires a nonempty 'guidance_scales' list")
@@ -399,8 +383,7 @@ def cmd_sweep(config_path, out_dir, checkpoint_path=None, seed_override=None) ->
     if sample["num_samples"] < 1:
         raise ConfigError(f"sweep.sample.num_samples must be >= 1, got {sample['num_samples']}")
     scoring = _fill(doc["eval"], "sweep.eval")
-    base_seed = _seed(doc["seed"], seed_override)
-    ckpt_path = checkpoint_path or doc["checkpoint"]
+    ckpt_path = args.checkpoint or doc["checkpoint"]
     if not ckpt_path:
         raise ConfigError("sweep requires a checkpoint")
     ckpt, _, _, prior = _read(_load_model, ckpt_path, "checkpoint")
@@ -414,12 +397,12 @@ def cmd_sweep(config_path, out_dir, checkpoint_path=None, seed_override=None) ->
     # Every row scores against the same reference: build its matrix once and
     # hand each row a copy, which evaluate_samples overwrites.
     d_rr = me.pairwise_distance(m, reference, reference)
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     def run_row(index_scale):
         index, scale = index_scale
-        seed = base_seed + index
+        seed = doc["seed"] + index
         try:
             points = _sample_points(
                 ckpt, prior,
@@ -444,11 +427,7 @@ def cmd_sweep(config_path, out_dir, checkpoint_path=None, seed_override=None) ->
         except RmgError as exc:
             return f"{seed},{float(scale):.12g},,,,,,{type(exc).__name__}: {exc}"
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_row, enumerate(scales)))
-    else:
-        rows = [run_row(pair) for pair in enumerate(scales)]
+    rows = mf._map_blocks(run_row, list(enumerate(scales)))
     with open(out / "sweep.csv", "w") as fh:
         fh.write(me.CSV_HEADER + ",error\n")
         for row in rows:
@@ -457,8 +436,7 @@ def cmd_sweep(config_path, out_dir, checkpoint_path=None, seed_override=None) ->
     return 0
 
 
-def cmd_validate(config_path, out_dir, seed_override=None) -> int:
-    doc = _load_config(config_path, "validate")
+def cmd_validate(doc: dict, args) -> int:
     tol = float(doc["tolerance"])
     if not tol >= 0:  # NaN fails too
         raise ConfigError(f"validate.tolerance must be >= 0, got {tol}")
@@ -478,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("train", "sample", "convert", "eval", "sweep", "validate"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".")
+        if "seed" in SCHEMA[name]:
+            p.add_argument("--seed", type=int, default=None)
         if name in ("sample", "sweep"):
             p.add_argument("--checkpoint", default=None)
     return parser
@@ -488,19 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args.config, args.out, args.seed)
-        if args.command == "sample":
-            return cmd_sample(args.checkpoint, args.config, args.out, args.seed)
-        if args.command == "convert":
-            return cmd_convert(args.config, args.out, args.seed)
-        if args.command == "eval":
-            return cmd_eval(args.config, args.out, args.seed)
-        if args.command == "sweep":
-            return cmd_sweep(args.config, args.out, args.checkpoint, args.seed)
-        if args.command == "validate":
-            return cmd_validate(args.config, args.out, args.seed)
-        raise ConfigError(f"unknown command {args.command}")
+        doc = _load_config(args.config, args.command)
+        if "seed" in doc:
+            if args.seed is not None:
+                doc["seed"] = args.seed
+            if doc["seed"] < 0:
+                raise ConfigError(f"seed must be >= 0, got {doc['seed']}")
+        # Looked up at call time, so a tracer that replaces a module
+        # attribute cmd_* wraps the command that runs.
+        return globals()[f"cmd_{args.command}"](doc, args)
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -153,7 +153,6 @@ def make_flow_batch(
     rng: np.random.Generator,
     cond_dropout_prob: float = 0.1,
     conditions: Optional[np.ndarray] = None,
-    eps_t: float = EPS_T,
 ) -> FlowBatch:
     """Assemble one training batch.
 
@@ -167,7 +166,7 @@ def make_flow_batch(
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     B = x1.shape[0]
     x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
-    t = rng.uniform(0.0, 1.0 - eps_t, size=B)
+    t = rng.uniform(0.0, 1.0 - EPS_T, size=B)
     x1b = mf._blocks(m, x1)
     for redraws in range(MAX_PRIOR_REDRAWS + 1):
         try:

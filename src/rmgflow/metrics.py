@@ -155,13 +155,13 @@ def pairwise_distance(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> np.nd
     return mf._distance(m, a[:, None, :], b[None, :, :], symmetric)
 
 
-def _pool(a: np.ndarray, b: np.ndarray, max_points: int) -> tuple[slice, slice]:
+def _pool(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice]:
     """Rows of ``a`` and of ``b`` in the median heuristic's pool: every
     stride-th row of the stacked ``[a; b]``, with the stride chosen so that at
-    most ``max_points`` rows remain (deterministic, no sampling)."""
+    most ``MEDIAN_POOL_POINTS`` rows remain (deterministic, no sampling)."""
     n = a.shape[0]
     total = n + b.shape[0]
-    stride = int(np.ceil(total / max_points)) if total > max_points else 1
+    stride = int(np.ceil(total / MEDIAN_POOL_POINTS)) if total > MEDIAN_POOL_POINTS else 1
     return slice(0, n, stride), slice(-n % stride, None, stride)
 
 
@@ -175,14 +175,12 @@ def _pooled_median(d_aa: np.ndarray, d_ab: np.ndarray, d_bb: np.ndarray) -> floa
     return float(np.median(values, overwrite_input=True))
 
 
-def median_bandwidth(
-    m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray, max_points: int = MEDIAN_POOL_POINTS
-) -> float:
+def median_bandwidth(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> float:
     """Median heuristic over pooled pairwise distances (strided subsample
-    beyond max_points so the estimate stays deterministic)."""
+    beyond MEDIAN_POOL_POINTS so the estimate stays deterministic)."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    ia, ib = _pool(a, b, max_points)
+    ia, ib = _pool(a, b)
     pa, pb = a[ia], b[ib]
     return _pooled_median(pairwise_distance(m, pa, pa), pairwise_distance(m, pa, pb),
                           pairwise_distance(m, pb, pb))
@@ -353,7 +351,7 @@ def evaluate_samples(
                                 f"expected {(reference.shape[0],) * 2}")
     d_sr = pairwise_distance(m, samples, reference)
     if bandwidth is None:
-        ia, ib = _pool(samples, reference, MEDIAN_POOL_POINTS)
+        ia, ib = _pool(samples, reference)
         bandwidth = _pooled_median(d_ss[ia, ia], d_sr[ia, ib], d_rr[ib, ib])
         _check_mmd(samples, reference, bandwidth)
     nn = float(d_sr.min(axis=1).mean())

@@ -330,9 +330,8 @@ def test_sweep_unusable_reference_exits_2_before_sampling(trained, tmp_path, cap
     assert not out.exists()  # no row was sampled
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_sweep_builds_reference_matrix_once(trained, tmp_path, monkeypatch, threads):
-    monkeypatch.setenv("RMG_THREADS", threads)
+def test_sweep_builds_reference_matrix_once(trained, tmp_path, monkeypatch):
+    """Once per run, on 1 or 3 usable CPUs, with the same bytes either way."""
     m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
     ref_path = _points_file(tmp_path / "ref.jsonl", m, np.array([0, 0, 0, 1.0, 0, 0, 0]), 40, 5)
     ref = cli._read_jsonl(ref_path)
@@ -350,13 +349,23 @@ def test_sweep_builds_reference_matrix_once(trained, tmp_path, monkeypatch, thre
         "sample": {"num_samples": 12, "num_steps": 5, "condition": 1},
         "eval": {"reference": str(ref_path)},
     })
-    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
-                     "--checkpoint", str(trained / "checkpoint.rmg")]) == 0
-    assert sum(builds) == 1
+    files = ["sweep.csv"] + [f"row_{i}/samples.jsonl" for i in range(len(scales))]
+    outputs = {}
+    for cpus in (1, 3):
+        builds.clear()
+        out = tmp_path / f"cpus_{cpus}"
+        with monkeypatch.context() as patch:
+            patch.setattr(mf, "_usable_cpus", lambda: cpus)
+            assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                             "--checkpoint", str(trained / "checkpoint.rmg")]) == 0
+        assert sum(builds) == 1
+        outputs[cpus] = [(out / name).read_bytes() for name in files]
+    assert outputs[1] == outputs[3]
     monkeypatch.setattr(me, "pairwise_distance", pairwise)
-    lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    out = tmp_path / "cpus_1"
+    lines = (out / "sweep.csv").read_text().splitlines()[1:]
     for i, scale in enumerate(scales):
-        points = cli._read_jsonl(tmp_path / f"row_{i}" / "samples.jsonl")
+        points = cli._read_jsonl(out / f"row_{i}" / "samples.jsonl")
         fresh = me.evaluate_samples(m, points, ref)
         assert lines[i] == fresh.csv_row(7 + i, scale) + ","
 
@@ -513,21 +522,27 @@ def test_sweep_needs_a_sample_per_row(trained, tmp_path, capsys):
     assert "num_samples" in capsys.readouterr().err
 
 
-def test_bad_thread_count_exits_2(trained, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RMG_THREADS", "x")
-    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
-    ref = _points_file(tmp_path / "ref.jsonl", m, np.array([0, 0, 0, 1.0, 0, 0, 0]), 4, 0)
-    doc = {"schema": 1, "guidance_scales": [1.0], "eval": {"reference": str(ref)}}
-    assert _run(tmp_path, "sweep", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
-    assert "RMG_THREADS" in capsys.readouterr().err
-
-
 def test_negative_seed_exits_2(trained, tmp_path):
     doc = json.loads(json.dumps(TRAIN_DOC))
     doc["train"]["seed"] = -1
     assert _run(tmp_path, "train", doc) == 2
     assert _run(tmp_path, "sample", {"schema": 1}, "--seed", "-1",
                 "--checkpoint", str(trained / "checkpoint.rmg")) == 2
+
+
+def test_negative_top_level_seed_exits_2_under_train_seed(tmp_path, capsys):
+    """The top-level seed is checked even where train.seed overrides it."""
+    doc = dict(TRAIN_DOC, seed=-1, train=dict(TRAIN_DOC["train"], seed=5))
+    assert _run(tmp_path, "train", doc) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_on_convert_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "convert", {"schema": 1, "input": "m.json", "target": "positions"},
+             "--seed", "1")
+    assert exc.value.code == 2
 
 
 def test_task_components_must_be_a_list(tmp_path, capsys):
@@ -609,11 +624,20 @@ def test_sample_motion_uses_training_skeleton(tmp_path):
 
 
 def test_module_entry_point_runs_without_warning():
+    """``--help`` of the program and of each command; a command lists
+    ``--seed`` and ``--checkpoint`` exactly where it reads them."""
     src = Path(rmgflow.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "rmgflow.cli",
-                           "--help"], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    flags = {}
+    for command in ("", "train", "sample", "convert", "eval", "sweep", "validate"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "rmgflow.cli",
+             *([command] if command else []), "--help"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        flags[command] = {f for f in ("--seed", "--checkpoint") if f in proc.stdout}
+    assert {c for c in flags if "--seed" in flags[c]} == {"train", "sample", "eval", "sweep"}
+    assert {c for c in flags if "--checkpoint" in flags[c]} == {"sample", "sweep"}
 
 
 JSON_TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string",
