@@ -252,18 +252,22 @@ def cmd_train(doc: dict, args) -> int:
     return 0
 
 
-def _sample_points(ckpt: nn.Checkpoint, prior: mf.WrappedGaussianSpec, num_steps: int,
-                   guidance_scale: float, seed, num_samples: int, condition,
-                   use_ema: bool) -> np.ndarray:
+def _sampler_configs(num_steps: int, guidance_scale: float, condition):
+    return (fl.IntegratorConfig(num_steps),
+            fl.GuidanceConfig(scale=guidance_scale, enabled=condition is not None))
+
+
+def _sample_points(ckpt: nn.Checkpoint, prior: mf.WrappedGaussianSpec,
+                   integ: fl.IntegratorConfig, guid: fl.GuidanceConfig, seed,
+                   num_samples: int, condition, use_ema: bool) -> np.ndarray:
     params = ckpt.params
     if use_ema:
         params = nn.VectorFieldParams(ckpt.net_spec, ckpt.ema.shadow)
     field = nn.field_from_params(params)
     rng = np.random.default_rng(seed)
     cond_arr = None if condition is None else np.full(num_samples, condition)
-    guid = fl.GuidanceConfig(scale=guidance_scale, enabled=condition is not None)
-    return fl.sample_ode(ckpt.manifold, field, prior, fl.IntegratorConfig(num_steps), guid,
-                         cond_arr, rng, num_samples=num_samples)
+    return fl.sample_ode(ckpt.manifold, field, prior, integ, guid, cond_arr, rng,
+                         num_samples=num_samples)
 
 
 def cmd_sample(doc: dict, args) -> int:
@@ -280,11 +284,13 @@ def cmd_sample(doc: dict, args) -> int:
     if num_samples < 0:
         raise ConfigError(f"num_samples must be >= 0, got {num_samples}")
     guidance_scale = float(doc["guidance_scale"])
+    # Checked before --out is created, so a bad config writes nothing.
+    integ, guid = _sampler_configs(doc["num_steps"], guidance_scale, doc["condition"])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    points = _sample_points(ckpt, prior, doc["num_steps"], guidance_scale, doc["seed"],
-                            num_samples, doc["condition"], doc["use_ema"])
+    points = _sample_points(ckpt, prior, integ, guid, doc["seed"], num_samples,
+                            doc["condition"], doc["use_ema"])
     _write_jsonl(points, out / "samples.jsonl")
     if doc["output_format"] == "motion" and num_samples > 0:
         seq = mo.points_to_sequence(points, cfg, skeleton, fps=doc["fps"])
@@ -404,15 +410,9 @@ def cmd_sweep(doc: dict, args) -> int:
         index, scale = index_scale
         seed = doc["seed"] + index
         try:
-            points = _sample_points(
-                ckpt, prior,
-                num_steps=sample["num_steps"],
-                guidance_scale=float(scale),
-                seed=seed,
-                num_samples=sample["num_samples"],
-                condition=sample["condition"],
-                use_ema=sample["use_ema"],
-            )
+            integ, guid = _sampler_configs(sample["num_steps"], float(scale), sample["condition"])
+            points = _sample_points(ckpt, prior, integ, guid, seed, sample["num_samples"],
+                                    sample["condition"], sample["use_ema"])
             row_dir = out / f"row_{index}"
             row_dir.mkdir(exist_ok=True)
             _write_jsonl(points, row_dir / "samples.jsonl")
@@ -427,7 +427,7 @@ def cmd_sweep(doc: dict, args) -> int:
         except RmgError as exc:
             return f"{seed},{float(scale):.12g},,,,,,{type(exc).__name__}: {exc}"
 
-    rows = mf._map_blocks(run_row, list(enumerate(scales)))
+    rows = [run_row(pair) for pair in enumerate(scales)]
     with open(out / "sweep.csv", "w") as fh:
         fh.write(me.CSV_HEADER + ",error\n")
         for row in rows:

@@ -117,6 +117,14 @@ def test_sample_zero_samples(trained, tmp_path):
     assert (tmp_path / "samples.jsonl").read_text() == ""
 
 
+@pytest.mark.parametrize("num_samples", [0, 3])
+@pytest.mark.parametrize("bad", [{"num_steps": 0}, {"guidance_scale": -1.0}])
+def test_bad_sampler_config_exits_2_before_writing(trained, tmp_path, num_samples, bad):
+    doc = {"schema": 1, "num_samples": num_samples, **bad}
+    assert _run(tmp_path, "sample", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_sample_writes_points_and_metadata(trained, tmp_path):
     cfg = write_json(tmp_path / "s.json",
                      {"schema": 1, "num_samples": 6, "num_steps": 8,
