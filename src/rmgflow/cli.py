@@ -156,6 +156,11 @@ def _skeleton(path) -> mo.Skeleton:
     return _read(lambda p: mo.Skeleton.from_json_dict(_json_file(p)), path, "skeleton")
 
 
+def _write_json(doc, path, indent=None) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=indent)
+
+
 def _write_jsonl(points: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         for row in np.atleast_2d(points):
@@ -286,6 +291,9 @@ def cmd_sample(doc: dict, args) -> int:
     guidance_scale = float(doc["guidance_scale"])
     # Checked before --out is created, so a bad config writes nothing.
     integ, guid = _sampler_configs(doc["num_steps"], guidance_scale, doc["condition"])
+    if doc["output_format"] == "motion":  # a dry run checks fps and the rotation factor
+        mo.points_to_sequence(np.empty((0, ckpt.manifold.total_ambient_dim)), cfg, skeleton,
+                              fps=doc["fps"])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -303,39 +311,38 @@ def cmd_sample(doc: dict, args) -> int:
         "condition": doc["condition"],
         "use_ema": doc["use_ema"],
     }
-    with open(out / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=1)
+    _write_json(meta, out / "metadata.json", indent=1)
     print(f"wrote {num_samples} samples to {out / 'samples.jsonl'}")
     return 0
 
 
 def cmd_convert(doc: dict, args) -> int:
     target = doc["target"]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if target == "rmg-point":
         cfg = _build(mo.RepresentationConfig, doc["representation"], "convert.representation")
-        seq = _read(mo.load_motion, doc["input"], "motion")
-        points = mo.sequence_to_points(seq, cfg)
-        _write_jsonl(points, out / "points.jsonl")
-        print(f"wrote {points.shape[0]} points to {out / 'points.jsonl'}")
+        points = mo.sequence_to_points(_read(mo.load_motion, doc["input"], "motion"), cfg)
+        name, what = "points.jsonl", f"{points.shape[0]} points"
+        write = partial(_write_jsonl, points)
     elif target == "positions":
         seq = _read(mo.load_motion, doc["input"], "motion")
         positions, velocities = mo.convert_to_position_format(seq)
-        with open(out / "positions.json", "w") as fh:
-            json.dump({"fps": seq.fps,
-                       "positions": positions.tolist(),
-                       "position_velocities": velocities.tolist()}, fh)
-        print(f"wrote positions for {len(seq)} frames to {out / 'positions.json'}")
+        name, what = "positions.json", f"positions for {len(seq)} frames"
+        write = partial(_write_json, {"fps": seq.fps, "positions": positions.tolist(),
+                                      "position_velocities": velocities.tolist()})
     elif target == "motion":
         cfg = _build(mo.RepresentationConfig, doc["representation"], "convert.representation")
         skeleton = _skeleton(doc["skeleton"])
         points = _read(_read_jsonl, doc["input"], "points")
         seq = mo.points_to_sequence(points, cfg, skeleton, fps=doc["fps"])
-        mo.save_motion(seq, out / "motion.json")
-        print(f"wrote motion with {len(seq)} frames to {out / 'motion.json'}")
+        name, what = "motion.json", f"motion with {len(seq)} frames"
+        write = partial(mo.save_motion, seq)
     else:
         raise ConfigError(f"unknown convert target {target!r}")
+    # Created only now, so an input or target that fails writes nothing.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write(out / name)
+    print(f"wrote {what} to {out / name}")
     return 0
 
 
@@ -370,8 +377,7 @@ def cmd_eval(doc: dict, args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=1)
+    _write_json(report.to_json_dict(), out / "report.json", indent=1)
     with open(out / "report.csv", "w") as fh:
         fh.write(me.CSV_HEADER + "\n")
         fh.write(report.csv_row(doc["seed"], doc["guidance_scale"]) + "\n")

@@ -10,9 +10,9 @@ x0 + t (x1 - x0) and its target (x1 - x_t) / (1 - t), bit for bit.
 Sampling integrates the learned field with first-order geodesic Euler
 steps, which keep every iterate on the manifold by construction.
 
-Each sampler step is one pass per factor over the contiguous blocks of
-the point and of the field evaluations (``manifold._blocks``).  The pass
-projects, applies guidance, checks tangency and shoots with the
+Each sampler step is one pass per factor over the contiguous coordinate
+planes of the point and of the field evaluations (``manifold._blocks``).
+The pass projects, applies guidance, checks tangency and shoots with the
 per-element arithmetic of ``project_tangent``, ``guided_velocity`` and
 ``euler_step``, in their order, so it gives the same bits as that chain
 of public steps.
@@ -137,9 +137,9 @@ def _flow_pairs(m: mf.ManifoldSpec, x0, x1b, t) -> list[tuple[np.ndarray, np.nda
     velocity of ``mf._geodesic`` on sphere and pre-shape copies, and on
     Euclidean blocks ``x0 + t (x1 - x0)`` and ``(x1 - x_t) / (1 - t)``."""
     out = []
+    tt = t[..., None]
     for f, a, b in zip(m.factors, mf._blocks(m, x0), x1b):
-        tt = mf._time_view(t, f)
-        x_t, v = mf._geodesic(f, a, b, tt, mf._coord_axis(f, t.ndim))
+        x_t, v = mf._geodesic(f, a, b, tt)
         if f.kind == "euclidean":
             v = (b - x_t) / (1.0 - tt)
         out.append((x_t, v))
@@ -262,18 +262,14 @@ def _euler_pass(m: mf.ManifoldSpec, xb, ab, a0b, scale: float, h: float) -> list
     _check_step(h)
     out = []
     for i, (f, x, a) in enumerate(zip(m.factors, xb, ab)):
-        axis = mf._coord_axis(f, 1)
-
-        def project(u):
-            return mf._project(f, x, u, axis)
-
+        project = functools.partial(mf._project, f, x)
         # A non-finite field fails the tangency check in _shoot, so its warnings are moot.
         with np.errstate(invalid="ignore", over="ignore"):
             v = project(a)
             if a0b is not None:
                 v = _guide(project, v, project(a0b[i]), scale)
             v = h * v
-        out.append(mf._shoot(f, x, v, axis))
+        out.append(mf._shoot(f, x, v))
     return out
 
 

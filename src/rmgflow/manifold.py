@@ -16,10 +16,12 @@ Supported factors:
 
 Dispatch is per factor, not per copy, on one layout: ``ManifoldSpec.blocks``
 maps each factor to its slice of the flat vector, and ``_blocks`` copies
-that slice into one contiguous block, ``(width, *L, multiplicity)``
-coordinate planes for copies narrower than ``PAIRWISE_MIN`` and ``(*L,
-multiplicity, width)`` rows for wider ones (``_coord_axis``), so one formula
-call covers every copy of the factor.  The public operations walk the
+that slice into contiguous coordinate planes ``(width, *L, multiplicity)``,
+so one formula call covers every copy of the factor and a time broadcasts
+over any block as ``t[..., None]``.  Every per-copy sum over coordinates
+(``_dot`` and ``distance``) adds whole planes in numpy's float64 add-reduce
+order, written once in ``_sum``, so it has the bits of ``np.sum`` over the
+same coordinates held on the last axis.  The public operations walk the
 leading rows in chunks whose blocks stay near ``CHUNK_ELEMENTS`` elements,
 which bounds the temporaries of large or broadcast inputs independently of
 the batch size; the flow module's batch, loss and sampler steps take the
@@ -27,7 +29,7 @@ blocks of a whole batch.
 
 ``distance`` has its own kernel, because its outputs (such as an N x M
 distance matrix) are large next to its inputs: each factor copy of both
-operands is copied once from its block into contiguous memory, and the
+operands is copied once from its block into contiguous planes, and the
 output is filled in row blocks of about ``CHUNK_ELEMENTS`` entries, one
 block at a time on each usable CPU.  The arithmetic of every entry is fixed,
 so the bits do not depend on the shape, the blocks or the number of CPUs.
@@ -62,7 +64,6 @@ TANGENT_REJECT = 10.0 * TOL_TANGENT  # hard-error threshold in exp_map
 SMALL_ANGLE = 1e-6        # switch to series expansions below this angle
 ANTIPODAL_MARGIN = 1e-6   # reject geodesics with theta >= pi - margin
 CHUNK_ELEMENTS = 1 << 16  # broadcast elements per dispatch chunk
-PAIRWISE_MIN = 8          # copy width from which numpy's add-reduce uses 8 partial sums
 
 
 @dataclass(frozen=True)
@@ -201,56 +202,74 @@ class WrappedGaussianSpec:
 
 
 # ---------------------------------------------------------------------------
-# per-copy formulas on the factor blocks of ``_blocks``, each given the
-# block's ``_coord_axis``; the sphere formulas also serve pre-shape factors
+# per-copy formulas on the coordinate planes of ``_blocks``; the sphere
+# formulas also serve pre-shape factors
 # ---------------------------------------------------------------------------
 
 
-def _dot(x, y, axis=-1):
-    """Per-copy inner product over the coordinate axis ``axis`` (negative, so it
-    counts from the right like broadcasting), kept as a length-1 axis; bitwise
-    equal to ``np.sum(x * y, axis=-1, keepdims=True)`` of the same coordinates
-    held on the last axis.  Copies of width PAIRWISE_MIN or more must hold
-    their coordinates on the last axis."""
-    width = np.broadcast_shapes(x.shape, y.shape)[axis]
-    if width >= PAIRWISE_MIN:
-        return np.sum(x * y, axis=axis, keepdims=True)
-    tail = (slice(None),) * (-1 - axis)
-    acc = x[(..., slice(0, 1)) + tail] * y[(..., slice(0, 1)) + tail]
-    for k in range(1, width):
-        acc += x[(..., slice(k, k + 1)) + tail] * y[(..., slice(k, k + 1)) + tail]
-    acc += 0.0  # numpy's zero start: an all -0.0 sum reads +0.0
-    return acc
+def _sum(n: int, term, out: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """``term(0) + ... + term(n - 1)`` into ``out`` in numpy's float64
+    add-reduce order (``pairwise_sum``): left to right below 8 terms; up to
+    128, 8 interleaved partial sums added as a tree, then the last ``n % 8``
+    terms; beyond 128, two halves, the first a multiple of 8 long.
+    ``term(k, buf)`` writes term k into buf and returns it: the first term
+    into ``out``, later ones into the one temporary ``tmp``.  numpy's zero
+    start is left to the caller."""
+    tmp = np.empty_like(out) if tmp is None else tmp
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        rest = _sum(n - half, lambda k, buf: term(half + k, buf), np.empty_like(out), tmp)
+        return np.add(_sum(half, term, out, tmp), rest, out=out)
+    lanes = [term(k, np.empty_like(out) if k else out) for k in range(8 if n >= 8 else 1)]
+    body = n - n % len(lanes)
+    for k in range(len(lanes), body):
+        lane = lanes[k % len(lanes)]
+        np.add(lane, term(k, tmp), out=lane)
+    if n >= 8:
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            np.add(lanes[a], lanes[b], out=lanes[a])
+    for k in range(body, n):
+        np.add(out, term(k, tmp), out=out)
+    return out
 
 
-def _norm(a, axis=-1):
-    return np.sqrt(_dot(a, a, axis))
+def _dot(x, y):
+    """Per-copy inner product of two blocks over their coordinate axis 0, of
+    shape ``(*L, multiplicity)``; bitwise equal to ``np.sum(x * y, axis=-1)``
+    of the same coordinates held on the last axis."""
+    out = np.empty(np.broadcast_shapes(x.shape[1:], y.shape[1:]))
+    _sum(len(x), lambda k, buf: np.multiply(x[k], y[k], out=buf), out)
+    out += 0.0  # numpy's zero start: an all -0.0 sum reads +0.0
+    return out
 
 
-def _landmarks(a, f: FactorSpec, axis):
-    """Split the coordinate axis of each pre-shape copy into landmarks x spatial_dim."""
-    at = a.ndim + axis
-    return a.reshape(a.shape[:at] + (f.landmarks, f.spatial_dim) + a.shape[at + 1:])
+def _norm(a):
+    return np.sqrt(_dot(a, a))
 
 
-def _center(a, f: FactorSpec, axis):
+def _landmarks(a, f: FactorSpec):
+    """Split the coordinate axis of a pre-shape block into landmarks x spatial_dim."""
+    return a.reshape((f.landmarks, f.spatial_dim) + a.shape[1:])
+
+
+def _center(a, f: FactorSpec):
     """Subtract the landmark centroid from each copy of a pre-shape block."""
-    mat = _landmarks(a, f, axis)
-    return (mat - mat.mean(axis=axis - 1, keepdims=True)).reshape(a.shape)
+    mat = _landmarks(a, f)
+    return (mat - mat.mean(axis=0, keepdims=True)).reshape(a.shape)
 
 
-def _sphere_exp(x, v, axis):
-    n = _norm(v, axis)
+def _sphere_exp(x, v):
+    n = _norm(v)
     small = n < SMALL_ANGLE
     safe = np.where(small, 1.0, n)
     sinc = np.where(small, 1.0 - n * n / 6.0, np.sin(safe) / safe)
     cosn = np.where(small, 1.0 - n * n / 2.0, np.cos(n))
     y = cosn * x + sinc * v
-    return y / _norm(y, axis)
+    return y / _norm(y)
 
 
-def _sphere_angle(x, y, axis):
-    dot = np.clip(_dot(x, y, axis), -1.0, 1.0)
+def _sphere_angle(x, y):
+    dot = np.clip(_dot(x, y), -1.0, 1.0)
     return dot, np.arccos(dot)
 
 
@@ -263,11 +282,11 @@ def _check_not_antipodal(theta):
         raise AntipodalPoints("sphere angle within 1e-6 of pi: no unique geodesic")
 
 
-def _sphere_log(x, y, axis):
-    dot, theta = _sphere_angle(x, y, axis)
+def _sphere_log(x, y):
+    dot, theta = _sphere_angle(x, y)
     _check_not_antipodal(theta)
     u = y - dot * x
-    un = _norm(u, axis)
+    un = _norm(u)
     small = theta < SMALL_ANGLE
     safe_un = np.where(small, 1.0, un)
     # theta / sin(theta) with its series for tiny angles (||u|| = sin(theta))
@@ -275,13 +294,13 @@ def _sphere_log(x, y, axis):
     return scale * u
 
 
-def _sphere_geodesic(x0, x1, t, axis):
+def _sphere_geodesic(x0, x1, t):
     """Point and velocity at time t of the geodesic from x0 to x1, both from
     one clipped angle theta: the sin-weighted slerp
     (sin((1-t) theta) x0 + sin(t theta) x1) / sin(theta) and its analytic
     time derivative, of constant speed theta.  Below SMALL_ANGLE the weights
     sin(a theta) / sin(theta) and theta / sin(theta) take their series."""
-    _, theta = _sphere_angle(x0, x1, axis)
+    _, theta = _sphere_angle(x0, x1)
     _check_not_antipodal(theta)
     small = theta < SMALL_ANGLE
     safe_sin = np.where(small, 1.0, np.sin(theta))
@@ -300,25 +319,18 @@ def _sphere_geodesic(x0, x1, t, axis):
 # ---------------------------------------------------------------------------
 
 
-def _coord_axis(f: FactorSpec, rank: int) -> int:
-    """Axis that holds the coordinates of factor f's block from ``_blocks`` of
-    an array with ``rank`` leading axes: the first (coordinate planes) for
-    copies narrower than PAIRWISE_MIN, the last (rows) for wider ones."""
-    return -(rank + 2) if f.ambient_dim_per_copy < PAIRWISE_MIN else -1
-
-
 def _block_view(a: np.ndarray, f: FactorSpec, sl: slice) -> np.ndarray:
+    """Factor f's slice of ``a`` (leading shape L) viewed as coordinate
+    planes ``(width, *L, multiplicity)``."""
     block = a[..., sl].reshape(a.shape[:-1] + (f.multiplicity, f.ambient_dim_per_copy))
     # transpose, not np.moveaxis, which costs several times more per call
-    return block if _coord_axis(f, a.ndim - 1) == -1 else block.transpose(-1, *range(a.ndim))
+    return block.transpose(-1, *range(a.ndim))
 
 
 def _blocks(m: ManifoldSpec, a: np.ndarray) -> list[np.ndarray]:
     """Each factor block of ``a`` (leading shape L), in order, copied into
-    contiguous memory: ``(width, *L, multiplicity)`` coordinate planes for
-    copies narrower than PAIRWISE_MIN, so that every per-copy operation runs
-    over whole planes, and ``(*L, multiplicity, width)`` rows for wider
-    copies.  The per-copy formulas take the block's ``_coord_axis``."""
+    contiguous coordinate planes ``(width, *L, multiplicity)``, so that every
+    per-copy operation runs over whole planes."""
     return [np.ascontiguousarray(_block_view(a, f, sl)) for f, sl in m.blocks]
 
 
@@ -330,32 +342,26 @@ def _unblock(m: ManifoldSpec, blocks: Sequence[np.ndarray], lead: tuple) -> np.n
     return out
 
 
-def _time_view(t: np.ndarray, f: FactorSpec) -> np.ndarray:
-    """t (one time per point, of the leading shape) shaped to broadcast over
-    factor f's block from ``_blocks``."""
-    return t.reshape(t.shape + ((1, 1) if _coord_axis(f, t.ndim) == -1 else (1,)))
-
-
 def _project_blocks(m: ManifoldSpec, xb: Sequence[np.ndarray], a: np.ndarray) -> np.ndarray:
     """``project_tangent(m, x, a)`` for a of shape (B, D) and x given as its
     ``_blocks``, with the same bits."""
-    return _unblock(m, [_project(f, x, b, _coord_axis(f, 1))
-                        for f, x, b in zip(m.factors, xb, _blocks(m, a))], a.shape[:1])
+    return _unblock(m, [_project(f, x, b) for f, x, b in zip(m.factors, xb, _blocks(m, a))],
+                    a.shape[:1])
 
 
 def _per_factor(m: ManifoldSpec, *arrays: np.ndarray, t=None):
     """``(shape, chunks)``: the broadcast leading shape of the arrays (and of
     t, one time per point, if given), and an iterator of ``(rows, factors)``
-    per row chunk, where ``factors`` lists ``(factor, axis, blocks)`` in
-    factor order.
+    per row chunk, where ``factors`` lists ``(factor, blocks)`` in factor
+    order.
 
     The arrays are padded with leading axes of length 1 to a common rank of
     at least one leading axis, and ``rows`` slices a chunk of the first one.
     Each array's chunk is copied into ``_blocks`` once (an array that does
     not span the first axis broadcasts across it whole); ``blocks`` holds
-    each array's block of the factor, then t's ``_time_view``, and ``axis``
-    is their ``_coord_axis``.  A chunk holds about CHUNK_ELEMENTS elements
-    over its copied blocks and its result.
+    each array's block of the factor, then t's chunk with a trailing axis of
+    length 1 (``t[..., None]``), which broadcasts over any block.  A chunk
+    holds about CHUNK_ELEMENTS elements over its copied blocks and its result.
     """
     shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays),
                                 *(() if t is None else (t.shape,)))
@@ -364,14 +370,12 @@ def _per_factor(m: ManifoldSpec, *arrays: np.ndarray, t=None):
     copies = 1 + sum(a.shape[0] > 1 for a in arrays)
     step = max(1, CHUNK_ELEMENTS // max(1, copies * prod(lead[1:]) * m.total_ambient_dim))
     if t is not None:
-        t = t.reshape((1,) * (len(lead) - t.ndim) + t.shape)
+        t = t.reshape((1,) * (len(lead) - t.ndim) + t.shape + (1,))
 
     def factors(rows):
         part = [_blocks(m, a[rows] if a.shape[0] > 1 else a) for a in arrays]
         times = [] if t is None else [t[rows] if t.shape[0] > 1 else t]
-        return [(f, _coord_axis(f, len(lead)),
-                 [b[i] for b in part] + [_time_view(tt, f) for tt in times])
-                for i, f in enumerate(m.factors)]
+        return [(f, [b[i] for b in part] + times) for i, f in enumerate(m.factors)]
 
     def chunks():  # holds no reference to a chunk's blocks once it is yielded
         for s in range(0, lead[0], step):
@@ -382,12 +386,12 @@ def _per_factor(m: ManifoldSpec, *arrays: np.ndarray, t=None):
 
 
 def _map(m: ManifoldSpec, fn, *arrays: np.ndarray, t=None) -> np.ndarray:
-    """Assemble ``fn(factor, *blocks, axis)`` over the chunks and factors of
+    """Assemble ``fn(factor, *blocks)`` over the chunks and factors of
     ``_per_factor`` into one array of the broadcast shape."""
     shape, chunks = _per_factor(m, *arrays, t=t)
     out = np.empty(0)
     for rows, factors in chunks:
-        results = [fn(f, *blocks, axis) for f, axis, blocks in factors]
+        results = [fn(f, *blocks) for f, blocks in factors]
         del factors
         # Allocated only now, after the chunk's blocks and temporaries are
         # freed: with glibc's malloc, an output allocated first lets the heap
@@ -415,15 +419,15 @@ def _as_coords(m: ManifoldSpec, a, name: str) -> np.ndarray:
     return a
 
 
-def _defect(f: FactorSpec, x, v, axis, worst=0.0):
+def _defect(f: FactorSpec, x, v, worst=0.0):
     """``worst`` raised to the largest tangent-constraint violation of v at x
     over the copies of factor f; NaN once either holds a non-finite entry."""
     if f.kind == "euclidean":
         # no constraint, but non-finite input must still surface
         return worst if np.isfinite(x).all() and np.isfinite(v).all() else np.nan
-    worst = np.max(np.abs(_dot(x, v, axis)), initial=worst)
+    worst = np.max(np.abs(_dot(x, v)), initial=worst)
     if f.kind == "preshape":
-        worst = np.max(np.abs(_landmarks(v, f, axis).mean(axis=axis - 1)), initial=worst)
+        worst = np.max(np.abs(_landmarks(v, f).mean(axis=0)), initial=worst)
     return worst
 
 
@@ -438,8 +442,8 @@ def tangency_defect(m: ManifoldSpec, x, v) -> float:
     worst = 0.0
     with np.errstate(invalid="ignore", over="ignore"):
         for _, factors in _per_factor(m, x, v)[1]:
-            for f, axis, (xs, vs) in factors:
-                worst = _defect(f, xs, vs, axis, worst)
+            for f, (xs, vs) in factors:
+                worst = _defect(f, xs, vs, worst)
     return float(worst)
 
 
@@ -448,12 +452,12 @@ def _check_tangent(defect) -> None:
         raise NotTangent(f"tangency defect {defect:.3e} is not within {TANGENT_REJECT:.1e}")
 
 
-def _shoot(f: FactorSpec, x, v, axis):
+def _shoot(f: FactorSpec, x, v):
     """Exp_x(v) per copy of factor f, after rejecting with NotTangent a v
     whose tangency defect exceeds TANGENT_REJECT (so any non-finite x or v)."""
     with np.errstate(invalid="ignore", over="ignore"):
-        _check_tangent(_defect(f, x, v, axis))
-    return x + v if f.kind == "euclidean" else _sphere_exp(x, v, axis)
+        _check_tangent(_defect(f, x, v))
+    return x + v if f.kind == "euclidean" else _sphere_exp(x, v)
 
 
 def exp_map(m: ManifoldSpec, x, v) -> np.ndarray:
@@ -467,8 +471,8 @@ def log_map(m: ManifoldSpec, x, y) -> np.ndarray:
     """Tangent vector at x pointing to y with length equal to distance."""
     x = _as_coords(m, x, "x")
     y = _as_coords(m, y, "y")
-    return _map(m, lambda f, xs, ys, axis: ys - xs if f.kind == "euclidean"
-                else _sphere_log(xs, ys, axis), x, y)
+    return _map(m, lambda f, xs, ys: ys - xs if f.kind == "euclidean"
+                else _sphere_log(xs, ys), x, y)
 
 
 def antipodal(m: ManifoldSpec, x, y) -> np.ndarray:
@@ -480,20 +484,19 @@ def antipodal(m: ManifoldSpec, x, y) -> np.ndarray:
     shape, chunks = _per_factor(m, x, y)
     out = np.zeros(shape or (1,), dtype=bool)
     for rows, factors in chunks:
-        for f, axis, (xs, ys) in factors:
+        for f, (xs, ys) in factors:
             if f.kind != "euclidean":
-                near = _near_pi(_sphere_angle(xs, ys, axis)[1])
-                out[rows] |= near.squeeze(axis).any(axis=-1)
+                out[rows] |= _near_pi(_sphere_angle(xs, ys)[1]).any(axis=-1)
     return out.reshape(shape)
 
 
-def _geodesic(f: FactorSpec, x0, x1, t, axis):
+def _geodesic(f: FactorSpec, x0, x1, t):
     """Point and velocity of the geodesic per copy of factor f; on Euclidean
     factors ``x0 + t (x1 - x0)`` and ``x1 - x0``."""
     if f.kind == "euclidean":
         d = x1 - x0
         return x0 + t * d, d
-    return _sphere_geodesic(x0, x1, t, axis)
+    return _sphere_geodesic(x0, x1, t)
 
 
 def _geodesic_part(m: ManifoldSpec, x0, x1, t, part: int) -> np.ndarray:
@@ -503,7 +506,7 @@ def _geodesic_part(m: ManifoldSpec, x0, x1, t, part: int) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
         raise DomainError("interpolation time t must lie in [0, 1]")
-    return _map(m, lambda f, a, b, tt, axis: _geodesic(f, a, b, tt, axis)[part], x0, x1, t=t)
+    return _map(m, lambda f, a, b, tt: _geodesic(f, a, b, tt)[part], x0, x1, t=t)
 
 
 def geodesic(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
@@ -523,12 +526,12 @@ def geodesic_velocity(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
     return _geodesic_part(m, x0, x1, t, 1)
 
 
-def _project(f: FactorSpec, x, a, axis):
+def _project(f: FactorSpec, x, a):
     if f.kind == "euclidean":
         return a
     if f.kind == "preshape":
-        a = _center(a, f, axis)
-    return a - _dot(a, x, axis) * x
+        a = _center(a, f)
+    return a - _dot(a, x) * x
 
 
 def project_tangent(m: ManifoldSpec, x, a) -> np.ndarray:
@@ -571,11 +574,10 @@ def distance(m: ManifoldSpec, x, y) -> np.ndarray:
     factor copy of both operands is copied once into contiguous memory.  The
     output is then filled in row blocks of about ``CHUNK_ELEMENTS`` entries,
     spread over a thread pool with one worker per usable CPU (a single block
-    runs inline).  A copy of width below ``PAIRWISE_MIN`` is summed one
-    coordinate plane at a time, left to right; a wider one is summed by
-    ``np.sum`` over its contiguous coordinates.  The copy's distance (sqrt,
-    or clip and arccos) is squared and added to the total in copy order.  So
-    every entry has the same bits whatever the shape, the row blocks and the
+    runs inline).  Each copy is summed one coordinate plane at a time in
+    numpy's add-reduce order (``_sum``).  The copy's distance (sqrt, or clip
+    and arccos) is squared and added to the total in copy order.  So every
+    entry has the same bits whatever the shape, the row blocks and the
     number of CPUs.
     """
     return _distance(m, x, y)
@@ -593,18 +595,13 @@ def _distance(m: ManifoldSpec, x, y, symmetric: bool = False) -> np.ndarray:
     if not shape:  # one pair: give it a row axis
         return _distance(m, x[None], y[None])[0]
     total = np.zeros(shape)
-    inner = max(1, prod(shape[1:]))
-    kinds = [(f.kind == "euclidean", f.ambient_dim_per_copy)
-             for f in m.factors for _ in range(f.multiplicity)]
+    kinds = [f.kind == "euclidean" for f in m.factors for _ in range(f.multiplicity)]
     # Each factor copy of both operands, copied from its _block_view into
-    # contiguous (width, ...) planes or (..., width) rows.
-    xc, yc = ([np.ascontiguousarray(c) for f, sl in m.blocks for c in np.moveaxis(
-        _block_view(a, f, sl), -1 if _coord_axis(f, 0) != -1 else -2, 0)] for a in (x, y))
+    # contiguous (width, ...) coordinate planes.
+    xc, yc = ([np.ascontiguousarray(c) for f, sl in m.blocks
+               for c in np.moveaxis(_block_view(a, f, sl), -1, 0)] for a in (x, y))
     # Operands that do not span the leading axis broadcast across it whole.
     x_rows, y_rows = (a.ndim == len(shape) + 1 and a.shape[0] > 1 for a in (x, y))
-
-    def take(a, rows, spans):
-        return a[rows] if spans else a
 
     def run(rows: slice) -> None:
         out = total[rows, rows.start:] if symmetric else total[rows]
@@ -613,30 +610,18 @@ def _distance(m: ManifoldSpec, x, y, symmetric: bool = False) -> np.ndarray:
         n = out.size
         scratch = np.empty(2 * total[rows].size)
         acc, tmp = scratch[:n].reshape(out.shape), scratch[n:2 * n].reshape(out.shape)
-        for (euclid, width), xa, ya in zip(kinds, xc, yc):
+        for euclid, xa, ya in zip(kinds, xc, yc):
             if symmetric:  # the columns from the diagonal on
-                ya = ya[..., rows.start:] if width < PAIRWISE_MIN else ya[..., rows.start:, :]
-            if width < PAIRWISE_MIN:
-                for k in range(width):
-                    xk, yk = take(xa[k], rows, x_rows), take(ya[k], rows, y_rows)
-                    dst = tmp if k else acc
-                    if euclid:
-                        np.subtract(yk, xk, out=dst)
-                        np.multiply(dst, dst, out=dst)
-                    else:
-                        np.multiply(xk, yk, out=dst)
-                    if k:
-                        np.add(acc, tmp, out=acc)
-            else:
-                # (sub-rows, ..., width) products stay near CHUNK_ELEMENTS too
-                step = max(1, CHUNK_ELEMENTS // (inner * width))
-                for s in range(rows.start, rows.stop, step):
-                    sub = slice(s, min(s + step, rows.stop))
-                    xs, ys = take(xa, sub, x_rows), take(ya, sub, y_rows)
-                    p = ys - xs if euclid else xs * ys
-                    if euclid:
-                        p *= p
-                    acc[s - rows.start:sub.stop - rows.start] = np.sum(p, axis=-1)
+                ya = ya[..., rows.start:]
+
+            def term(k, buf):
+                xk, yk = xa[k][rows] if x_rows else xa[k], ya[k][rows] if y_rows else ya[k]
+                if not euclid:
+                    return np.multiply(xk, yk, out=buf)
+                np.subtract(yk, xk, out=buf)
+                return np.multiply(buf, buf, out=buf)
+
+            _sum(len(xa), term, acc, tmp)
             # _dot's zero start is left out: it only turns a -0.0 sum into
             # +0.0, and sqrt(-0.0)**2 and arccos(-0.0) equal those of +0.0.
             if euclid:
@@ -650,7 +635,7 @@ def _distance(m: ManifoldSpec, x, y, symmetric: bool = False) -> np.ndarray:
         if symmetric:
             total[rows.stop:, rows] = total[rows, rows.stop:].T
 
-    step = max(1, CHUNK_ELEMENTS // inner)
+    step = max(1, CHUNK_ELEMENTS // max(1, prod(shape[1:])))
     _map_blocks(run, [slice(s, min(s + step, shape[0])) for s in range(0, shape[0], step)])
     return total
 
@@ -672,13 +657,12 @@ def point_deviations(m: ManifoldSpec, x) -> list[tuple[int, str, np.ndarray]]:
     shape, chunks = _per_factor(m, x)
     out = {}
     for rows, factors in chunks:
-        for i, (f, axis, (xs,)) in enumerate(factors):
+        for i, (f, (xs,)) in enumerate(factors):
             if f.kind == "euclidean":
                 continue
-            devs = {"unit_norm": np.abs(_norm(xs, axis).squeeze(axis) - 1.0)}
+            devs = {"unit_norm": np.abs(_norm(xs) - 1.0)}
             if f.kind == "preshape":
-                mean = _landmarks(xs, f, axis).mean(axis=axis - 1)
-                devs["centroid"] = np.abs(mean).max(axis=axis)
+                devs["centroid"] = np.abs(_landmarks(xs, f).mean(axis=0)).max(axis=0)
             for name, dev in devs.items():
                 out.setdefault((i, name), np.empty((shape or (1,)) + (f.multiplicity,)))[rows] = dev
     return [(i, name, dev.reshape(shape + dev.shape[-1:])) for (i, name), dev in out.items()]
@@ -719,16 +703,16 @@ def sample_wrapped_gaussian(
     """
     xi = rng.standard_normal(_draw_shape(m, size))
     xi *= np.repeat(g.per_factor_scale, [f.ambient_dim for f in m.factors])
-    return _map(m, lambda f, x, a, axis: _shoot(f, x, _project(f, x, a, axis), axis),
+    return _map(m, lambda f, x, a: _shoot(f, x, _project(f, x, a)),
                 g.mean, xi)
 
 
-def _normalize(f: FactorSpec, x, axis):
+def _normalize(f: FactorSpec, x):
     if f.kind == "euclidean":
         return x
     if f.kind == "preshape":
-        x = _center(x, f, axis)
-    return x / _norm(x, axis)
+        x = _center(x, f)
+    return x / _norm(x)
 
 
 def random_point(m: ManifoldSpec, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -742,11 +726,11 @@ def random_tangent(
     """Random tangent vector at x, optionally capped per sphere-like copy."""
     x = _as_coords(m, x, "x")
 
-    def draw(f, xs, a, axis):
-        v = _project(f, xs, a, axis)
+    def draw(f, xs, a):
+        v = _project(f, xs, a)
         if max_norm is None or f.kind == "euclidean":
             return v
-        n = _norm(v, axis)
+        n = _norm(v)
         over = n > max_norm
         return np.where(over, v * (max_norm / np.where(over, n, 1.0)), v)
 

@@ -117,11 +117,27 @@ def test_sample_zero_samples(trained, tmp_path):
     assert (tmp_path / "samples.jsonl").read_text() == ""
 
 
+@pytest.fixture(scope="module")
+def rotation_free(tmp_path_factory):
+    """A translation + pre-shape checkpoint: it has no rotation factor to
+    rebuild motion frames from."""
+    tmp_path = tmp_path_factory.mktemp("rotation_free")
+    _train_on_chain(tmp_path, {"joints": 3, "translation": True, "preshape": True})
+    return tmp_path / "out"
+
+
 @pytest.mark.parametrize("num_samples", [0, 3])
-@pytest.mark.parametrize("bad", [{"num_steps": 0}, {"guidance_scale": -1.0}])
-def test_bad_sampler_config_exits_2_before_writing(trained, tmp_path, num_samples, bad):
+@pytest.mark.parametrize("bad, checkpoint", [
+    ({"num_steps": 0}, "trained"),
+    ({"guidance_scale": -1.0}, "trained"),
+    ({"output_format": "motion", "fps": 0.0}, "trained"),
+    ({"output_format": "motion"}, "rotation_free"),
+], ids=["num_steps", "guidance_scale", "motion_fps", "motion_without_rotations"])
+def test_bad_sampler_config_exits_2_before_writing(request, tmp_path, num_samples, bad,
+                                                   checkpoint):
+    ckpt = request.getfixturevalue(checkpoint) / "checkpoint.rmg"
     doc = {"schema": 1, "num_samples": num_samples, **bad}
-    assert _run(tmp_path, "sample", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
+    assert _run(tmp_path, "sample", doc, "--checkpoint", str(ckpt)) == 2
     assert not (tmp_path / "out").exists()
 
 
@@ -392,6 +408,7 @@ def test_missing_input_files_exit_2(tmp_path, capsys):
     nope = str(tmp_path / "nope.json")
     assert _run(tmp_path, "validate", {"schema": 1, "input": nope}) == 2
     assert _run(tmp_path, "convert", {"schema": 1, "input": nope, "target": "positions"}) == 2
+    assert not (tmp_path / "out").exists()
     doc = dict(TRAIN_DOC, skeleton=nope)
     assert _run(tmp_path, "train", doc) == 2
     assert "nope.json" in capsys.readouterr().err
@@ -479,6 +496,14 @@ def test_nan_motion_fps_exits_2(tmp_path, skeleton, rng, capsys):
                                       "target": "positions"}) == 2
     assert "fps" in capsys.readouterr().err
     assert not (tmp_path / "out" / "positions.json").exists()
+
+
+def test_unknown_convert_target_exits_2_before_writing(tmp_path, skeleton, rng, capsys):
+    motion_path, _ = _motion_file(tmp_path, skeleton, rng)
+    assert _run(tmp_path, "convert", {"schema": 1, "input": str(motion_path),
+                                      "target": "bvh"}) == 2
+    assert "unknown convert target 'bvh'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_nan_validate_tolerance_exits_2(tmp_path, skeleton, rng, capsys):

@@ -92,9 +92,9 @@ def _sphere_geodesic_longdouble(x0, x1, t):
     return point, ratio * (-np.cos((1 - t) * theta) * x0 + np.cos(t * theta) * x1)
 
 
-def _rows(f, block):
+def _rows(block):
     """A block of ``mf._blocks`` as (B, multiplicity, width) rows."""
-    return block if mf._coord_axis(f, 1) == -1 else np.moveaxis(block, 0, -1)
+    return np.moveaxis(block, 0, -1)
 
 
 def _longdouble_errors(m, x0, x1, t, pairs):
@@ -103,8 +103,8 @@ def _longdouble_errors(m, x0, x1, t, pairs):
     worst = np.zeros(2)
     for f, a, b, pair in zip(m.factors, mf._blocks(m, x0), mf._blocks(m, x1), pairs):
         if f.kind != "euclidean":
-            refs = _sphere_geodesic_longdouble(_rows(f, a), _rows(f, b), t[:, None])
-            worst = np.maximum(worst, [float(np.max(np.abs(_rows(f, got) - ref)))
+            refs = _sphere_geodesic_longdouble(_rows(a), _rows(b), t[:, None])
+            worst = np.maximum(worst, [float(np.max(np.abs(_rows(got) - ref)))
                                        for got, ref in zip(pair, refs)])
     return worst
 
@@ -415,7 +415,7 @@ ORACLE_MANIFOLDS = {
     "toy": [mf.euclidean(3), mf.sphere(3)],
     "pose": [mf.euclidean(3), mf.sphere(3, multiplicity=22)],
     "six_factor": list(mo.config_to_manifold(SIX_FACTOR).factors),
-    # copy widths 7 and 8: coordinate planes below PAIRWISE_MIN, rows from it on
+    # copy widths 7 and 8: both sides of numpy's 8 partial sums
     "s6_x_s7": [mf.sphere(6), mf.sphere(7)],
     "narrow_preshapes": [mf.preshape(3, 1, multiplicity=2), mf.preshape(3, 2)],
 }

@@ -67,13 +67,12 @@ def test_factor_integer_fields_reject_non_integers(kwargs, field, bad):
 
 @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
 def test_blocks_round_trip(lead):
-    """Contiguous factor blocks: planes for copies narrower than
-    PAIRWISE_MIN, Euclidean copies included, rows otherwise."""
+    """Contiguous factor blocks: coordinate planes for every factor."""
     m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3, multiplicity=4), mf.sphere(7),
                          mf.preshape(3, 2, multiplicity=2), mf.euclidean(2, multiplicity=3)])
     a = np.random.default_rng(0).standard_normal(lead + (m.total_ambient_dim,))
     blocks = mf._blocks(m, a)
-    shapes = [(3,) + lead + (1,), (4,) + lead + (4,), lead + (1, 8), (6,) + lead + (2,),
+    shapes = [(3,) + lead + (1,), (4,) + lead + (4,), (8,) + lead + (1,), (6,) + lead + (2,),
               (2,) + lead + (3,)]
     assert [b.shape for b in blocks] == shapes
     assert all(b.flags.c_contiguous for b in blocks)
@@ -200,20 +199,24 @@ def test_exp_rejects_non_finite_tangent(bad, index):
         mf.exp_map(m, x, v)
 
 
-@pytest.mark.parametrize("width", range(1, 12))
+@pytest.mark.parametrize("width", [*range(1, 20), 66, 127, 128, 129, 136, 300])
 def test_dot_equals_numpy_reductions(width):
-    # Pins numpy's float64 add-reduce order that _dot relies on: left to right
-    # onto a zero start below 8 elements.  A numpy that changes it fails here.
+    # Pins numpy's float64 add-reduce order that _dot writes out over
+    # coordinate planes: left to right onto a zero start below 8 elements, 8
+    # partial sums up to 128, halves beyond.  A numpy that changes it fails here.
     rng = np.random.default_rng(width)
-    for xs, ys in [((50000,), (50000,)), ((200, 7), (200, 7)), ((1, 1000, 22), (1, 1000, 22)),
+    rows = min(50000, 600000 // width)  # at most about 600k coordinates per operand
+    for xs, ys in [((rows,), (rows,)), ((200, 7), (200, 7)),
+                   ((1, min(1000, rows), 22), (1, min(1000, rows), 22)),
                    ((100, 1, 3), (1, 80, 3))]:
         x = rng.standard_normal(xs + (width,))
         y = rng.standard_normal(ys + (width,))
-        assert np.array_equal(mf._dot(x, y), np.sum(x * y, axis=-1, keepdims=True))
-        assert np.array_equal(mf._norm(x), np.linalg.norm(x, axis=-1, keepdims=True))
+        planes_x, planes_y = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
+        assert np.array_equal(mf._dot(planes_x, planes_y), np.sum(x * y, axis=-1))
+        assert np.array_equal(mf._norm(planes_x), np.linalg.norm(x, axis=-1))
     # every product -0.0: numpy's sum is +0.0, and so must _dot's be
     neg, one = -np.zeros((3, width)), np.ones((3, width))
-    assert mf._dot(neg, one).tobytes() == np.sum(neg * one, axis=-1, keepdims=True).tobytes()
+    assert mf._dot(neg.T, one.T).tobytes() == np.sum(neg * one, axis=-1).tobytes()
 
 
 def test_dimension_mismatch():
@@ -228,8 +231,10 @@ def test_dimension_mismatch():
 
 FACTORS = st.one_of(
     st.builds(mf.euclidean, st.integers(1, 4), st.integers(1, 4)),
-    # sphere copies of width 2-10 run on both sides of mf.PAIRWISE_MIN
+    # sphere copies of width 2-10 run on both sides of numpy's 8 partial sums,
+    # and one of width 151 on its halving
     st.builds(mf.sphere, st.integers(1, 9), st.integers(1, 4)),
+    st.just(mf.sphere(150)),
     st.builds(mf.preshape, st.integers(2, 4), st.integers(1, 3), st.integers(1, 4)),
 )
 
@@ -463,9 +468,11 @@ def _bits(a):
 
 
 WIDE_FACTORS = st.one_of(
-    # copy widths 1-12 and 2-12: both sides of mf.PAIRWISE_MIN
+    # copy widths 1-12 and 2-12: both sides of numpy's 8 partial sums, and
+    # one of width 151 on its halving
     st.builds(mf.euclidean, st.integers(1, 12), st.integers(1, 3)),
     st.builds(mf.sphere, st.integers(1, 11), st.integers(1, 3)),
+    st.just(mf.sphere(150)),
     st.builds(mf.preshape, st.integers(2, 4), st.integers(1, 3), st.integers(1, 2)),
 )
 
