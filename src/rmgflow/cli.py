@@ -195,7 +195,7 @@ def _modes(modes, m: mf.ManifoldSpec) -> list[np.ndarray] | None:
 def _prior(m: mf.ManifoldSpec, cfg: mo.RepresentationConfig, skeleton: mo.Skeleton,
            scale: float) -> mf.WrappedGaussianSpec:
     """The wrapped Gaussian at the rest pose that training draws x0 from."""
-    return mf.WrappedGaussianSpec(m, fl.reference_point(cfg, skeleton), scale)
+    return mf.WrappedGaussianSpec(m, mo.reference_point(cfg, skeleton), scale)
 
 
 def _load_model(path):
@@ -212,7 +212,7 @@ def _toy_task(d: dict, cfg: mo.RepresentationConfig, skeleton: mo.Skeleton) -> m
     """The task section; a component ``"mean": "reference"`` is the rest pose."""
     comps = d.get("components")
     if isinstance(comps, list):
-        rest = fl.reference_point(cfg, skeleton).tolist()
+        rest = mo.reference_point(cfg, skeleton).tolist()
         d = {**d, "components": [
             _build(me.MixtureComponent,
                    {**c, "mean": rest} if isinstance(c, dict) and c.get("mean") == "reference"
@@ -281,8 +281,9 @@ def cmd_sample(doc: dict, args) -> int:
     ckpt, cfg, skeleton, prior = _read(_load_model, args.checkpoint, "checkpoint")
     if doc["representation"] is not None:
         asked = _build(mo.RepresentationConfig, doc["representation"], "sample.representation")
-        if mo.ambient_dimension(asked) != ckpt.manifold.total_ambient_dim:
-            raise ConfigError("representation ambient dimension does not match the checkpoint")
+        if asked != cfg:
+            raise ConfigError(f"representation does not match the checkpoint's "
+                              f"{cfg.to_json_dict()}")
     if doc["output_format"] not in ("jsonl", "motion"):
         raise ConfigError(f"unknown output_format {doc['output_format']!r}")
     num_samples = doc["num_samples"]
@@ -291,7 +292,7 @@ def cmd_sample(doc: dict, args) -> int:
     guidance_scale = float(doc["guidance_scale"])
     # Checked before --out is created, so a bad config writes nothing.
     integ, guid = _sampler_configs(doc["num_steps"], guidance_scale, doc["condition"])
-    if doc["output_format"] == "motion":  # a dry run checks fps and the rotation factor
+    if doc["output_format"] == "motion":  # a dry run checks fps, rotations and skeleton
         mo.points_to_sequence(np.empty((0, ckpt.manifold.total_ambient_dim)), cfg, skeleton,
                               fps=doc["fps"])
 

@@ -42,7 +42,6 @@ except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath
 
 from . import manifold as mf
-from . import motion as mo
 from .errors import (
     AntipodalPoints,
     BaseMismatch,
@@ -51,6 +50,7 @@ from .errors import (
     InvalidConfig,
     require_int,
 )
+from .motion import reference_point  # noqa: F401  (re-exported)
 
 # Flow times are sampled on [0, 1 - EPS_T] so the Euclidean 1/(1-t) target stays bounded.
 EPS_T = 1e-5
@@ -102,34 +102,6 @@ class IntegratorConfig:
     @property
     def step_size(self) -> float:
         return 1.0 / self.num_steps
-
-
-def reference_point(
-    cfg: mo.RepresentationConfig, skeleton: mo.Skeleton | None = None
-) -> np.ndarray:
-    """Rest pose with zero translation: the natural center of the manifold.
-
-    Translation blocks are zero, every rotation block is the identity
-    quaternion, the pre-shape block is the normalized T-pose, and all
-    temporal-difference blocks are zero.
-    """
-    blocks = []
-    if cfg.translation:
-        blocks.append(np.zeros(3))
-    if cfg.rotations:
-        blocks.append(np.tile(mo.QUAT_IDENTITY, cfg.joints))
-    if cfg.preshape:
-        if skeleton is None:
-            raise InvalidConfig("pre-shape reference point needs a skeleton")
-        rest = mo.forward_kinematics(skeleton, mo.rest_frame(skeleton))
-        blocks.append(mo.compute_preshape(rest).reshape(-1))
-    if cfg.d_translation:
-        blocks.append(np.zeros(3))
-    if cfg.d_rotations:
-        blocks.append(np.zeros(4 * cfg.joints))
-    if cfg.d_preshape:
-        blocks.append(np.zeros(3 * cfg.joints))
-    return np.concatenate(blocks)
 
 
 def _flow_pairs(m: mf.ManifoldSpec, x0, x1b, t) -> list[tuple[np.ndarray, np.ndarray]]:

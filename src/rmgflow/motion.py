@@ -1,8 +1,9 @@
 """Skeletal motion data model and its embedding into product manifolds.
 
-Conversion is sequence ↔ points: ``sequence_to_points`` builds each factor
-block from the stacked frames at once, and ``points_to_sequence`` rebuilds
-all frames from the rotation factor at once.
+A representation's block order is declared once (``_BASES``, ``_layout``);
+the manifold, the rest point and conversion both ways read it.  Conversion
+works on stacked frames: each block, each rebuilt frame and forward
+kinematics (one pass down the joint tree) cover all frames at once.
 
 Conventions (fixed for reproducibility): y-up right-handed axes, quaternion
 order (w, x, y, z), rotation index 0 is the global orientation, and all
@@ -216,11 +217,8 @@ class MotionSequence:
 
 @dataclass(frozen=True)
 class RepresentationConfig:
-    """Which factors participate in the per-frame manifold point.
-
-    Factor order in the flat layout is fixed: translation, rotations,
-    preshape, then the temporal-difference blocks in the same order.
-    """
+    """Which factors participate in the per-frame manifold point; their order
+    in the flat point is ``_layout``'s."""
 
     joints: int
     translation: bool = False
@@ -255,23 +253,17 @@ def ambient_dimension(cfg: RepresentationConfig) -> int:
 
 
 def config_to_manifold(cfg: RepresentationConfig) -> mf.ManifoldSpec:
-    """Product manifold induced by the config (difference blocks are tangent
-    coordinates attached to the data, hence Euclidean factors)."""
-    J = cfg.joints
-    factors = []
-    if cfg.translation:
-        factors.append(mf.euclidean(3))
-    if cfg.rotations:
-        factors.append(mf.sphere(3, multiplicity=J))
-    if cfg.preshape:
-        factors.append(mf.preshape(J, 3))
-    if cfg.d_translation:
-        factors.append(mf.euclidean(3))
-    if cfg.d_rotations:
-        factors.append(mf.euclidean(4, multiplicity=J))
-    if cfg.d_preshape:
-        factors.append(mf.euclidean(3 * J))
-    return mf.ManifoldSpec(factors)
+    """Product manifold induced by the config.  A difference block holds
+    tangent coordinates of its base, so its factor is Euclidean, as wide as
+    the base factor and with its multiplicity."""
+    return mf.ManifoldSpec([mf.euclidean(f.ambient_dim_per_copy, f.multiplicity) if diff else f
+                            for _, f, diff in _layout(cfg)])
+
+
+def _check_skeleton(skeleton: Skeleton, cfg: RepresentationConfig) -> None:
+    if skeleton.joint_count != cfg.joints:
+        raise SkeletonMismatch(
+            f"skeleton has {skeleton.joint_count} joints, config has {cfg.joints}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,57 +281,88 @@ def compute_preshape(positions: np.ndarray) -> np.ndarray:
     return centered / norm
 
 
-def forward_kinematics(skeleton: Skeleton, frame: MotionFrame) -> np.ndarray:
-    """World positions of all joints, composing rotations down the tree."""
-    J = skeleton.joint_count
-    if frame.joint_count != J:
-        raise SkeletonMismatch(f"frame has {frame.joint_count} joints, skeleton has {J}")
-    positions = np.empty((J, 3))
-    global_q = np.empty((J, 4))
-    positions[0] = frame.root_translation
-    global_q[0] = frame.rotations[0]
+def _forward_kinematics(skeleton: Skeleton, translations, rotations) -> np.ndarray:
+    """World positions (T, J, 3) of T stacked frames, given their root
+    translations (T, 3) and rotations (T, J, 4): one pass down the joint tree,
+    each joint composed for all frames at once."""
+    T, J = rotations.shape[:2]
+    if J != skeleton.joint_count:
+        raise SkeletonMismatch(f"rotations have {J} joints, skeleton has {skeleton.joint_count}")
+    positions = np.empty((T, J, 3))
+    positions[:, 0] = translations
+    global_q = rotations.copy()  # joint 0's global rotation is its own
     for j in range(1, J):
         p = skeleton.parents[j]
-        positions[j] = positions[p] + quat_rotate(global_q[p], skeleton.rest_offsets[j])
-        global_q[j] = quat_multiply(global_q[p], frame.rotations[j])
+        positions[:, j] = positions[:, p] + quat_rotate(global_q[:, p], skeleton.rest_offsets[j])
+        global_q[:, j] = quat_multiply(global_q[:, p], rotations[:, j])
     return positions
+
+
+def forward_kinematics(skeleton: Skeleton, frame: MotionFrame) -> np.ndarray:
+    """World positions (J, 3) of one frame's joints."""
+    return _forward_kinematics(skeleton, frame.root_translation[None], frame.rotations[None])[0]
+
+
+def _stacked(frames: list[MotionFrame]) -> tuple[np.ndarray, np.ndarray]:
+    """Root translations (T, 3) and rotations (T, J, 4) of the frames."""
+    return (np.stack([f.root_translation for f in frames]),
+            np.stack([f.rotations for f in frames]))
+
+
+def _preshape_rows(skeleton: Skeleton | None, translations, rotations) -> np.ndarray:
+    if skeleton is None:
+        raise InvalidConfig("a pre-shape block needs a skeleton")
+    return np.stack([compute_preshape(p).reshape(-1)
+                     for p in _forward_kinematics(skeleton, translations, rotations)])
+
+
+# The bases of a representation in block order, each as (its factor for J
+# joints, its (T, width) rows from T stacked frames (``_stacked``) on a
+# skeleton).
+_BASES = {
+    "translation": (lambda J: mf.euclidean(3), lambda skeleton, tr, rot: tr),
+    "rotations": (lambda J: mf.sphere(3, multiplicity=J),
+                  lambda skeleton, tr, rot: canonicalize_quaternion(rot).reshape(len(rot), -1)),
+    "preshape": (lambda J: mf.preshape(J, 3), _preshape_rows),
+}
+
+
+def _layout(cfg: RepresentationConfig) -> list[tuple[str, mf.FactorSpec, bool]]:
+    """``(base, base factor, is_difference)`` of each block in the flat order:
+    the bases the config turns on, then their difference blocks.  A factor is
+    built only when its flag is on (``preshape(1, 3)`` is invalid)."""
+    return [(base, factor(cfg.joints), diff) for diff in (False, True)
+            for base, (factor, _) in _BASES.items()
+            if getattr(cfg, ("d_" if diff else "") + base)]
+
+
+def reference_point(cfg: RepresentationConfig, skeleton: Skeleton | None = None) -> np.ndarray:
+    """Rest pose with zero translation, the natural center of the manifold:
+    base blocks at the rest frame (identity quaternions, the normalized
+    T-pose of ``skeleton``), difference blocks zero."""
+    rest = np.zeros((1, 3)), np.tile(QUAT_IDENTITY, (1, cfg.joints, 1))
+    return np.concatenate([np.zeros(f.ambient_dim) if diff else _BASES[base][1](skeleton, *rest)[0]
+                           for base, f, diff in _layout(cfg)])
 
 
 def sequence_to_points(seq: MotionSequence, cfg: RepresentationConfig) -> np.ndarray:
     """(T, D) or (T-1, D) stack of per-frame points (one fewer with d-blocks).
 
-    Each block is built once from the stacked frames; a d-block row holds the
-    tangent from frame t to frame t+1.  Forward kinematics runs once per frame.
+    Each base is built once from the stacked frames; a d-block row is the
+    base factor's ``log_map`` from frame t to frame t+1.
     """
-    frames = seq.frames
-    T = len(frames)
+    T = len(seq)
     if T < 1 + cfg.has_differences:
         raise SequenceTooShort(f"need at least {1 + cfg.has_differences} frames")
-    if seq.skeleton.joint_count != cfg.joints:
-        raise SkeletonMismatch(
-            f"skeleton has {seq.skeleton.joint_count} joints, config has {cfg.joints}")
+    _check_skeleton(seq.skeleton, cfg)
     n = T - cfg.has_differences
-    translations = np.stack([f.root_translation for f in frames])
-    quats = canonicalize_quaternion(np.stack([f.rotations for f in frames])).reshape(T, -1)
-    if cfg.preshape or cfg.d_preshape:
-        shapes = np.stack([compute_preshape(forward_kinematics(seq.skeleton, f)).reshape(-1)
-                           for f in frames])
-    blocks = []
-    if cfg.translation:
-        blocks.append(translations[:n])
-    if cfg.rotations:
-        blocks.append(quats[:n])
-    if cfg.preshape:
-        blocks.append(shapes[:n])
-    if cfg.d_translation:
-        blocks.append(translations[1:] - translations[:-1])
-    if cfg.d_rotations:
-        s3 = mf.ManifoldSpec([mf.sphere(3, multiplicity=cfg.joints)])
-        blocks.append(mf.log_map(s3, quats[:-1], quats[1:]))
-    if cfg.d_preshape:
-        pk = mf.ManifoldSpec([mf.preshape(cfg.joints, 3)])
-        blocks.append(mf.log_map(pk, shapes[:-1], shapes[1:]))
-    return np.concatenate(blocks, axis=1)
+    layout = _layout(cfg)
+    frames = _stacked(seq.frames)
+    rows = {base: _BASES[base][1](seq.skeleton, *frames)
+            for base in dict.fromkeys(b for b, _, _ in layout)}  # each base once
+    return np.concatenate([
+        mf.log_map(mf.ManifoldSpec([f]), rows[base][:-1], rows[base][1:]) if diff
+        else rows[base][:n] for base, f, diff in layout], axis=1)
 
 
 def points_to_sequence(
@@ -347,19 +370,22 @@ def points_to_sequence(
 ) -> MotionSequence:
     """Rebuild frames from point rows through the rotation factor, with one
     renormalization over all rows."""
-    if not cfg.rotations:
+    m = config_to_manifold(cfg)
+    bases = {base: sl for (base, _, diff), (_, sl) in zip(_layout(cfg), m.blocks) if not diff}
+    if "rotations" not in bases:
         raise ConfigLacksRotations("cannot rebuild a frame without a rotation factor")
+    _check_skeleton(skeleton, cfg)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    D = ambient_dimension(cfg)
+    D = m.total_ambient_dim
     if len(points) and points.shape[1:] != (D,):
         raise DimensionMismatch(f"points have shape {points.shape}, expected (N, {D})")
-    off = 3 if cfg.translation else 0
-    quats = points[:, off : off + 4 * cfg.joints].reshape(len(points), cfg.joints, 4)
+    quats = points[:, bases["rotations"]].reshape(len(points), cfg.joints, 4)
     drift = float(np.max(np.abs(np.linalg.norm(quats, axis=-1) - 1.0), initial=0.0))
     if drift > 1e-6:
         log.warning("renormalizing quaternions with max norm drift %.3e", drift)
     rotations = canonicalize_quaternion(quats)
-    translations = points[:, :3] if cfg.translation else np.zeros((len(points), 3))
+    translations = (points[:, bases["translation"]] if "translation" in bases
+                    else np.zeros((len(points), 3)))
     frames = [MotionFrame(root_translation=t.copy(), rotations=r)
               for t, r in zip(translations, rotations)]
     return MotionSequence(frames=frames, fps=fps, skeleton=skeleton)
@@ -373,7 +399,7 @@ def convert_to_position_format(seq: MotionSequence) -> tuple[np.ndarray, np.ndar
     """
     if len(seq) < 2:
         raise SequenceTooShort("need at least 2 frames for velocities")
-    positions = np.stack([forward_kinematics(seq.skeleton, f) for f in seq.frames])
+    positions = _forward_kinematics(seq.skeleton, *_stacked(seq.frames))
     velocities = np.empty_like(positions)
     velocities[:-1] = (positions[1:] - positions[:-1]) * seq.fps
     velocities[-1] = velocities[-2]

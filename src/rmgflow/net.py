@@ -336,6 +336,9 @@ def clip_gradient(grad: np.ndarray, max_norm: float, norm: float | None = None) 
 # small, and the two scratch vectors stay at 256 KB whatever the model size.
 UPDATE_CHUNK = 32768
 
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def _chunks(n: int, k: int):
     """Slices of at most UPDATE_CHUNK elements covering range(n), each with
@@ -351,9 +354,6 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-2
 
     @classmethod
@@ -372,7 +372,7 @@ def adamw_step(
     if grad.shape != params.flat.shape or opt.m.shape != params.flat.shape:
         raise ShapeMismatch("gradient / moment shapes must match the parameters")
     opt.step += 1
-    b1, b2 = opt.beta1, opt.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** opt.step, 1.0 - b2 ** opt.step
     for sl, a, b in _chunks(grad.shape[0], 2):
         m, v, g, p = opt.m[sl], opt.v[sl], grad[sl], params.flat[sl]
@@ -388,7 +388,7 @@ def adamw_step(
         # p -= lr ((m / c1) / (sqrt(v / c2) + eps) + weight_decay p)
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += opt.eps
+        b += ADAM_EPS
         np.divide(m, c1, out=a)
         a /= b
         np.multiply(p, opt.weight_decay, out=b)

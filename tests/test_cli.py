@@ -117,22 +117,45 @@ def test_sample_zero_samples(trained, tmp_path):
     assert (tmp_path / "samples.jsonl").read_text() == ""
 
 
+def _chain_checkpoint(tmp_path_factory, name, representation):
+    tmp_path = tmp_path_factory.mktemp(name)
+    _train_on_chain(tmp_path, representation)
+    return tmp_path / "out"
+
+
+@pytest.fixture(scope="module")
+def chain_pose(tmp_path_factory):
+    """A translation + rotations checkpoint on the three-joint chain."""
+    return _chain_checkpoint(tmp_path_factory, "chain_pose",
+                             {"joints": 3, "translation": True, "rotations": True})
+
+
 @pytest.fixture(scope="module")
 def rotation_free(tmp_path_factory):
     """A translation + pre-shape checkpoint: it has no rotation factor to
     rebuild motion frames from."""
-    tmp_path = tmp_path_factory.mktemp("rotation_free")
-    _train_on_chain(tmp_path, {"joints": 3, "translation": True, "preshape": True})
-    return tmp_path / "out"
+    return _chain_checkpoint(tmp_path_factory, "rotation_free",
+                             {"joints": 3, "translation": True, "preshape": True})
+
+
+@pytest.fixture(scope="module")
+def mismatched(tmp_path_factory):
+    """22-joint translation + rotations trained on the three-joint chain:
+    training needs no skeleton, rebuilding motion frames does."""
+    return _chain_checkpoint(tmp_path_factory, "mismatched",
+                             {"joints": 22, "translation": True, "rotations": True})
 
 
 @pytest.mark.parametrize("num_samples", [0, 3])
 @pytest.mark.parametrize("bad, checkpoint", [
     ({"num_steps": 0}, "trained"),
     ({"guidance_scale": -1.0}, "trained"),
-    ({"output_format": "motion", "fps": 0.0}, "trained"),
+    ({"output_format": "motion", "fps": 0.0}, "chain_pose"),
     ({"output_format": "motion"}, "rotation_free"),
-], ids=["num_steps", "guidance_scale", "motion_fps", "motion_without_rotations"])
+    ({"output_format": "motion"}, "mismatched"),
+    ({"representation": {"joints": 1, "d_translation": True, "rotations": True}}, "trained"),
+], ids=["num_steps", "guidance_scale", "motion_fps", "motion_without_rotations",
+        "motion_skeleton_mismatch", "representation_of_equal_width"])
 def test_bad_sampler_config_exits_2_before_writing(request, tmp_path, num_samples, bad,
                                                    checkpoint):
     ckpt = request.getfixturevalue(checkpoint) / "checkpoint.rmg"
@@ -167,7 +190,7 @@ def test_sample_dimension_mismatch(trained, tmp_path, capsys):
     code = cli.main(["sample", "--config", cfg, "--out", str(tmp_path),
                      "--checkpoint", str(trained / "checkpoint.rmg")])
     assert code == 2
-    assert "dimension" in capsys.readouterr().err
+    assert "representation does not match the checkpoint" in capsys.readouterr().err
 
 
 def test_sample_requires_checkpoint(tmp_path):
@@ -496,6 +519,17 @@ def test_nan_motion_fps_exits_2(tmp_path, skeleton, rng, capsys):
                                       "target": "positions"}) == 2
     assert "fps" in capsys.readouterr().err
     assert not (tmp_path / "out" / "positions.json").exists()
+
+
+def test_convert_to_motion_checks_skeleton_on_empty_points(tmp_path, capsys):
+    """No rows still need a skeleton with the representation's joint count."""
+    (tmp_path / "empty.jsonl").write_text("")
+    doc = {"schema": 1, "input": str(tmp_path / "empty.jsonl"), "target": "motion",
+           "representation": {"joints": 2, "translation": True, "rotations": True},
+           "skeleton": write_json(tmp_path / "chain.json", CHAIN)}
+    assert _run(tmp_path, "convert", doc) == 2
+    assert "skeleton has 3 joints" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_convert_target_exits_2_before_writing(tmp_path, skeleton, rng, capsys):

@@ -332,6 +332,70 @@ def test_points_on_manifold(skeleton, rng):
     assert mf.max_constraint_deviation(m, pts) < 1e-9
 
 
+def _fk_loop(skeleton, frame):
+    """Forward kinematics of one frame, one joint at a time: the reference
+    that the stacked kernel must match bit for bit."""
+    J = skeleton.joint_count
+    positions = np.empty((J, 3))
+    global_q = np.empty((J, 4))
+    positions[0] = frame.root_translation
+    global_q[0] = frame.rotations[0]
+    for j in range(1, J):
+        p = skeleton.parents[j]
+        positions[j] = positions[p] + mo.quat_rotate(global_q[p], skeleton.rest_offsets[j])
+        global_q[j] = mo.quat_multiply(global_q[p], frame.rotations[j])
+    return positions
+
+
+def test_stacked_kinematics_matches_joint_loop_bitwise(skeleton):
+    """Non-unit quaternions: FK composes them as given, conversion blocks
+    canonicalize them."""
+    rng = np.random.default_rng(2024)
+    frames = [mo.MotionFrame(root_translation=rng.standard_normal(3),
+                             rotations=rng.standard_normal((22, 4)) * rng.uniform(0.5, 2, (22, 1)))
+              for _ in range(40)]
+    seq = mo.MotionSequence(frames=frames, fps=30.0, skeleton=skeleton)
+    want = np.stack([_fk_loop(skeleton, f) for f in frames])
+    for f, w in zip(frames, want):
+        assert np.array_equal(mo.forward_kinematics(skeleton, f), w)
+    assert np.array_equal(mo.convert_to_position_format(seq)[0], want)
+
+    six = mo.RepresentationConfig(22, *[True] * 6)
+    shapes = np.stack([mo.compute_preshape(w).reshape(-1) for w in want])
+    quats = mo.canonicalize_quaternion(np.stack([f.rotations for f in frames])).reshape(40, -1)
+    trans = np.stack([f.root_translation for f in frames])
+    s3 = mf.ManifoldSpec([mf.sphere(3, multiplicity=22)])
+    pk = mf.ManifoldSpec([mf.preshape(22, 3)])
+    expected = np.concatenate([trans[:-1], quats[:-1], shapes[:-1], trans[1:] - trans[:-1],
+                               mf.log_map(s3, quats[:-1], quats[1:]),
+                               mf.log_map(pk, shapes[:-1], shapes[1:])], axis=1)
+    assert np.array_equal(mo.sequence_to_points(seq, six), expected)
+
+
+def test_reference_point_blocks(skeleton):
+    six = mo.RepresentationConfig(22, *[True] * 6)
+    p = mo.reference_point(six, skeleton)
+    blocks = [p[sl] for _, sl in mo.config_to_manifold(six).blocks]
+    rest = mo.compute_preshape(_fk_loop(skeleton, mo.rest_frame(skeleton))).reshape(-1)
+    want = [np.zeros(3), np.tile(mo.QUAT_IDENTITY, 22), rest,
+            np.zeros(3), np.zeros(4 * 22), np.zeros(3 * 22)]
+    assert len(blocks) == len(want)
+    for got, w in zip(blocks, want):
+        assert np.array_equal(got, w)
+
+
+def test_reference_point_checks_preshape_skeleton(skeleton):
+    """Only a pre-shape block reads the skeleton, so only it must match."""
+    chain = mo.Skeleton(parents=[-1, 0, 1], rest_offsets=[[0, 0, 0], [0, 0.5, 0], [0, 0.5, 0]])
+    rotations = mo.RepresentationConfig(joints=22, translation=True, rotations=True)
+    assert mo.reference_point(rotations, chain).shape == (91,)
+    with pytest.raises(SkeletonMismatch):
+        mo.reference_point(mo.RepresentationConfig(joints=22, translation=True, preshape=True),
+                           chain)
+    with pytest.raises(InvalidConfig, match="skeleton"):
+        mo.reference_point(mo.RepresentationConfig(joints=22, translation=True, preshape=True))
+
+
 def test_frame_joint_count_mismatch(skeleton):
     frame = mo.MotionFrame(root_translation=np.zeros(3),
                            rotations=np.tile(mo.QUAT_IDENTITY, (5, 1)))
