@@ -163,8 +163,8 @@ def _write_json(doc, path, indent=None) -> None:
 
 def _write_jsonl(points: np.ndarray, path) -> None:
     with open(path, "w") as fh:
-        for row in np.atleast_2d(points):
-            fh.write(json.dumps(list(row)) + "\n")
+        for row in np.atleast_2d(points).tolist():
+            fh.write(json.dumps(row) + "\n")
 
 
 def _read_jsonl(path) -> np.ndarray:
@@ -291,6 +291,7 @@ def cmd_sample(doc: dict, args) -> int:
         raise ConfigError(f"num_samples must be >= 0, got {num_samples}")
     guidance_scale = float(doc["guidance_scale"])
     # Checked before --out is created, so a bad config writes nothing.
+    nn._cond_indices(ckpt.net_spec, doc["condition"], 1)  # a dry run checks the class
     integ, guid = _sampler_configs(doc["num_steps"], guidance_scale, doc["condition"])
     if doc["output_format"] == "motion":  # a dry run checks fps, rotations and skeleton
         mo.points_to_sequence(np.empty((0, ckpt.manifold.total_ambient_dim)), cfg, skeleton,
@@ -400,6 +401,7 @@ def cmd_sweep(doc: dict, args) -> int:
     if not ckpt_path:
         raise ConfigError("sweep requires a checkpoint")
     ckpt, _, _, prior = _read(_load_model, ckpt_path, "checkpoint")
+    nn._cond_indices(ckpt.net_spec, sample["condition"], 1)  # checked once, not per row
     m = ckpt.manifold
     reference = _read(_read_jsonl, scoring["reference"], "points")
     _check_width("reference", reference, m)

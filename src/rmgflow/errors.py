@@ -55,10 +55,6 @@ class SequenceTooShort(RmgError):
     """The operation needs more frames than the sequence holds."""
 
 
-class BaseMismatch(RmgError):
-    """Two tangent vectors do not share a base point."""
-
-
 class StepOutOfRange(RmgError):
     """A schedule was queried beyond its total step count."""
 

@@ -13,9 +13,9 @@ steps, which keep every iterate on the manifold by construction.
 Each sampler step is one pass per factor over the contiguous coordinate
 planes of the point and of the field evaluations (``manifold._blocks``).
 The pass projects, applies guidance, checks tangency and shoots with the
-per-element arithmetic of ``project_tangent``, ``guided_velocity`` and
-``euler_step``, in their order, so it gives the same bits as that chain
-of public steps.
+per-element arithmetic of ``project_tangent`` and ``exp_map``: the test
+oracle ``_sample_ode_chain`` in ``tests/test_flow.py`` composes those public
+operations on whole arrays, and every ``sample_ode`` run has its bits.
 
 The sampler cuts the rows after the prior draw into fixed blocks of
 ``SAMPLE_BLOCK_ROWS`` and integrates each block on its own, the blocks in
@@ -44,9 +44,7 @@ except ImportError:  # numpy < 2
 from . import manifold as mf
 from .errors import (
     AntipodalPoints,
-    BaseMismatch,
     DimensionMismatch,
-    DomainError,
     InvalidConfig,
     require_int,
 )
@@ -161,6 +159,16 @@ def make_flow_batch(
     return FlowBatch(x0=x0, x1=x1, t=t, x_t=x_t, target_v=v, condition=cond)
 
 
+def _fm_terms(m: mf.ManifoldSpec, batch: FlowBatch,
+              predicted: np.ndarray) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """``(loss, r, xb)``: the flow-matching loss, the mean squared norm of
+    the residual r = target_v - P_{x_t}(predicted); r; and the ``_blocks``
+    of x_t that projected it."""
+    xb = mf._blocks(m, batch.x_t)
+    r = batch.target_v - mf._project_blocks(m, xb, predicted)
+    return float(np.mean(np.sum(r * r, axis=-1))), r, xb
+
+
 def fm_loss(m: mf.ManifoldSpec, batch: FlowBatch, predicted: np.ndarray) -> float:
     """Mean squared tangent-velocity error after projecting the prediction."""
     predicted = np.asarray(predicted, dtype=float)
@@ -168,47 +176,7 @@ def fm_loss(m: mf.ManifoldSpec, batch: FlowBatch, predicted: np.ndarray) -> floa
         raise DimensionMismatch(
             f"predicted shape {predicted.shape} != target {batch.target_v.shape}"
         )
-    r = batch.target_v - mf.project_tangent(m, batch.x_t, predicted)
-    return float(np.mean(np.sum(r * r, axis=-1)))
-
-
-def _guide(project, v_cond, v_uncond, scale: float):
-    """Classifier-free combination of two tangent fields; ``project`` maps an
-    ambient vector onto the tangent space at their base point."""
-    if scale == 1.0:
-        return v_cond
-    if scale == 0.0:
-        return v_uncond
-    return project(v_uncond + scale * (v_cond - v_uncond))
-
-
-def guided_velocity(
-    m: mf.ManifoldSpec, base, v_cond: np.ndarray, v_uncond: np.ndarray, scale: float
-) -> np.ndarray:
-    """Classifier-free combination v_uncond + scale (v_cond - v_uncond).
-
-    scale 0 and 1 return the respective input exactly; other scales are
-    re-projected onto the tangent space at the shared base point.  With
-    ``project_tangent`` and ``euler_step`` it is the sampler's reference
-    chain: each ``sample_ode`` step has the bits of that chain.
-    """
-    v_cond = np.asarray(v_cond, dtype=float)
-    v_uncond = np.asarray(v_uncond, dtype=float)
-    if v_cond.shape != v_uncond.shape:
-        raise BaseMismatch("guided velocities must share shape and base point")
-    return _guide(lambda a: mf.project_tangent(m, base, a), v_cond, v_uncond, scale)
-
-
-def _check_step(h: float) -> None:
-    if not h >= 0:  # NaN fails too
-        raise DomainError("step size must be nonnegative")
-
-
-def euler_step(m: mf.ManifoldSpec, x, v, h: float) -> np.ndarray:
-    """One geodesic Euler update Exp_x(h v); the last link of the sampler's
-    reference chain (see ``guided_velocity``)."""
-    _check_step(h)
-    return mf.exp_map(m, x, h * np.asarray(v, dtype=float))
+    return _fm_terms(m, batch, predicted)[0]
 
 
 VelocityField = Callable[[np.ndarray, float, Optional[np.ndarray]], np.ndarray]
@@ -224,14 +192,15 @@ def _field_blocks(m: mf.ManifoldSpec, field: VelocityField, x, t, cond) -> list[
 def _euler_pass(m: mf.ManifoldSpec, xb, ab, a0b, scale: float, h: float) -> list[np.ndarray]:
     """One guided geodesic Euler step on the contiguous blocks of ``mf._blocks``.
 
-    Per factor: project the field ``ab`` (and the null-condition field
-    ``a0b``, if given, combined as in ``guided_velocity``), scale by h, then
-    shoot along the geodesic with ``mf._shoot``, which rejects a step whose
-    tangency defect exceeds ``TANGENT_REJECT`` (so any non-finite field).
-    The per-element arithmetic is that of project_tangent, guided_velocity
-    and euler_step.
+    Per factor: project the field ``ab`` to v; given the null-condition field
+    ``a0b`` (passed only when scale != 1), project it to v0 and take v0 at
+    scale 0, else ``project(v0 + scale (v - v0))``, the classifier-free
+    combination; scale by h, then shoot along the geodesic with
+    ``mf._shoot``, which rejects a step whose tangency defect exceeds
+    ``TANGENT_REJECT`` (so any non-finite field).  It has the bits of the
+    test oracle ``_sample_ode_chain`` (``tests/test_flow.py``): per step
+    ``project_tangent``, that combination and ``exp_map(x, h v)``.
     """
-    _check_step(h)
     out = []
     for i, (f, x, a) in enumerate(zip(m.factors, xb, ab)):
         project = functools.partial(mf._project, f, x)
@@ -239,7 +208,8 @@ def _euler_pass(m: mf.ManifoldSpec, xb, ab, a0b, scale: float, h: float) -> list
         with np.errstate(invalid="ignore", over="ignore"):
             v = project(a)
             if a0b is not None:
-                v = _guide(project, v, project(a0b[i]), scale)
+                v0 = project(a0b[i])
+                v = v0 if scale == 0.0 else project(v0 + scale * (v - v0))
             v = h * v
         out.append(mf._shoot(f, x, v))
     return out

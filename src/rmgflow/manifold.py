@@ -38,7 +38,6 @@ so the bits do not depend on the shape, the blocks or the number of CPUs.
 from __future__ import annotations
 
 import contextvars
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,7 +57,6 @@ from .errors import (
 )
 
 # Centralized tolerance table (double precision throughout).
-TOL_POINT = 1e-9          # unit-norm / centering slack for valid points
 TOL_TANGENT = 1e-9        # tangency slack for valid tangent vectors
 TANGENT_REJECT = 10.0 * TOL_TANGENT  # hard-error threshold in exp_map
 SMALL_ANGLE = 1e-6        # switch to series expansions below this angle
@@ -159,16 +157,9 @@ class ManifoldSpec:
     def to_json_dict(self) -> dict:
         return {"factors": [f.to_json_dict() for f in self.factors]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ManifoldSpec":
         return cls([FactorSpec.from_json_dict(f) for f in d["factors"]])
-
-    @classmethod
-    def from_json(cls, s: str) -> "ManifoldSpec":
-        return cls.from_json_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -431,22 +422,6 @@ def _defect(f: FactorSpec, x, v, worst=0.0):
     return worst
 
 
-def tangency_defect(m: ManifoldSpec, x, v) -> float:
-    """Largest violation of the tangent-space constraints of v at x.
-
-    Not finite whenever x or v has a non-finite entry, so a check of the form
-    ``defect <= threshold`` rejects such input.
-    """
-    x = _as_coords(m, x, "x")
-    v = _as_coords(m, v, "v")
-    worst = 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        for _, factors in _per_factor(m, x, v)[1]:
-            for f, (xs, vs) in factors:
-                worst = _defect(f, xs, vs, worst)
-    return float(worst)
-
-
 def _check_tangent(defect) -> None:
     if not defect <= TANGENT_REJECT:
         raise NotTangent(f"tangency defect {defect:.3e} is not within {TANGENT_REJECT:.1e}")
@@ -640,13 +615,6 @@ def _distance(m: ManifoldSpec, x, y, symmetric: bool = False) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class Violation:
-    factor_index: int  # index into ManifoldSpec.factors
-    constraint: str
-    deviation: float
-
-
 def point_deviations(m: ManifoldSpec, x) -> list[tuple[int, str, np.ndarray]]:
     """Per-constraint absolute deviations ``(factor_index, name, dev)``.
 
@@ -666,16 +634,6 @@ def point_deviations(m: ManifoldSpec, x) -> list[tuple[int, str, np.ndarray]]:
             for name, dev in devs.items():
                 out.setdefault((i, name), np.empty((shape or (1,)) + (f.multiplicity,)))[rows] = dev
     return [(i, name, dev.reshape(shape + dev.shape[-1:])) for (i, name), dev in out.items()]
-
-
-def validate_point(m: ManifoldSpec, x, tol: float = TOL_POINT) -> list[Violation]:
-    """Empty list iff all point invariants hold within tol."""
-    violations = []
-    for i, name, dev in point_deviations(m, x):
-        worst = float(np.max(dev))
-        if not worst <= tol:
-            violations.append(Violation(i, name, worst))
-    return violations
 
 
 def max_constraint_deviation(m: ManifoldSpec, x) -> float:

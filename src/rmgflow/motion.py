@@ -185,13 +185,6 @@ class MotionFrame:
         return int(self.rotations.shape[0])
 
 
-def rest_frame(skeleton: Skeleton) -> MotionFrame:
-    return MotionFrame(
-        root_translation=np.zeros(3),
-        rotations=np.tile(QUAT_IDENTITY, (skeleton.joint_count, 1)),
-    )
-
-
 @dataclass
 class MotionSequence:
     frames: list[MotionFrame]

@@ -263,18 +263,17 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Flow-matching loss and its exact gradient in the flat layout.
 
-    The tangent projection is linear in the prediction at fixed x_t and
-    self-adjoint, so its pull-back is another projection; both run on the
-    contiguous blocks of x_t.  SiLU's derivative comes from the forward's
+    The loss, the residual and the blocks of x_t come from ``fl._fm_terms``,
+    the formula of ``fl.fm_loss``.  The tangent projection is linear in the
+    prediction at fixed x_t and self-adjoint, so its pull-back is another
+    projection on the same blocks.  SiLU's derivative comes from the forward's
     cache.  Every gradient entry is written, into ``out`` when it is given
     (a reusable buffer of ``params.count`` floats).
     """
     spec = params.spec
     pred, (idx, dsilu, acts) = _forward_cached(params, batch.x_t, batch.t, batch.condition)
     B = pred.shape[0]
-    xb = mf._blocks(m, batch.x_t)
-    r = batch.target_v - mf._project_blocks(m, xb, pred)
-    loss = float(np.mean(np.sum(r * r, axis=-1)))
+    loss, r, xb = fl._fm_terms(m, batch, pred)
     d_out = mf._project_blocks(m, xb, r)
     d_out *= -(2.0 / B)
 

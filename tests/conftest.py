@@ -9,6 +9,17 @@ settings.register_profile("ci", deadline=None, max_examples=50, print_blob=True)
 settings.load_profile("ci")
 
 
+def defect(m, x, v):
+    """Largest tangent-constraint violation of v at x over every factor copy,
+    from the manifold's own per-factor check; NaN on non-finite input."""
+    worst = 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for f, xb, vb in zip(m.factors, mf._blocks(m, np.asarray(x, float)),
+                             mf._blocks(m, np.asarray(v, float))):
+            worst = mf._defect(f, xb, vb, worst)
+    return float(worst)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

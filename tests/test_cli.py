@@ -154,8 +154,11 @@ def mismatched(tmp_path_factory):
     ({"output_format": "motion"}, "rotation_free"),
     ({"output_format": "motion"}, "mismatched"),
     ({"representation": {"joints": 1, "d_translation": True, "rotations": True}}, "trained"),
+    ({"condition": 3}, "trained"),
+    ({"condition": -1}, "trained"),
 ], ids=["num_steps", "guidance_scale", "motion_fps", "motion_without_rotations",
-        "motion_skeleton_mismatch", "representation_of_equal_width"])
+        "motion_skeleton_mismatch", "representation_of_equal_width", "condition_past_classes",
+        "negative_condition"])
 def test_bad_sampler_config_exits_2_before_writing(request, tmp_path, num_samples, bad,
                                                    checkpoint):
     ckpt = request.getfixturevalue(checkpoint) / "checkpoint.rmg"
@@ -377,6 +380,19 @@ def test_sweep_unusable_reference_exits_2_before_sampling(trained, tmp_path, cap
     assert not out.exists()  # no row was sampled
 
 
+def test_write_jsonl_bytes_and_round_trip(tmp_path):
+    """Shortest round-trip decimals, JSON's spelling of non-finite numbers,
+    and the sign of zero, read back bit for bit."""
+    points = np.array([[5e-324, 1e308, -0.0, np.inf], [-np.inf, np.nan, 0.1, 1.0]])
+    path = tmp_path / "p.jsonl"
+    cli._write_jsonl(points, path)
+    assert path.read_text() == ("[5e-324, 1e+308, -0.0, Infinity]\n"
+                                "[-Infinity, NaN, 0.1, 1.0]\n")
+    assert cli._read_jsonl(path).tobytes() == points.tobytes()
+    cli._write_jsonl(points[0], path)
+    assert path.read_text() == "[5e-324, 1e+308, -0.0, Infinity]\n"
+
+
 def test_sweep_builds_reference_matrix_once(trained, tmp_path, monkeypatch):
     """Once per run, on 1 or 3 usable CPUs, with the same bytes either way."""
     m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
@@ -587,6 +603,17 @@ def test_sweep_needs_a_sample_per_row(trained, tmp_path, capsys):
            "eval": {"reference": "unused.jsonl"}}
     assert _run(tmp_path, "sweep", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
     assert "num_samples" in capsys.readouterr().err
+
+
+def test_sweep_unknown_condition_exits_2_before_writing(trained, tmp_path, capsys):
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
+    ref = _points_file(tmp_path / "ref.jsonl", m, np.array([0, 0, 0, 1.0, 0, 0, 0]), 40, 5)
+    doc = {"schema": 1, "guidance_scales": [1.0, 3.0],
+           "sample": {"num_samples": 4, "num_steps": 2, "condition": 7},
+           "eval": {"reference": str(ref)}}
+    assert _run(tmp_path, "sweep", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
+    assert "condition indices must lie in [0, 3)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_exits_2(trained, tmp_path):

@@ -3,8 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+from conftest import defect
 
 from rmgflow import flow as fl
 from rmgflow import manifold as mf
@@ -148,7 +147,7 @@ def test_batch_on_manifold_and_tangent(manifold, angle, rng):
     x_t = mf._unblock(m, [p for p, _ in pairs], (B,))
     v = mf._unblock(m, [v for _, v in pairs], (B,))
     assert mf.max_constraint_deviation(m, x_t) <= 1e-9
-    assert mf.tangency_defect(m, x_t, v) <= 1e-9
+    assert defect(m, x_t, v) <= 1e-9
     if EXTENDED:
         x_t_error, target_error = _longdouble_errors(m, x0, x1, t, pairs)
         assert x_t_error <= 1e-15 and target_error <= 1e-13
@@ -169,7 +168,7 @@ def test_make_flow_batch_shapes(toy_manifold, rng):
     assert np.all(batch.t >= 0) and np.all(batch.t <= 1 - fl.EPS_T)
     assert batch.condition is None
     assert mf.max_constraint_deviation(m, batch.x_t) < 1e-9
-    assert mf.tangency_defect(m, batch.x_t, batch.target_v) < 1e-9
+    assert defect(m, batch.x_t, batch.target_v) < 1e-9
 
 
 def test_make_flow_batch_condition_dropout(toy_manifold, rng):
@@ -277,41 +276,6 @@ def test_fm_loss_ignores_normal_components(toy_manifold, rng):
 # ---------------------------------------------------------------------------
 
 
-def test_guided_velocity_degenerate_scales(toy_manifold, rng):
-    m = toy_manifold
-    x = mf.random_point(m, rng, size=4)
-    vc = mf.random_tangent(m, x, rng)
-    vu = mf.random_tangent(m, x, rng)
-    assert fl.guided_velocity(m, x, vc, vu, 1.0) is vc or np.array_equal(
-        fl.guided_velocity(m, x, vc, vu, 1.0), vc
-    )
-    assert np.array_equal(fl.guided_velocity(m, x, vc, vu, 0.0), vu)
-    g = fl.guided_velocity(m, x, vc, vu, 3.0)
-    assert mf.tangency_defect(m, x, g) < 1e-9
-    with pytest.raises(InvalidConfig):
-        fl.GuidanceConfig(scale=-1.0)
-
-
-@given(st.floats(0.0, 10.0))
-def test_guided_velocity_euclidean_linearity(scale):
-    m = mf.ManifoldSpec([mf.euclidean(3)])
-    x = np.zeros(3)
-    vc = np.array([1.0, 2.0, 3.0])
-    vu = np.array([0.5, 0.0, -1.0])
-    g = fl.guided_velocity(m, x, vc, vu, scale)
-    assert np.allclose(g, vu + scale * (vc - vu), atol=1e-12)
-
-
-def test_euler_step(toy_manifold, rng):
-    m = toy_manifold
-    x = mf.random_point(m, rng, size=4)
-    v = mf.random_tangent(m, x, rng)
-    y = fl.euler_step(m, x, v, 0.1)
-    assert mf.max_constraint_deviation(m, y) < 1e-9
-    with pytest.raises(DomainError):
-        fl.euler_step(m, x, v, -0.1)
-
-
 def test_sample_ode_stays_on_manifold(toy_manifold, rng):
     m = toy_manifold
     prior = _prior(m)
@@ -379,8 +343,10 @@ def test_sample_ode_guidance_evaluates_null_branch(toy_manifold):
 
 
 def _sample_ode_chain(m, field, prior, integ, guid, condition, rng, num_samples=None):
-    """Reference sampler: per step project_tangent, then guided_velocity, then
-    euler_step, exactly as the sampler composed them before its fused pass."""
+    """Reference sampler on whole arrays: per step project_tangent, the
+    classifier-free combination (v0 at scale 0, else the projection of
+    v0 + scale (v - v0)), then exp_map(x, h v), as the sampler composed them
+    before its fused pass."""
     if condition is not None:
         condition = np.asarray(condition)
         B = condition.shape[0]
@@ -395,8 +361,8 @@ def _sample_ode_chain(m, field, prior, integ, guid, condition, rng, num_samples=
         v = mf.project_tangent(m, x, np.asarray(field(x, t, condition), dtype=float))
         if use_guidance:
             v0 = mf.project_tangent(m, x, np.asarray(field(x, t, null_cond), dtype=float))
-            v = fl.guided_velocity(m, x, v, v0, guid.scale)
-        x = fl.euler_step(m, x, v, integ.step_size)
+            v = v0 if guid.scale == 0.0 else mf.project_tangent(m, x, v0 + guid.scale * (v - v0))
+        x = mf.exp_map(m, x, integ.step_size * v)
     return x
 
 
@@ -671,15 +637,6 @@ def test_sample_ode_rejects_misshapen_field(toy_manifold, branch, shape):
                       np.random.default_rng(0))
 
 
-def test_euler_pass_rejects_negative_step(toy_manifold, rng):
-    m = toy_manifold
-    x = mf.random_point(m, rng, size=4)
-    blocks = mf._blocks(m, x)
-    tangent = mf._blocks(m, mf.random_tangent(m, x, rng))
-    with pytest.raises(DomainError):
-        fl._euler_pass(m, blocks, tangent, None, 1.0, -0.1)
-
-
 def test_reference_point_layout(skeleton):
     cfg = mo.RepresentationConfig(joints=22, translation=True, rotations=True,
                                   preshape=True, d_translation=True)
@@ -698,3 +655,5 @@ def test_integrator_config_validation():
         with pytest.raises(InvalidConfig, match="num_steps"):
             fl.IntegratorConfig(bad)
     assert fl.IntegratorConfig(4).step_size == 0.25
+    with pytest.raises(InvalidConfig):
+        fl.GuidanceConfig(scale=-1.0)

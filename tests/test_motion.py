@@ -67,6 +67,11 @@ def test_quat_rotate_known():
 # ---------------------------------------------------------------------------
 
 
+def _rest(skeleton):
+    """The identity frame: every joint unrotated, the root at the origin."""
+    return mo.MotionFrame(np.zeros(3), np.tile(mo.QUAT_IDENTITY, (skeleton.joint_count, 1)))
+
+
 def test_default_skeleton_shape(skeleton):
     assert skeleton.joint_count == 22
     assert skeleton.parents[0] == -1
@@ -82,7 +87,7 @@ def test_skeleton_validation():
 
 
 def test_rest_pose_positions(skeleton):
-    pos = mo.forward_kinematics(skeleton, mo.rest_frame(skeleton))
+    pos = mo.forward_kinematics(skeleton, _rest(skeleton))
     expected = np.zeros((22, 3))
     for j in range(1, 22):
         expected[j] = expected[skeleton.parents[j]] + skeleton.rest_offsets[j]
@@ -90,10 +95,10 @@ def test_rest_pose_positions(skeleton):
 
 
 def test_global_rotation_moves_children(skeleton):
-    frame = mo.rest_frame(skeleton)
+    frame = _rest(skeleton)
     frame.rotations[0] = mo.quat_from_axis_angle([0.0, 1.0, 0.0], np.pi / 2)
     pos = mo.forward_kinematics(skeleton, frame)
-    rest = mo.forward_kinematics(skeleton, mo.rest_frame(skeleton))
+    rest = mo.forward_kinematics(skeleton, _rest(skeleton))
     R = mo.quat_to_matrix(frame.rotations[0])
     assert np.allclose(pos, rest @ R.T, atol=1e-12)
 
@@ -176,7 +181,7 @@ def test_config_json_roundtrip():
 
 
 def test_compute_preshape_invariants(skeleton, rng):
-    pos = mo.forward_kinematics(skeleton, mo.rest_frame(skeleton))
+    pos = mo.forward_kinematics(skeleton, _rest(skeleton))
     p = mo.compute_preshape(pos)
     assert np.max(np.abs(p.mean(axis=0))) < 1e-12
     assert abs(np.linalg.norm(p) - 1.0) < 1e-12
@@ -203,7 +208,7 @@ def _random_sequence(skeleton, rng, frames=5):
 
 
 def _rest_pair(skeleton):
-    return mo.MotionSequence(frames=[mo.rest_frame(skeleton), mo.rest_frame(skeleton)],
+    return mo.MotionSequence(frames=[_rest(skeleton), _rest(skeleton)],
                              fps=30.0, skeleton=skeleton)
 
 
@@ -376,7 +381,7 @@ def test_reference_point_blocks(skeleton):
     six = mo.RepresentationConfig(22, *[True] * 6)
     p = mo.reference_point(six, skeleton)
     blocks = [p[sl] for _, sl in mo.config_to_manifold(six).blocks]
-    rest = mo.compute_preshape(_fk_loop(skeleton, mo.rest_frame(skeleton))).reshape(-1)
+    rest = mo.compute_preshape(_fk_loop(skeleton, _rest(skeleton))).reshape(-1)
     want = [np.zeros(3), np.tile(mo.QUAT_IDENTITY, 22), rest,
             np.zeros(3), np.zeros(4 * 22), np.zeros(3 * 22)]
     assert len(blocks) == len(want)
@@ -411,7 +416,7 @@ def test_frame_joint_count_mismatch(skeleton):
 def test_position_format_velocities(skeleton):
     frames = []
     for i in range(4):
-        f = mo.rest_frame(skeleton)
+        f = _rest(skeleton)
         f.root_translation = np.array([0.1 * i, 0.0, 0.0])
         frames.append(f)
     seq = mo.MotionSequence(frames=frames, fps=30.0, skeleton=skeleton)
@@ -435,7 +440,7 @@ def test_motion_json_roundtrip(skeleton, rng, tmp_path):
 
 def test_load_motion_rejects_bad_norm(skeleton):
     doc = mo.motion_to_dict(
-        mo.MotionSequence(frames=[mo.rest_frame(skeleton)], fps=30.0, skeleton=skeleton)
+        mo.MotionSequence(frames=[_rest(skeleton)], fps=30.0, skeleton=skeleton)
     )
     doc["frames"][0]["rotations"][4] = [0.5, 0.0, 0.0, 0.0]
     with pytest.raises(InvalidConfig, match="frame 0"):
@@ -444,7 +449,7 @@ def test_load_motion_rejects_bad_norm(skeleton):
 
 def test_load_motion_canonicalizes_hemisphere(skeleton, caplog):
     doc = mo.motion_to_dict(
-        mo.MotionSequence(frames=[mo.rest_frame(skeleton)], fps=30.0, skeleton=skeleton)
+        mo.MotionSequence(frames=[_rest(skeleton)], fps=30.0, skeleton=skeleton)
     )
     doc["frames"][0]["rotations"][2] = [-1.0, 0.0, 0.0, 0.0]
     with caplog.at_level("INFO", logger="rmgflow.motion"):
