@@ -297,13 +297,15 @@ def cmd_sample(doc: dict, args) -> int:
         mo.points_to_sequence(np.empty((0, ckpt.manifold.total_ambient_dim)), cfg, skeleton,
                               fps=doc["fps"])
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     points = _sample_points(ckpt, prior, integ, guid, doc["seed"], num_samples,
                             doc["condition"], doc["use_ema"])
+    seq = (mo.points_to_sequence(points, cfg, skeleton, fps=doc["fps"])
+           if doc["output_format"] == "motion" and num_samples > 0 else None)
+    # Created only now, so a sampler or conversion that fails writes nothing.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_jsonl(points, out / "samples.jsonl")
-    if doc["output_format"] == "motion" and num_samples > 0:
-        seq = mo.points_to_sequence(points, cfg, skeleton, fps=doc["fps"])
+    if seq is not None:
         mo.save_motion(seq, out / "samples_motion.json")
     meta = {
         "num_steps": doc["num_steps"],
@@ -394,9 +396,14 @@ def cmd_sweep(doc: dict, args) -> int:
     for i, scale in enumerate(scales):
         _check(scale, float, False, f"sweep.guidance_scales[{i}]")
     sample = _fill(doc["sample"], "sweep.sample")
-    if sample["num_samples"] < 1:
-        raise ConfigError(f"sweep.sample.num_samples must be >= 1, got {sample['num_samples']}")
+    if sample["num_samples"] < 2:
+        raise ConfigError(f"sweep.sample.num_samples must be >= 2, got {sample['num_samples']}")
+    # Checked before --out is created: only numerical failures become rows.
+    configs = [(scale, *_sampler_configs(sample["num_steps"], float(scale), sample["condition"]))
+               for scale in scales]
     scoring = _fill(doc["eval"], "sweep.eval")
+    if scoring["bandwidth"] is not None and not scoring["bandwidth"] > 0:  # NaN fails too
+        raise ConfigError(f"sweep.eval.bandwidth must be positive, got {scoring['bandwidth']}")
     ckpt_path = args.checkpoint or doc["checkpoint"]
     if not ckpt_path:
         raise ConfigError("sweep requires a checkpoint")
@@ -409,17 +416,17 @@ def cmd_sweep(doc: dict, args) -> int:
         raise ConfigError(f"reference has {reference.shape[0]} points; "
                           "MMD needs at least 2 samples per batch")
     modes = _modes(scoring["modes"], m)
+    if modes and not scoring["assign_radius"] >= 0:
+        raise ConfigError(f"sweep.eval.assign_radius must be >= 0, got {scoring['assign_radius']}")
     # Every row scores against the same reference: build its matrix once and
     # hand each row a copy, which evaluate_samples overwrites.
     d_rr = me.pairwise_distance(m, reference, reference)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def run_row(index_scale):
-        index, scale = index_scale
+    def run_row(index, scale, integ, guid):
         seed = doc["seed"] + index
         try:
-            integ, guid = _sampler_configs(sample["num_steps"], float(scale), sample["condition"])
             points = _sample_points(ckpt, prior, integ, guid, seed, sample["num_samples"],
                                     sample["condition"], sample["use_ema"])
             row_dir = out / f"row_{index}"
@@ -436,7 +443,7 @@ def cmd_sweep(doc: dict, args) -> int:
         except RmgError as exc:
             return f"{seed},{float(scale):.12g},,,,,,{type(exc).__name__}: {exc}"
 
-    rows = [run_row(pair) for pair in enumerate(scales)]
+    rows = [run_row(i, *config) for i, config in enumerate(configs)]
     with open(out / "sweep.csv", "w") as fh:
         fh.write(me.CSV_HEADER + ",error\n")
         for row in rows:

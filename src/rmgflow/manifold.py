@@ -19,13 +19,12 @@ maps each factor to its slice of the flat vector, and ``_blocks`` copies
 that slice into contiguous coordinate planes ``(width, *L, multiplicity)``,
 so one formula call covers every copy of the factor and a time broadcasts
 over any block as ``t[..., None]``.  Every per-copy sum over coordinates
-(``_dot`` and ``distance``) adds whole planes in numpy's float64 add-reduce
-order, written once in ``_sum``, so it has the bits of ``np.sum`` over the
-same coordinates held on the last axis.  The public operations walk the
-leading rows in chunks whose blocks stay near ``CHUNK_ELEMENTS`` elements,
-which bounds the temporaries of large or broadcast inputs independently of
-the batch size; the flow module's batch, loss and sampler steps take the
-blocks of a whole batch.
+(``_dot`` and ``distance``) adds whole planes left to right, written once in
+``_sum``, so its bits do not depend on the shape or the chunk of the rows
+it runs on.  The public operations walk the leading rows in chunks whose
+blocks stay near ``CHUNK_ELEMENTS`` elements, which bounds the temporaries
+of large or broadcast inputs independently of the batch size; the flow
+module's batch, loss and sampler steps take the blocks of a whole batch.
 
 ``distance`` has its own kernel, because its outputs (such as an N x M
 distance matrix) are large next to its inputs: each factor copy of both
@@ -199,35 +198,21 @@ class WrappedGaussianSpec:
 
 
 def _sum(n: int, term, out: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """``term(0) + ... + term(n - 1)`` into ``out`` in numpy's float64
-    add-reduce order (``pairwise_sum``): left to right below 8 terms; up to
-    128, 8 interleaved partial sums added as a tree, then the last ``n % 8``
-    terms; beyond 128, two halves, the first a multiple of 8 long.
+    """``term(0) + ... + term(n - 1)`` into ``out``, added left to right.
     ``term(k, buf)`` writes term k into buf and returns it: the first term
-    into ``out``, later ones into the one temporary ``tmp``.  numpy's zero
-    start is left to the caller."""
+    into ``out``, later ones into the one temporary ``tmp``.  A zero start
+    is left to the caller."""
     tmp = np.empty_like(out) if tmp is None else tmp
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        rest = _sum(n - half, lambda k, buf: term(half + k, buf), np.empty_like(out), tmp)
-        return np.add(_sum(half, term, out, tmp), rest, out=out)
-    lanes = [term(k, np.empty_like(out) if k else out) for k in range(8 if n >= 8 else 1)]
-    body = n - n % len(lanes)
-    for k in range(len(lanes), body):
-        lane = lanes[k % len(lanes)]
-        np.add(lane, term(k, tmp), out=lane)
-    if n >= 8:
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            np.add(lanes[a], lanes[b], out=lanes[a])
-    for k in range(body, n):
+    term(0, out)
+    for k in range(1, n):
         np.add(out, term(k, tmp), out=out)
     return out
 
 
 def _dot(x, y):
     """Per-copy inner product of two blocks over their coordinate axis 0, of
-    shape ``(*L, multiplicity)``; bitwise equal to ``np.sum(x * y, axis=-1)``
-    of the same coordinates held on the last axis."""
+    shape ``(*L, multiplicity)``: the products added left to right onto a
+    zero start (below 8 coordinates, the bits of ``np.sum`` on the last axis)."""
     out = np.empty(np.broadcast_shapes(x.shape[1:], y.shape[1:]))
     _sum(len(x), lambda k, buf: np.multiply(x[k], y[k], out=buf), out)
     out += 0.0  # numpy's zero start: an all -0.0 sum reads +0.0
@@ -549,11 +534,10 @@ def distance(m: ManifoldSpec, x, y) -> np.ndarray:
     factor copy of both operands is copied once into contiguous memory.  The
     output is then filled in row blocks of about ``CHUNK_ELEMENTS`` entries,
     spread over a thread pool with one worker per usable CPU (a single block
-    runs inline).  Each copy is summed one coordinate plane at a time in
-    numpy's add-reduce order (``_sum``).  The copy's distance (sqrt, or clip
-    and arccos) is squared and added to the total in copy order.  So every
-    entry has the same bits whatever the shape, the row blocks and the
-    number of CPUs.
+    runs inline).  Each copy is summed one coordinate plane at a time, left
+    to right (``_sum``).  The copy's distance (sqrt, or clip and arccos) is
+    squared and added to the total in copy order.  So every entry has the
+    same bits whatever the shape, the row blocks and the number of CPUs.
     """
     return _distance(m, x, y)
 

@@ -598,21 +598,54 @@ def test_path_key_must_be_a_string(tmp_path, capsys):
     assert "validate.input must be a string" in capsys.readouterr().err
 
 
-def test_sweep_needs_a_sample_per_row(trained, tmp_path, capsys):
-    doc = {"schema": 1, "guidance_scales": [1.0], "sample": {"num_samples": 0},
+@pytest.mark.parametrize("num_samples", [0, 1])
+def test_sweep_needs_a_sample_per_row(trained, tmp_path, capsys, num_samples):
+    # MMD needs 2 samples, so fewer can score no row.
+    doc = {"schema": 1, "guidance_scales": [1.0], "sample": {"num_samples": num_samples},
            "eval": {"reference": "unused.jsonl"}}
     assert _run(tmp_path, "sweep", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
-    assert "num_samples" in capsys.readouterr().err
+    assert "num_samples must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-def test_sweep_unknown_condition_exits_2_before_writing(trained, tmp_path, capsys):
+def _sweep_doc(tmp_path, scales, sample=None, scoring=None):
     m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
     ref = _points_file(tmp_path / "ref.jsonl", m, np.array([0, 0, 0, 1.0, 0, 0, 0]), 40, 5)
-    doc = {"schema": 1, "guidance_scales": [1.0, 3.0],
-           "sample": {"num_samples": 4, "num_steps": 2, "condition": 7},
-           "eval": {"reference": str(ref)}}
+    return {"schema": 1, "guidance_scales": scales,
+            "sample": {"num_samples": 4, "num_steps": 2, "condition": 1, **(sample or {})},
+            "eval": {"reference": str(ref), **(scoring or {})}}
+
+
+@pytest.mark.parametrize("scales, sample, scoring, message", [
+    ([1.0, 3.0], {"condition": 7}, None, "condition indices must lie in [0, 3)"),
+    ([1.0, 3.0], {"num_steps": 0}, None, "num_steps must be an integer >= 1"),
+    ([-1.0], None, None, "guidance scale must be >= 0"),
+    ([1.0], None, {"bandwidth": 0.0}, "bandwidth must be positive"),
+    ([1.0], None, {"modes": [[0, 0, 0, 1.0, 0, 0, 0]], "assign_radius": -1.0},
+     "assign_radius must be >= 0"),
+], ids=["unknown_condition", "num_steps", "negative_scale", "bandwidth", "assign_radius"])
+def test_sweep_bad_config_exits_2_before_writing(trained, tmp_path, capsys, scales, sample,
+                                                  scoring, message):
+    doc = _sweep_doc(tmp_path, scales, sample, scoring)
     assert _run(tmp_path, "sweep", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
-    assert "condition indices must lie in [0, 3)" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_records_numerical_failure_as_row(trained, tmp_path):
+    doc = _sweep_doc(tmp_path, [1.0, 1e308])
+    assert _run(tmp_path, "sweep", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert rows[0].startswith("0,1,") and rows[0].endswith(",")
+    assert rows[1].startswith("1,1e+308,,,,,,NotTangent: tangency defect")
+
+
+def test_sample_numerical_failure_writes_nothing(trained, tmp_path, capsys):
+    doc = {"schema": 1, "num_samples": 4, "num_steps": 2, "condition": 1,
+           "guidance_scale": 1e308}
+    assert _run(tmp_path, "sample", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
+    assert "tangency defect" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -897,3 +930,9 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, data):
         code = cli.main([command, "--config", config, "--out", str(tmp / "out"), *extra])
         assert code in (0, 2, 3)
         assert _open_std_fds() == before
+        if code == 2:  # every check runs before --out is created
+            assert not (tmp / "out").exists()
+        if command == "sweep" and code == 0:  # only numerical failures become rows
+            rows = (tmp / "out" / "sweep.csv").read_text()
+            for name in ("InvalidConfig", "EmptyBatch", "UnknownConditionClass"):
+                assert name not in rows

@@ -200,11 +200,20 @@ def test_exp_rejects_non_finite_tangent(bad, index):
         mf.exp_map(m, x, v)
 
 
+def _oracle_dot(x, y):
+    """Per-copy inner product over the last axis: the products added left to
+    right onto a zero start, kept as a trailing axis of length 1."""
+    acc = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1] + (1,))
+    for k in range(x.shape[-1]):
+        acc += x[..., k:k + 1] * y[..., k:k + 1]
+    return acc
+
+
 @pytest.mark.parametrize("width", [*range(1, 20), 66, 127, 128, 129, 136, 300])
-def test_dot_equals_numpy_reductions(width):
-    # Pins numpy's float64 add-reduce order that _dot writes out over
-    # coordinate planes: left to right onto a zero start below 8 elements, 8
-    # partial sums up to 128, halves beyond.  A numpy that changes it fails here.
+def test_dot_adds_left_to_right(width):
+    # _dot over coordinate planes adds the products left to right onto a zero
+    # start at every width; below 8 that is also numpy's float64 add-reduce
+    # order, so narrow copies keep the bits of np.sum.
     rng = np.random.default_rng(width)
     rows = min(50000, 600000 // width)  # at most about 600k coordinates per operand
     for xs, ys in [((rows,), (rows,)), ((200, 7), (200, 7)),
@@ -213,11 +222,18 @@ def test_dot_equals_numpy_reductions(width):
         x = rng.standard_normal(xs + (width,))
         y = rng.standard_normal(ys + (width,))
         planes_x, planes_y = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
-        assert np.array_equal(mf._dot(planes_x, planes_y), np.sum(x * y, axis=-1))
-        assert np.array_equal(mf._norm(planes_x), np.linalg.norm(x, axis=-1))
-    # every product -0.0: numpy's sum is +0.0, and so must _dot's be
+        got = mf._dot(planes_x, planes_y)
+        assert got.tobytes() == _oracle_dot(x, y)[..., 0].tobytes()
+        assert mf._norm(planes_x).tobytes() == np.sqrt(_oracle_dot(x, x)[..., 0]).tobytes()
+        if width < 8:
+            assert got.tobytes() == np.sum(x * y, axis=-1).tobytes()
+        else:  # one row alone has the bits of that row in contiguous planes
+            batch = mf._dot(np.ascontiguousarray(planes_x), np.ascontiguousarray(planes_y))
+            one = x.reshape(-1, width)[:1].T, y.reshape(-1, width)[:1].T
+            assert mf._dot(*one).tobytes() == batch.reshape(-1)[:1].tobytes()
+    # every product -0.0: the zero start makes the sum +0.0
     neg, one = -np.zeros((3, width)), np.ones((3, width))
-    assert mf._dot(neg.T, one.T).tobytes() == np.sum(neg * one, axis=-1).tobytes()
+    assert mf._dot(neg.T, one.T).tobytes() == np.zeros(3).tobytes()
 
 
 def test_dimension_mismatch():
@@ -423,18 +439,6 @@ def test_public_ops_on_broadcast_shapes_equal_per_point_calls(factors, lead, n, 
 # ---------------------------------------------------------------------------
 
 
-def _oracle_dot(x, y):
-    """Per-copy inner product of the per-factor formula: left to right onto a
-    zero start below 8 coordinates, numpy's pairwise sum from 8 on."""
-    if x.shape[-1] >= 8:
-        return np.sum(x * y, axis=-1, keepdims=True)
-    acc = x[..., 0:1] * y[..., 0:1]
-    for k in range(1, x.shape[-1]):
-        acc += x[..., k:k + 1] * y[..., k:k + 1]
-    acc += 0.0
-    return acc
-
-
 def _oracle_distance(m, x, y):
     """The per-factor distance formula on (..., multiplicity, width) views,
     squares added to the total in copy order."""
@@ -462,8 +466,8 @@ def _bits(a):
 
 
 WIDE_FACTORS = st.one_of(
-    # copy widths 1-12 and 2-12: both sides of numpy's 8 partial sums, and
-    # one of width 151 on its halving
+    # copy widths 1-12 and 2-12, and one of width 151: narrow copies, where
+    # left to right is also numpy's add-reduce order, and wide ones
     st.builds(mf.euclidean, st.integers(1, 12), st.integers(1, 3)),
     st.builds(mf.sphere, st.integers(1, 11), st.integers(1, 3)),
     st.just(mf.sphere(150)),
