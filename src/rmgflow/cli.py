@@ -32,7 +32,7 @@ from . import manifold as mf
 from . import metrics as me
 from . import motion as mo
 from . import net as nn
-from .errors import ConfigError, NonFiniteLoss, RmgError
+from .errors import ConfigError, NonFiniteLoss, NotTangent, RmgError
 
 # ---------------------------------------------------------------------------
 # config schema: key -> (JSON type, default or REQUIRED); null is accepted
@@ -179,17 +179,14 @@ def _read_jsonl(path) -> np.ndarray:
     return points
 
 
-def _modes(modes, m: mf.ManifoldSpec) -> list[np.ndarray] | None:
-    """Mode centers as points of ``m``; None when there are none."""
+def _modes(modes) -> list[np.ndarray] | None:
+    """Mode centers as float arrays; None when there are none."""
     if not modes:
         return None
     try:
-        points = np.asarray(modes, dtype=float)
+        return list(np.asarray(modes, dtype=float))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"modes must be arrays of numbers: {exc}") from exc
-    if points.shape != (len(modes), m.total_ambient_dim):
-        raise ConfigError(f"modes must be points of dimension {m.total_ambient_dim}")
-    return list(points)
 
 
 def _prior(m: mf.ManifoldSpec, cfg: mo.RepresentationConfig, skeleton: mo.Skeleton,
@@ -270,7 +267,8 @@ def _sample_points(ckpt: nn.Checkpoint, prior: mf.WrappedGaussianSpec,
         params = nn.VectorFieldParams(ckpt.net_spec, ckpt.ema.shadow)
     field = nn.field_from_params(params)
     rng = np.random.default_rng(seed)
-    cond_arr = None if condition is None else np.full(num_samples, condition)
+    # A list, not np.full: a negative count must reach sample_ode's own check.
+    cond_arr = None if condition is None else [condition] * num_samples
     return fl.sample_ode(ckpt.manifold, field, prior, integ, guid, cond_arr, rng,
                          num_samples=num_samples)
 
@@ -287,8 +285,6 @@ def cmd_sample(doc: dict, args) -> int:
     if doc["output_format"] not in ("jsonl", "motion"):
         raise ConfigError(f"unknown output_format {doc['output_format']!r}")
     num_samples = doc["num_samples"]
-    if num_samples < 0:
-        raise ConfigError(f"num_samples must be >= 0, got {num_samples}")
     guidance_scale = float(doc["guidance_scale"])
     # Checked before --out is created, so a bad config writes nothing.
     nn._cond_indices(ckpt.net_spec, doc["condition"], 1)  # a dry run checks the class
@@ -376,7 +372,7 @@ def cmd_eval(doc: dict, args) -> int:
     report = me.evaluate_samples(
         m, samples, reference,
         bandwidth=doc["bandwidth"],
-        modes=_modes(doc["modes"], m),
+        modes=_modes(doc["modes"]),
         assign_radius=doc["assign_radius"],
     )
     out = Path(args.out)
@@ -396,14 +392,9 @@ def cmd_sweep(doc: dict, args) -> int:
     for i, scale in enumerate(scales):
         _check(scale, float, False, f"sweep.guidance_scales[{i}]")
     sample = _fill(doc["sample"], "sweep.sample")
-    if sample["num_samples"] < 2:
-        raise ConfigError(f"sweep.sample.num_samples must be >= 2, got {sample['num_samples']}")
-    # Checked before --out is created: only numerical failures become rows.
     configs = [(scale, *_sampler_configs(sample["num_steps"], float(scale), sample["condition"]))
                for scale in scales]
     scoring = _fill(doc["eval"], "sweep.eval")
-    if scoring["bandwidth"] is not None and not scoring["bandwidth"] > 0:  # NaN fails too
-        raise ConfigError(f"sweep.eval.bandwidth must be positive, got {scoring['bandwidth']}")
     ckpt_path = args.checkpoint or doc["checkpoint"]
     if not ckpt_path:
         raise ConfigError("sweep requires a checkpoint")
@@ -412,41 +403,35 @@ def cmd_sweep(doc: dict, args) -> int:
     m = ckpt.manifold
     reference = _read(_read_jsonl, scoring["reference"], "points")
     _check_width("reference", reference, m)
-    if reference.shape[0] < 2:
-        raise ConfigError(f"reference has {reference.shape[0]} points; "
-                          "MMD needs at least 2 samples per batch")
-    modes = _modes(scoring["modes"], m)
-    if modes and not scoring["assign_radius"] >= 0:
-        raise ConfigError(f"sweep.eval.assign_radius must be >= 0, got {scoring['assign_radius']}")
+    score = {"bandwidth": scoring["bandwidth"], "modes": _modes(scoring["modes"]),
+             "assign_radius": scoring["assign_radius"]}
+    me.check_scoring(m, sample["num_samples"], reference.shape[0], **score)
     # Every row scores against the same reference: build its matrix once and
     # hand each row a copy, which evaluate_samples overwrites.
     d_rr = me.pairwise_distance(m, reference, reference)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     def run_row(index, scale, integ, guid):
         seed = doc["seed"] + index
-        try:
+        try:  # only the sampler's numerical failure becomes a row; others end the sweep
             points = _sample_points(ckpt, prior, integ, guid, seed, sample["num_samples"],
                                     sample["condition"], sample["use_ema"])
-            row_dir = out / f"row_{index}"
-            row_dir.mkdir(exist_ok=True)
-            _write_jsonl(points, row_dir / "samples.jsonl")
-            report = me.evaluate_samples(
-                m, points, reference,
-                bandwidth=scoring["bandwidth"],
-                modes=modes,
-                assign_radius=scoring["assign_radius"],
-                reference_distances=d_rr.copy(),
-            )
-            return report.csv_row(seed, float(scale)) + ","
-        except RmgError as exc:
-            return f"{seed},{float(scale):.12g},,,,,,{type(exc).__name__}: {exc}"
+        except NotTangent as exc:
+            return None, f"{seed},{float(scale):.12g},,,,,,{type(exc).__name__}: {exc}"
+        report = me.evaluate_samples(m, points, reference, reference_distances=d_rr.copy(),
+                                     **score)
+        return points, report.csv_row(seed, float(scale)) + ","
 
     rows = [run_row(i, *config) for i, config in enumerate(configs)]
+    # Created only now, so a sweep that fails writes nothing.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for index, (points, _) in enumerate(rows):
+        if points is not None:
+            (out / f"row_{index}").mkdir(exist_ok=True)
+            _write_jsonl(points, out / f"row_{index}" / "samples.jsonl")
     with open(out / "sweep.csv", "w") as fh:
         fh.write(me.CSV_HEADER + ",error\n")
-        for row in rows:
+        for _, row in rows:
             fh.write(row + "\n")
     print(f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
     return 0
@@ -454,8 +439,6 @@ def cmd_sweep(doc: dict, args) -> int:
 
 def cmd_validate(doc: dict, args) -> int:
     tol = float(doc["tolerance"])
-    if not tol >= 0:  # NaN fails too
-        raise ConfigError(f"validate.tolerance must be >= 0, got {tol}")
     seq = _read(partial(mo.load_motion, tol=tol), doc["input"], "motion")
     print(f"{len(seq)} frames valid (tolerance {tol})")
     return 0

@@ -72,7 +72,7 @@ class UnknownConditionClass(RmgError):
 
 
 class NonFiniteLoss(RmgError):
-    """Training produced a NaN or infinite loss."""
+    """Training produced a NaN or infinite loss or gradient norm."""
 
     def __init__(self, step: int):
         super().__init__(f"non-finite loss at step {step}")

@@ -301,13 +301,15 @@ def sample_ode(
     the samples have the same bits on any number of CPUs.  Where no OpenBLAS
     thread setter is found, the blocks run one after another.
     """
+    if num_samples is not None:
+        require_int("num_samples", num_samples, 0)
     if condition is not None:
         condition = np.asarray(condition)
         B = condition.shape[0]
         if num_samples is not None and num_samples != B:
             raise DimensionMismatch("num_samples disagrees with condition batch")
     else:
-        B = 1 if num_samples is None else int(num_samples)
+        B = 1 if num_samples is None else num_samples
     x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
     N = integ.num_steps
     h = integ.step_size

@@ -603,21 +603,19 @@ def point_deviations(m: ManifoldSpec, x) -> list[tuple[int, str, np.ndarray]]:
     """Per-constraint absolute deviations ``(factor_index, name, dev)``.
 
     ``dev`` has shape ``(..., multiplicity)``: one entry per copy of the
-    factor, so deviations of different factors do not stack.
+    factor, so deviations of different factors do not stack.  Each factor's
+    ``_block_view`` is read in place: a reduction needs no copied blocks.
     """
     x = _as_coords(m, x, "x")
-    shape, chunks = _per_factor(m, x)
-    out = {}
-    for rows, factors in chunks:
-        for i, (f, (xs,)) in enumerate(factors):
-            if f.kind == "euclidean":
-                continue
-            devs = {"unit_norm": np.abs(_norm(xs) - 1.0)}
-            if f.kind == "preshape":
-                devs["centroid"] = np.abs(_landmarks(xs, f).mean(axis=0)).max(axis=0)
-            for name, dev in devs.items():
-                out.setdefault((i, name), np.empty((shape or (1,)) + (f.multiplicity,)))[rows] = dev
-    return [(i, name, dev.reshape(shape + dev.shape[-1:])) for (i, name), dev in out.items()]
+    out = []
+    for i, (f, sl) in enumerate(m.blocks):
+        if f.kind == "euclidean":
+            continue
+        xs = _block_view(x, f, sl)
+        out.append((i, "unit_norm", np.abs(_norm(xs) - 1.0)))
+        if f.kind == "preshape":
+            out.append((i, "centroid", np.abs(_landmarks(xs, f).mean(axis=0)).max(axis=0)))
+    return out
 
 
 def max_constraint_deviation(m: ManifoldSpec, x) -> float:

@@ -186,13 +186,23 @@ def median_bandwidth(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> float:
                           pairwise_distance(m, pb, pb))
 
 
-def _check_mmd(a: np.ndarray, b: np.ndarray, bandwidth: Optional[float]) -> None:
-    """Raise unless both sets hold 2 points and the bandwidth, once chosen,
-    is positive."""
-    if a.shape[0] < 2 or b.shape[0] < 2:
-        raise EmptyBatch("MMD needs at least 2 samples per batch")
+def check_scoring(m: mf.ManifoldSpec, num_samples: int, num_reference: int,
+                  bandwidth: Optional[float] = None,
+                  modes: Optional[Sequence[np.ndarray]] = None,
+                  assign_radius: float = 1.0) -> None:
+    """Raise unless ``num_samples`` samples can be scored against
+    ``num_reference`` reference points with this bandwidth (None: the median
+    heuristic's, checked once it is chosen), modes and radius."""
+    if num_samples < 2 or num_reference < 2:
+        raise EmptyBatch(f"MMD needs at least 2 points per set, got {num_samples} samples "
+                         f"and {num_reference} reference points")
     if bandwidth is not None and not bandwidth > 0:  # NaN fails too
-        raise InvalidConfig("bandwidth must be positive")
+        raise InvalidConfig(f"bandwidth must be positive, got {bandwidth}")
+    if modes:
+        if any(np.shape(mode) != (m.total_ambient_dim,) for mode in modes):
+            raise DimensionMismatch(f"modes must be points of dimension {m.total_ambient_dim}")
+        if not assign_radius >= 0:  # NaN fails too
+            raise InvalidConfig(f"assign_radius must be >= 0, got {assign_radius}")
 
 
 def _kernel_mean(d: np.ndarray, s2: float, same_set: bool):
@@ -223,12 +233,12 @@ def geodesic_mmd(
     """Unbiased squared MMD with kernel exp(-d(x,y)^2 / (2 sigma^2))."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    _check_mmd(a, b, bandwidth)
+    check_scoring(m, a.shape[0], b.shape[0], bandwidth)
     return _mmd(pairwise_distance(m, a, a), pairwise_distance(m, b, b),
                 pairwise_distance(m, a, b), bandwidth)
 
 
-def mode_coverage(
+def _mode_coverage(
     m: mf.ManifoldSpec,
     samples: np.ndarray,
     modes: Sequence[np.ndarray],
@@ -236,11 +246,6 @@ def mode_coverage(
 ) -> tuple[np.ndarray, float]:
     """Fraction of samples nearest each mode within the radius, plus the
     outlier fraction; fractions sum to 1 exactly."""
-    if len(modes) == 0:
-        raise InvalidConfig("mode list must be nonempty")
-    if not assign_radius >= 0:  # NaN fails too
-        raise InvalidConfig("assign_radius must be >= 0")
-    samples = np.atleast_2d(samples)
     n = samples.shape[0]
     d = pairwise_distance(m, samples, np.stack([np.asarray(mm) for mm in modes]))
     nearest = d.argmin(axis=1)
@@ -333,11 +338,9 @@ def evaluate_samples(
     """
     samples = np.atleast_2d(samples)
     reference = np.atleast_2d(reference)
-    if samples.shape[0] == 0 or reference.shape[0] == 0:
-        raise EmptyBatch("evaluation needs nonempty sample and reference sets")
-    _check_mmd(samples, reference, bandwidth)
+    check_scoring(m, samples.shape[0], reference.shape[0], bandwidth, modes, assign_radius)
     if modes:
-        mass, outliers = mode_coverage(m, samples, modes, assign_radius)
+        mass, outliers = _mode_coverage(m, samples, modes, assign_radius)
     else:
         mass, outliers = np.array([1.0]), 0.0
     # Each matrix is built once; _mmd overwrites it with its kernel.
@@ -353,7 +356,7 @@ def evaluate_samples(
     if bandwidth is None:
         ia, ib = _pool(samples, reference)
         bandwidth = _pooled_median(d_ss[ia, ia], d_sr[ia, ib], d_rr[ib, ib])
-        _check_mmd(samples, reference, bandwidth)
+        check_scoring(m, samples.shape[0], reference.shape[0], bandwidth)
     nn = float(d_sr.min(axis=1).mean())
     mmd = _mmd(d_ss, d_rr, d_sr, bandwidth)
     return MetricReport(

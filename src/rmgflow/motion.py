@@ -407,6 +407,8 @@ def convert_to_position_format(seq: MotionSequence) -> tuple[np.ndarray, np.ndar
 def load_motion_dict(doc: dict, tol: float = 1e-6) -> MotionSequence:
     """Parse the motion JSON document, rejecting invalid quaternions and
     auto-canonicalizing hemisphere signs (flip count is logged)."""
+    if not tol >= 0:  # NaN fails too
+        raise InvalidConfig(f"tolerance must be >= 0, got {tol}")
     skeleton = Skeleton(
         parents=doc["skeleton"]["parents"],
         rest_offsets=doc["skeleton"]["rest_offsets"],

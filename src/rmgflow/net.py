@@ -162,9 +162,6 @@ class VectorFieldParams:
         # W_out and biases stay zero: the initial field is the zero field.
         return p
 
-    def copy(self) -> "VectorFieldParams":
-        return VectorFieldParams(self.spec, self.flat.copy())
-
 
 def time_features(t, dim: int) -> np.ndarray:
     """Sinusoidal features of the flow time on geometric frequencies."""
@@ -463,10 +460,12 @@ def train(
             cond_dropout_prob=cfg.cond_dropout_prob,
             conditions=None if conditions is None else conditions[idx],
         )
-        loss, grad = loss_and_grad(params, batch, m, out=grad_buffer)
-        if not np.isfinite(loss):
+        # Parameters blown up by a huge step overflow here; NonFiniteLoss reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grad = loss_and_grad(params, batch, m, out=grad_buffer)
+            norm = _grad_norm(grad)
+        if not (np.isfinite(loss) and np.isfinite(norm)):
             raise NonFiniteLoss(step)
-        norm = _grad_norm(grad)
         grad = clip_gradient(grad, cfg.grad_clip_norm, norm)
         lr = lr_at(cfg, step)
         adamw_step(opt, params, grad, lr)

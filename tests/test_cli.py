@@ -17,6 +17,7 @@ from rmgflow import manifold as mf
 from rmgflow import metrics as me
 from rmgflow import motion as mo
 from rmgflow import net as nn
+from rmgflow.errors import InvalidConfig
 
 
 def write_json(path, doc):
@@ -376,7 +377,7 @@ def test_sweep_unusable_reference_exits_2_before_sampling(trained, tmp_path, cap
     assert code == 2
     err = capsys.readouterr().err
     assert ("reference dimension 6 does not match the manifold (7)" in err if cut == "column"
-            else "reference has 1 points" in err)
+            else "got 10 samples and 1 reference points" in err)
     assert not out.exists()  # no row was sampled
 
 
@@ -576,11 +577,13 @@ def test_non_finite_toy_task_exits_2(tmp_path, capsys, recwarn, field, value):
     assert not recwarn.list
 
 
-def test_negative_num_samples_exits_2(trained, tmp_path, capsys):
-    code = _run(tmp_path, "sample", {"schema": 1, "num_samples": -1},
+@pytest.mark.parametrize("condition", [None, 1])
+def test_negative_num_samples_exits_2(trained, tmp_path, capsys, condition):
+    code = _run(tmp_path, "sample", {"schema": 1, "num_samples": -1, "condition": condition},
                 "--checkpoint", str(trained / "checkpoint.rmg"))
     assert code == 2
-    assert "num_samples" in capsys.readouterr().err
+    assert "num_samples must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key,value", [("num_steps", "x"), ("use_ema", "no"),
@@ -601,10 +604,10 @@ def test_path_key_must_be_a_string(tmp_path, capsys):
 @pytest.mark.parametrize("num_samples", [0, 1])
 def test_sweep_needs_a_sample_per_row(trained, tmp_path, capsys, num_samples):
     # MMD needs 2 samples, so fewer can score no row.
-    doc = {"schema": 1, "guidance_scales": [1.0], "sample": {"num_samples": num_samples},
-           "eval": {"reference": "unused.jsonl"}}
+    doc = _sweep_doc(tmp_path, [1.0], {"num_samples": num_samples})
     assert _run(tmp_path, "sweep", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
-    assert "num_samples must be >= 2" in capsys.readouterr().err
+    assert f"MMD needs at least 2 points per set, got {num_samples} samples" in \
+        capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -641,11 +644,41 @@ def test_sweep_records_numerical_failure_as_row(trained, tmp_path):
     assert rows[1].startswith("1,1e+308,,,,,,NotTangent: tangency defect")
 
 
+def test_sweep_scoring_failure_exits_2_writing_nothing(trained, tmp_path, monkeypatch, capsys):
+    """A row that fails other than numerically ends the sweep: no error row,
+    and no samples of the rows before it."""
+    evaluate, calls = me.evaluate_samples, []
+
+    def fail_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise InvalidConfig("scoring failed")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(me, "evaluate_samples", fail_second)
+    doc = _sweep_doc(tmp_path, [1.0, 3.0])
+    assert _run(tmp_path, "sweep", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
+    assert "scoring failed" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_sample_numerical_failure_writes_nothing(trained, tmp_path, capsys):
     doc = {"schema": 1, "num_samples": 4, "num_steps": 2, "condition": 1,
            "guidance_scale": 1e308}
     assert _run(tmp_path, "sample", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
     assert "tangency defect" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_diverging_train_exits_3_writing_nothing(tmp_path, capsys):
+    """A huge learning rate overflows the second step: exit 3 with one error
+    line, also with RuntimeWarnings raised as errors, as in this suite."""
+    doc = json.loads(json.dumps(TRAIN_DOC))
+    doc["network"].update(hidden_dim=8, num_layers=1)
+    doc["train"] = {"total_steps": 5, "batch_size": 4, "max_lr": 1e300, "warmup_ratio": 0.0}
+    assert _run(tmp_path, "train", doc) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: non-finite loss at step 1"]
     assert not (tmp_path / "out").exists()
 
 

@@ -190,10 +190,10 @@ def test_mode_coverage_sums_to_one(toy_manifold, toy_means, rng):
     a, b = toy_means
     ga = mf.WrappedGaussianSpec(m, a, 0.1)
     x = mf.sample_wrapped_gaussian(m, ga, rng, size=100)
-    mass, outliers = me.mode_coverage(m, x, [a, b], assign_radius=1.0)
+    mass, outliers = me._mode_coverage(m, x, [a, b], assign_radius=1.0)
     assert mass[0] > 0.95 and mass[1] == 0.0
     assert abs(mass.sum() + outliers - 1.0) < 1e-12
-    mass, outliers = me.mode_coverage(m, x, [a, b], assign_radius=1e-6)
+    mass, outliers = me._mode_coverage(m, x, [a, b], assign_radius=1e-6)
     assert outliers > 0.95
 
 
@@ -279,7 +279,7 @@ def _separate_matrices_report(m, samples, reference, bandwidth, modes, assign_ra
     mmd = float((kss.sum() - np.trace(kss)) / (n * (n - 1))
                 + (krr.sum() - np.trace(krr)) / (mm * (mm - 1))
                 - 2.0 * (ksr.sum() / (n * mm)))
-    mass, outliers = (me.mode_coverage(m, samples, modes, assign_radius) if modes
+    mass, outliers = (me._mode_coverage(m, samples, modes, assign_radius) if modes
                       else (np.array([1.0]), 0.0))
     nn_mean = float(me.pairwise_distance(m, samples, reference).min(axis=1).mean())
     return {"mmd": mmd, "per_mode_mass": [float(x) for x in mass],
@@ -351,10 +351,19 @@ def test_evaluate_samples_takes_reference_matrix(toy_manifold, rng):
     lambda: fl.GuidanceConfig(scale=float("nan")),
     lambda: mf.WrappedGaussianSpec(mf.ManifoldSpec([mf.sphere(2)]), [0.0, 0.0, 1.0],
                                    float("nan")),
-    lambda: me.mode_coverage(mf.ManifoldSpec([mf.sphere(2)]), [[0.0, 0.0, 1.0]],
-                             [np.array([0.0, 0.0, 1.0])], float("nan")),
+    lambda: me.check_scoring(mf.ManifoldSpec([mf.sphere(2)]), 2, 2,
+                             modes=[np.array([0.0, 0.0, 1.0])], assign_radius=float("nan")),
+    lambda: mo.load_motion_dict({  # a quaternion of norm 2
+        "fps": 30.0, "skeleton": {"parents": [-1], "rest_offsets": [[0.0, 0.0, 0.0]]},
+        "frames": [{"root_translation": [0.0, 0.0, 0.0], "rotations": [[2.0, 0.0, 0.0, 0.0]]}],
+    }, tol=float("nan")),
+    lambda: fl.sample_ode(mf.ManifoldSpec([mf.sphere(2)]), None,
+                          mf.WrappedGaussianSpec(mf.ManifoldSpec([mf.sphere(2)]),
+                                                 [0.0, 0.0, 1.0], 1.0),
+                          fl.IntegratorConfig(1), fl.GuidanceConfig(), None,
+                          np.random.default_rng(0), num_samples=-1),
 ], ids=["max_lr", "grad_clip_norm", "weight_decay", "fps", "guidance", "prior_scale",
-        "assign_radius"])
+        "assign_radius", "tolerance", "num_samples"])
 def test_nan_fails_range_checks(build):
     with pytest.raises(InvalidConfig):
         build()
