@@ -1,16 +1,19 @@
 """Command-line entry point: train / sample / convert / eval / sweep / validate.
 
-Every command reads a JSON config (``{"schema": 1, ...}``) and writes its
-artifacts into ``--out``.  ``SCHEMA`` declares each top-level key once, with
-its JSON type and default; a section that configures a dataclass
-(``representation``, ``network``, ``train``, ``task`` and its components, the
-factors of an eval ``manifold``) takes that dataclass's fields, types and
-defaults.  Unknown keys, missing required keys and values of the wrong JSON
-type are rejected.  ``main`` loads and fills the config once and calls
-``cmd_<command>(doc, args)``.  A command whose config has a ``seed`` key
-(train, sample, eval, sweep) takes ``--seed``, which replaces that key;
-``sample`` and ``sweep`` take ``--checkpoint``.  Outputs are bitwise
-deterministic given config + seed.
+Every command reads a JSON config (``{"schema": 1, ...}``).  ``SCHEMA``
+declares each top-level key once, with its JSON type and default; a section
+that configures a dataclass (``representation``, ``network``, ``train``,
+``task`` and its components, the factors of an eval ``manifold``) takes that
+dataclass's fields, types and defaults.  Unknown keys, missing required keys
+and values of the wrong JSON type are rejected.  ``main`` loads and fills the
+config once and calls ``cmd_<command>(doc, args)``, which returns
+``(summary, files)``: a one-line summary and an ordered dict from each
+artifact's path under ``--out`` to its writer ``write(path)``.  Only then
+does ``main`` create ``--out`` and call the writers, so a command that fails
+writes nothing.  A command whose config has a ``seed`` key (train, sample,
+eval, sweep) takes ``--seed``, which replaces that key; ``sample`` and
+``sweep`` take ``--checkpoint``.  Outputs are bitwise deterministic given
+config + seed.
 Exit codes: 0 success, 2 configuration or validation error (an input file
 that cannot be read or parsed included), 3 non-finite training loss.
 """
@@ -161,10 +164,13 @@ def _write_json(doc, path, indent=None) -> None:
         json.dump(doc, fh, indent=indent)
 
 
-def _write_jsonl(points: np.ndarray, path) -> None:
+def _write_lines(lines, path) -> None:
     with open(path, "w") as fh:
-        for row in np.atleast_2d(points).tolist():
-            fh.write(json.dumps(row) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_jsonl(points: np.ndarray, path) -> None:
+    _write_lines((json.dumps(row) for row in np.atleast_2d(points).tolist()), path)
 
 
 def _read_jsonl(path) -> np.ndarray:
@@ -223,7 +229,7 @@ def _toy_task(d: dict, cfg: mo.RepresentationConfig, skeleton: mo.Skeleton) -> m
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(doc: dict, args) -> int:
+def cmd_train(doc: dict, args) -> tuple[str, dict]:
     cfg = _build(mo.RepresentationConfig, doc["representation"], "train.representation")
     skeleton = _skeleton(doc["skeleton"])
     m = mo.config_to_manifold(cfg)
@@ -240,18 +246,15 @@ def cmd_train(doc: dict, args) -> int:
     data, conditions = me.generate_toy_dataset(task, m, data_rng)
 
     result = nn.train(train_cfg, net_spec, m, data, prior, conditions)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    nn.save_checkpoint(
-        out / "checkpoint.rmg", net_spec, train_cfg, m, result.params, result.ema,
-        step=train_cfg.total_steps, rng_state=result.rng_state,
-        extra={"representation": cfg.to_json_dict(), "prior_scale": doc["prior_scale"],
-               "skeleton": skeleton.to_json_dict()},
-    )
-    nn.history_to_csv(result.history, out / "losses.csv")
-    print(f"trained {train_cfg.total_steps} steps; wrote {out / 'checkpoint.rmg'}")
-    return 0
+    return f"trained {train_cfg.total_steps} steps", {
+        "checkpoint.rmg": partial(
+            nn.save_checkpoint, net_spec=net_spec, train_cfg=train_cfg, m=m,
+            params=result.params, ema=result.ema, step=train_cfg.total_steps,
+            rng_state=result.rng_state,
+            extra={"representation": cfg.to_json_dict(), "prior_scale": doc["prior_scale"],
+                   "skeleton": skeleton.to_json_dict()}),
+        "losses.csv": partial(nn.history_to_csv, result.history),
+    }
 
 
 def _sampler_configs(num_steps: int, guidance_scale: float, condition):
@@ -273,7 +276,7 @@ def _sample_points(ckpt: nn.Checkpoint, prior: mf.WrappedGaussianSpec,
                          num_samples=num_samples)
 
 
-def cmd_sample(doc: dict, args) -> int:
+def cmd_sample(doc: dict, args) -> tuple[str, dict]:
     if not args.checkpoint:
         raise ConfigError("sample requires --checkpoint")
     ckpt, cfg, skeleton, prior = _read(_load_model, args.checkpoint, "checkpoint")
@@ -286,7 +289,8 @@ def cmd_sample(doc: dict, args) -> int:
         raise ConfigError(f"unknown output_format {doc['output_format']!r}")
     num_samples = doc["num_samples"]
     guidance_scale = float(doc["guidance_scale"])
-    # Checked before --out is created, so a bad config writes nothing.
+    # Checked before sampling, which would otherwise find a bad setting
+    # late or, with no samples, not at all.
     nn._cond_indices(ckpt.net_spec, doc["condition"], 1)  # a dry run checks the class
     integ, guid = _sampler_configs(doc["num_steps"], guidance_scale, doc["condition"])
     if doc["output_format"] == "motion":  # a dry run checks fps, rotations and skeleton
@@ -295,55 +299,39 @@ def cmd_sample(doc: dict, args) -> int:
 
     points = _sample_points(ckpt, prior, integ, guid, doc["seed"], num_samples,
                             doc["condition"], doc["use_ema"])
-    seq = (mo.points_to_sequence(points, cfg, skeleton, fps=doc["fps"])
-           if doc["output_format"] == "motion" and num_samples > 0 else None)
-    # Created only now, so a sampler or conversion that fails writes nothing.
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(points, out / "samples.jsonl")
-    if seq is not None:
-        mo.save_motion(seq, out / "samples_motion.json")
-    meta = {
-        "num_steps": doc["num_steps"],
-        "guidance_scale": guidance_scale,
-        "seed": doc["seed"],
-        "num_samples": num_samples,
-        "condition": doc["condition"],
-        "use_ema": doc["use_ema"],
-    }
-    _write_json(meta, out / "metadata.json", indent=1)
-    print(f"wrote {num_samples} samples to {out / 'samples.jsonl'}")
-    return 0
+    files = {"samples.jsonl": partial(_write_jsonl, points)}
+    if doc["output_format"] == "motion" and num_samples > 0:
+        seq = mo.points_to_sequence(points, cfg, skeleton, fps=doc["fps"])
+        files["samples_motion.json"] = partial(mo.save_motion, seq)
+    files["metadata.json"] = partial(_write_json, {
+        "num_steps": doc["num_steps"], "guidance_scale": guidance_scale, "seed": doc["seed"],
+        "num_samples": num_samples, "condition": doc["condition"], "use_ema": doc["use_ema"],
+    }, indent=1)
+    return f"sampled {num_samples} points", files
 
 
-def cmd_convert(doc: dict, args) -> int:
+def cmd_convert(doc: dict, args) -> tuple[str, dict]:
     target = doc["target"]
     if target == "rmg-point":
         cfg = _build(mo.RepresentationConfig, doc["representation"], "convert.representation")
         points = mo.sequence_to_points(_read(mo.load_motion, doc["input"], "motion"), cfg)
-        name, what = "points.jsonl", f"{points.shape[0]} points"
-        write = partial(_write_jsonl, points)
-    elif target == "positions":
+        return f"converted {points.shape[0]} frames to points", {
+            "points.jsonl": partial(_write_jsonl, points)}
+    if target == "positions":
         seq = _read(mo.load_motion, doc["input"], "motion")
         positions, velocities = mo.convert_to_position_format(seq)
-        name, what = "positions.json", f"positions for {len(seq)} frames"
-        write = partial(_write_json, {"fps": seq.fps, "positions": positions.tolist(),
-                                      "position_velocities": velocities.tolist()})
-    elif target == "motion":
+        return f"converted {len(seq)} frames to positions", {
+            "positions.json": partial(_write_json, {
+                "fps": seq.fps, "positions": positions.tolist(),
+                "position_velocities": velocities.tolist()})}
+    if target == "motion":
         cfg = _build(mo.RepresentationConfig, doc["representation"], "convert.representation")
         skeleton = _skeleton(doc["skeleton"])
         points = _read(_read_jsonl, doc["input"], "points")
         seq = mo.points_to_sequence(points, cfg, skeleton, fps=doc["fps"])
-        name, what = "motion.json", f"motion with {len(seq)} frames"
-        write = partial(mo.save_motion, seq)
-    else:
-        raise ConfigError(f"unknown convert target {target!r}")
-    # Created only now, so an input or target that fails writes nothing.
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write(out / name)
-    print(f"wrote {what} to {out / name}")
-    return 0
+        return f"converted {len(seq)} points to motion", {
+            "motion.json": partial(mo.save_motion, seq)}
+    raise ConfigError(f"unknown convert target {target!r}")
 
 
 def _eval_manifold(doc: dict) -> mf.ManifoldSpec:
@@ -363,7 +351,7 @@ def _check_width(name: str, points: np.ndarray, m: mf.ManifoldSpec) -> None:
                           f"the manifold ({m.total_ambient_dim})")
 
 
-def cmd_eval(doc: dict, args) -> int:
+def cmd_eval(doc: dict, args) -> tuple[str, dict]:
     m = _eval_manifold(doc)
     samples = _read(_read_jsonl, doc["samples"], "points")
     reference = _read(_read_jsonl, doc["reference"], "points")
@@ -375,17 +363,14 @@ def cmd_eval(doc: dict, args) -> int:
         modes=_modes(doc["modes"]),
         assign_radius=doc["assign_radius"],
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(report.to_json_dict(), out / "report.json", indent=1)
-    with open(out / "report.csv", "w") as fh:
-        fh.write(me.CSV_HEADER + "\n")
-        fh.write(report.csv_row(doc["seed"], doc["guidance_scale"]) + "\n")
-    print(f"mmd={report.mmd:.6g} -> {out / 'report.json'}")
-    return 0
+    return f"mmd={report.mmd:.6g}", {
+        "report.json": partial(_write_json, report.to_json_dict(), indent=1),
+        "report.csv": partial(_write_lines, [
+            me.CSV_HEADER, report.csv_row(doc["seed"], doc["guidance_scale"])]),
+    }
 
 
-def cmd_sweep(doc: dict, args) -> int:
+def cmd_sweep(doc: dict, args) -> tuple[str, dict]:
     scales = doc["guidance_scales"]
     if not scales:
         raise ConfigError("sweep config requires a nonempty 'guidance_scales' list")
@@ -422,26 +407,16 @@ def cmd_sweep(doc: dict, args) -> int:
         return points, report.csv_row(seed, float(scale)) + ","
 
     rows = [run_row(i, *config) for i, config in enumerate(configs)]
-    # Created only now, so a sweep that fails writes nothing.
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for index, (points, _) in enumerate(rows):
-        if points is not None:
-            (out / f"row_{index}").mkdir(exist_ok=True)
-            _write_jsonl(points, out / f"row_{index}" / "samples.jsonl")
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write(me.CSV_HEADER + ",error\n")
-        for _, row in rows:
-            fh.write(row + "\n")
-    print(f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
-    return 0
+    files = {f"row_{index}/samples.jsonl": partial(_write_jsonl, points)
+             for index, (points, _) in enumerate(rows) if points is not None}
+    files["sweep.csv"] = partial(_write_lines, [me.CSV_HEADER + ",error", *(r for _, r in rows)])
+    return f"swept {len(rows)} guidance scales", files
 
 
-def cmd_validate(doc: dict, args) -> int:
+def cmd_validate(doc: dict, args) -> tuple[str, dict]:
     tol = float(doc["tolerance"])
     seq = _read(partial(mo.load_motion, tol=tol), doc["input"], "motion")
-    print(f"{len(seq)} frames valid (tolerance {tol})")
-    return 0
+    return f"{len(seq)} frames valid (tolerance {tol})", {}
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +449,13 @@ def main(argv=None) -> int:
                 raise ConfigError(f"seed must be >= 0, got {doc['seed']}")
         # Looked up at call time, so a tracer that replaces a module
         # attribute cmd_* wraps the command that runs.
-        return globals()[f"cmd_{args.command}"](doc, args)
+        summary, files = globals()[f"cmd_{args.command}"](doc, args)
+        out = Path(args.out)
+        for name, write in files.items():
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            write(out / name)
+        print(f"{summary}; wrote {', '.join(files)} to {out}" if files else summary)
+        return 0
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -193,12 +193,12 @@ def _euler_pass(m: mf.ManifoldSpec, xb, ab, a0b, scale: float, h: float) -> list
     """One guided geodesic Euler step on the contiguous blocks of ``mf._blocks``.
 
     Per factor: project the field ``ab`` to v; given the null-condition field
-    ``a0b`` (passed only when scale != 1), project it to v0 and take v0 at
-    scale 0, else ``project(v0 + scale (v - v0))``, the classifier-free
-    combination; scale by h, then shoot along the geodesic with
-    ``mf._shoot``, which rejects a step whose tangency defect exceeds
-    ``TANGENT_REJECT`` (so any non-finite field).  It has the bits of the
-    test oracle ``_sample_ode_chain`` (``tests/test_flow.py``): per step
+    ``a0b`` (passed only when scale is neither 0 nor 1), project it to v0 and
+    take ``project(v0 + scale (v - v0))``, the classifier-free combination;
+    scale by h, then shoot along the geodesic with ``mf._shoot``, which
+    rejects a step whose tangency defect exceeds ``TANGENT_REJECT`` (so any
+    non-finite field).  It has the bits of the test oracle
+    ``_sample_ode_chain`` (``tests/test_flow.py``): per step
     ``project_tangent``, that combination and ``exp_map(x, h v)``.
     """
     out = []
@@ -209,7 +209,7 @@ def _euler_pass(m: mf.ManifoldSpec, xb, ab, a0b, scale: float, h: float) -> list
             v = project(a)
             if a0b is not None:
                 v0 = project(a0b[i])
-                v = v0 if scale == 0.0 else project(v0 + scale * (v - v0))
+                v = project(v0 + scale * (v - v0))
             v = h * v
         out.append(mf._shoot(f, x, v))
     return out
@@ -289,8 +289,9 @@ def sample_ode(
     ``field(x, t, condition)`` returns ambient vectors; they are projected,
     optionally guidance-combined against a null-condition evaluation, and
     stepped with geodesic Euler updates, one ``_euler_pass`` per step.
-    scale == 1 skips the second field evaluation so guided and unguided runs
-    agree bitwise.
+    scale == 1 skips the null-condition evaluation, so guided and unguided
+    runs agree bitwise; scale == 0 evaluates only the null-condition field,
+    which is then the whole combination.
 
     After the prior draw the rows are cut into blocks of
     ``SAMPLE_BLOCK_ROWS``, and each block integrates all steps on its own.
@@ -320,11 +321,13 @@ def sample_ode(
         n = x.shape[0]
         cond = None if condition is None else condition[rows]
         null_cond = np.full(n, NULL_CLASS) if use_guidance else None
+        if use_guidance and guid.scale == 0.0:
+            cond, null_cond = null_cond, None
         xb = mf._blocks(m, x)
         for k in range(N):
             t = k / N
             ab = _field_blocks(m, field, x, t, cond)
-            a0b = _field_blocks(m, field, x, t, null_cond) if use_guidance else None
+            a0b = None if null_cond is None else _field_blocks(m, field, x, t, null_cond)
             xb = _euler_pass(m, xb, ab, a0b, guid.scale, h)
             x = mf._unblock(m, xb, (n,))
         return x

@@ -198,7 +198,7 @@ def check_scoring(m: mf.ManifoldSpec, num_samples: int, num_reference: int,
                          f"and {num_reference} reference points")
     if bandwidth is not None and not bandwidth > 0:  # NaN fails too
         raise InvalidConfig(f"bandwidth must be positive, got {bandwidth}")
-    if modes:
+    if modes is not None and len(modes):
         if any(np.shape(mode) != (m.total_ambient_dim,) for mode in modes):
             raise DimensionMismatch(f"modes must be points of dimension {m.total_ambient_dim}")
         if not assign_radius >= 0:  # NaN fails too
@@ -339,7 +339,7 @@ def evaluate_samples(
     samples = np.atleast_2d(samples)
     reference = np.atleast_2d(reference)
     check_scoring(m, samples.shape[0], reference.shape[0], bandwidth, modes, assign_radius)
-    if modes:
+    if modes is not None and len(modes):
         mass, outliers = _mode_coverage(m, samples, modes, assign_radius)
     else:
         mass, outliers = np.array([1.0]), 0.0

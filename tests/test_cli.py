@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from rmgflow import manifold as mf
 from rmgflow import metrics as me
 from rmgflow import motion as mo
 from rmgflow import net as nn
-from rmgflow.errors import InvalidConfig
+from rmgflow.errors import InvalidConfig, NonFiniteLoss
 
 
 def write_json(path, doc):
@@ -729,6 +730,88 @@ def test_removed_keys_are_rejected(trained, tmp_path, capsys, command, key):
                 "--checkpoint", str(trained / "checkpoint.rmg"))
     assert code == 2
     assert f"unknown key '{key}' in {command}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# commands compute, main writes
+# ---------------------------------------------------------------------------
+
+
+def test_commands_leave_writing_to_main():
+    """No cmd_* reads args.out, creates a directory or opens a file: each
+    returns its writers, and main alone creates --out and calls them."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    commands = [f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert len(commands) == 6
+    for func in commands:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("out", "mkdir"), f"{func.name} uses .{node.attr}"
+            if isinstance(node, ast.Name):
+                assert node.id != "open", f"{func.name} calls open"
+
+
+def _write_case(tmp_path, trained, command):
+    """(config doc, extra argv, expected files, library call that fails last, its error)."""
+    if command == "train":
+        return TRAIN_DOC, [], {"checkpoint.rmg", "losses.csv"}, (nn, "train"), NonFiniteLoss
+    if command == "sample":  # on a skeleton of as many joints as the representation
+        (tmp_path / "chain").mkdir()
+        _, chain = _train_on_chain(tmp_path / "chain", {"joints": 3, "translation": True,
+                                                        "rotations": True})
+        doc = {"schema": 1, "num_samples": 3, "num_steps": 2, "output_format": "motion"}
+        return (doc, ["--checkpoint", chain], {"samples.jsonl", "samples_motion.json",
+                                               "metadata.json"},
+                (mo, "points_to_sequence"), InvalidConfig)
+    if command == "convert":
+        rep = {"joints": 22, "translation": True, "rotations": True}
+        cfg = mo.RepresentationConfig(**rep)
+        points = _points_file(tmp_path / "p.jsonl", mo.config_to_manifold(cfg),
+                              mo.reference_point(cfg, mo.default_skeleton()), 3, 0)
+        doc = {"schema": 1, "input": str(points), "target": "motion", "representation": rep}
+        return doc, [], {"motion.json"}, (mo, "points_to_sequence"), InvalidConfig
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
+    if command == "eval":
+        mean = np.array([0, 0, 0, 1.0, 0, 0, 0])
+        doc = {"schema": 1, "manifold": m.to_json_dict(),
+               "samples": str(_points_file(tmp_path / "a.jsonl", m, mean, 20, 0)),
+               "reference": str(_points_file(tmp_path / "b.jsonl", m, mean, 20, 1))}
+        return doc, [], {"report.json", "report.csv"}, (me, "evaluate_samples"), InvalidConfig
+    doc = _sweep_doc(tmp_path, [0.0, 1.0, 2.5])
+    files = {"sweep.csv", "row_0/samples.jsonl", "row_1/samples.jsonl", "row_2/samples.jsonl"}
+    return (doc, ["--checkpoint", str(trained / "checkpoint.rmg")], files,
+            (me, "evaluate_samples"), InvalidConfig)
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "convert", "eval", "sweep"])
+def test_exit_0_writes_its_files_and_exit_2_or_3_writes_none(trained, tmp_path, monkeypatch,
+                                                              command):
+    """Exit 0 writes exactly the command's files, with the same bytes on a
+    second run; when its last library call fails, it writes no --out."""
+    doc, extra, files, (module, name), error = _write_case(tmp_path, trained, command)
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    written = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert cli.main([command, "--config", cfg, "--out", str(out), *extra]) == 0
+        names = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert names == files
+        written.append({n: (out / n).read_bytes() for n in files})
+    assert written[0] == written[1]
+
+    real = getattr(module, name)
+
+    def fail_late(first, *args, **kwargs):  # a dry run on no points still passes
+        if isinstance(first, np.ndarray) and first.size == 0:
+            return real(first, *args, **kwargs)
+        raise error("failed last")
+
+    monkeypatch.setattr(module, name, fail_late)
+    out = tmp_path / "failed"
+    code = cli.main([command, "--config", cfg, "--out", str(out), *extra])
+    assert code == (3 if error is NonFiniteLoss else 2)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,11 @@ def test_sample_ode_guidance_scale_one_bitwise(toy_manifold):
     assert len(calls) == 2 * n_calls  # no extra null-condition evaluations
 
 
-def test_sample_ode_guidance_evaluates_null_branch(toy_manifold):
+@pytest.mark.parametrize("scale, conditional_calls", [(4.0, 5), (0.0, 0)])
+def test_sample_ode_guidance_evaluates_null_branch(toy_manifold, scale, conditional_calls):
+    """Five steps evaluate the null class once each, and the condition once
+    each too, except at scale 0: there the combination is the null-condition
+    field alone."""
     m = toy_manifold
     prior = _prior(m)
     seen = []
@@ -332,9 +336,10 @@ def test_sample_ode_guidance_evaluates_null_branch(toy_manifold):
         return np.zeros_like(x)
 
     fl.sample_ode(m, field, prior, fl.IntegratorConfig(5),
-                  fl.GuidanceConfig(scale=4.0, enabled=True), np.full(2, 1),
+                  fl.GuidanceConfig(scale=scale, enabled=True), np.full(2, 1),
                   np.random.default_rng(0))
-    assert seen.count(1) == 5 and seen.count(fl.NULL_CLASS) == 5
+    assert seen.count(1) == conditional_calls and seen.count(fl.NULL_CLASS) == 5
+    assert len(seen) == 5 + conditional_calls
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +349,9 @@ def test_sample_ode_guidance_evaluates_null_branch(toy_manifold):
 
 def _sample_ode_chain(m, field, prior, integ, guid, condition, rng, num_samples=None):
     """Reference sampler on whole arrays: per step project_tangent, the
-    classifier-free combination (v0 at scale 0, else the projection of
-    v0 + scale (v - v0)), then exp_map(x, h v), as the sampler composed them
-    before its fused pass."""
+    classifier-free combination (at scale 0 the null-condition field alone,
+    else the projection of v0 + scale (v - v0)), then exp_map(x, h v), as
+    the sampler composed them before its fused pass."""
     if condition is not None:
         condition = np.asarray(condition)
         B = condition.shape[0]
@@ -358,10 +363,11 @@ def _sample_ode_chain(m, field, prior, integ, guid, condition, rng, num_samples=
     null_cond = np.full(B, fl.NULL_CLASS) if use_guidance else None
     for k in range(N):
         t = k / N
-        v = mf.project_tangent(m, x, np.asarray(field(x, t, condition), dtype=float))
-        if use_guidance:
+        cond = null_cond if use_guidance and guid.scale == 0.0 else condition
+        v = mf.project_tangent(m, x, np.asarray(field(x, t, cond), dtype=float))
+        if use_guidance and guid.scale != 0.0:
             v0 = mf.project_tangent(m, x, np.asarray(field(x, t, null_cond), dtype=float))
-            v = v0 if guid.scale == 0.0 else mf.project_tangent(m, x, v0 + guid.scale * (v - v0))
+            v = mf.project_tangent(m, x, v0 + guid.scale * (v - v0))
         x = mf.exp_map(m, x, integ.step_size * v)
     return x
 

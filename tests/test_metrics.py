@@ -343,6 +343,22 @@ def test_evaluate_samples_takes_reference_matrix(toy_manifold, rng):
         me.evaluate_samples(m, samples, reference, reference_distances=d_rr[:-1])
 
 
+def test_modes_as_one_array(rng):
+    """A (K, D) array of modes scores like the list of its rows; a (K, D + 1)
+    array is rejected as points of the wrong dimension."""
+    m = mf.ManifoldSpec([mf.sphere(2)])
+    x = mf.random_point(m, rng, size=4)
+    modes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    report = me.evaluate_samples(m, x, x, modes=modes)
+    assert report.to_json_dict() == me.evaluate_samples(m, x, x, modes=list(modes)).to_json_dict()
+    me.check_scoring(m, 4, 4, modes=modes)
+    wide = np.zeros((2, 4))
+    with pytest.raises(DimensionMismatch):
+        me.check_scoring(m, 4, 4, modes=wide)
+    with pytest.raises(DimensionMismatch):
+        me.evaluate_samples(m, x, x, modes=wide)
+
+
 @pytest.mark.parametrize("build", [
     lambda: nn.TrainConfig(total_steps=1, max_lr=float("nan")),
     lambda: nn.TrainConfig(total_steps=1, grad_clip_norm=float("nan")),
