@@ -35,7 +35,7 @@ from . import manifold as mf
 from . import metrics as me
 from . import motion as mo
 from . import net as nn
-from .errors import ConfigError, NonFiniteLoss, NotTangent, RmgError
+from .errors import InvalidConfig, NonFiniteLoss, NotTangent, RmgError
 
 # ---------------------------------------------------------------------------
 # config schema: key -> (JSON type, default or REQUIRED); null is accepted
@@ -79,8 +79,8 @@ def _check(value, typ: type, nullable: bool, where: str) -> None:
     if isinstance(value, (int, float) if typ is float else typ) and (
             typ is bool or not isinstance(value, bool)):
         return
-    raise ConfigError(f"{where} must be {_JSON_NAMES[typ]}{' or null' if nullable else ''}, "
-                      f"got {json.dumps(value)}")
+    raise InvalidConfig(f"{where} must be {_JSON_NAMES[typ]}{' or null' if nullable else ''}, "
+                        f"got {json.dumps(value)}")
 
 
 def _fill(doc, ctx: str, schema: dict | None = None) -> dict:
@@ -90,14 +90,14 @@ def _fill(doc, ctx: str, schema: dict | None = None) -> dict:
     _check(doc, dict, False, ctx)
     for key in doc:
         if key not in schema:
-            raise ConfigError(f"unknown key '{key}' in {ctx}")
+            raise InvalidConfig(f"unknown key '{key}' in {ctx}")
     out = {}
     for key, (typ, default) in schema.items():
         if key in doc:
             _check(doc[key], typ, default is None, f"{ctx}.{key}")
             out[key] = doc[key]
         elif default is REQUIRED:
-            raise ConfigError(f"{ctx} requires '{key}'")
+            raise InvalidConfig(f"{ctx} requires '{key}'")
         else:
             out[key] = default
     return out
@@ -124,7 +124,7 @@ def _build(cls, d, ctx: str, **fixed):
     try:
         return cls(**kwargs, **fixed)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
+        raise InvalidConfig(f"{ctx}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +134,11 @@ def _build(cls, d, ctx: str, **fixed):
 
 def _read(parse, path, what: str):
     """``parse(path)``, with an input that cannot be read or parsed turned
-    into a ConfigError."""
+    into an InvalidConfig."""
     try:
         return parse(path)
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+        raise InvalidConfig(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _json_file(path):
@@ -149,7 +149,7 @@ def _json_file(path):
 def _load_config(path, command: str) -> dict:
     doc = _read(_json_file, path, "config")
     if not isinstance(doc, dict) or doc.pop("schema", None) != 1:
-        raise ConfigError("config must be a JSON object declaring \"schema\": 1")
+        raise InvalidConfig("config must be a JSON object declaring \"schema\": 1")
     return _fill(doc, command)
 
 
@@ -192,7 +192,7 @@ def _modes(modes) -> list[np.ndarray] | None:
     try:
         return list(np.asarray(modes, dtype=float))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"modes must be arrays of numbers: {exc}") from exc
+        raise InvalidConfig(f"modes must be arrays of numbers: {exc}") from exc
 
 
 def _prior(m: mf.ManifoldSpec, cfg: mo.RepresentationConfig, skeleton: mo.Skeleton,
@@ -202,12 +202,15 @@ def _prior(m: mf.ManifoldSpec, cfg: mo.RepresentationConfig, skeleton: mo.Skelet
 
 
 def _load_model(path):
-    """A trained checkpoint with its representation, skeleton and prior."""
+    """A trained checkpoint with its representation, skeleton and prior;
+    its manifold must be the representation's."""
     ckpt = nn.load_checkpoint(path)
     header = ckpt.header
     cfg = mo.RepresentationConfig.from_json_dict(header["representation"])
-    skeleton = (mo.Skeleton.from_json_dict(header["skeleton"]) if "skeleton" in header
-                else mo.default_skeleton())
+    if mo.config_to_manifold(cfg) != ckpt.manifold:
+        raise InvalidConfig(f"checkpoint manifold does not match its representation "
+                            f"{cfg.to_json_dict()}")
+    skeleton = mo.Skeleton.from_json_dict(header["skeleton"])
     return ckpt, cfg, skeleton, _prior(ckpt.manifold, cfg, skeleton, header["prior_scale"])
 
 
@@ -232,6 +235,8 @@ def _toy_task(d: dict, cfg: mo.RepresentationConfig, skeleton: mo.Skeleton) -> m
 def cmd_train(doc: dict, args) -> tuple[str, dict]:
     cfg = _build(mo.RepresentationConfig, doc["representation"], "train.representation")
     skeleton = _skeleton(doc["skeleton"])
+    if doc["skeleton"] is not None:  # a named skeleton must fit; the bundled one need not
+        mo._check_skeleton(skeleton, cfg)
     m = mo.config_to_manifold(cfg)
     net_spec = _build(nn.NetworkSpec, doc["network"], "train.network",
                       input_dim=m.total_ambient_dim)
@@ -248,9 +253,7 @@ def cmd_train(doc: dict, args) -> tuple[str, dict]:
     result = nn.train(train_cfg, net_spec, m, data, prior, conditions)
     return f"trained {train_cfg.total_steps} steps", {
         "checkpoint.rmg": partial(
-            nn.save_checkpoint, net_spec=net_spec, train_cfg=train_cfg, m=m,
-            params=result.params, ema=result.ema, step=train_cfg.total_steps,
-            rng_state=result.rng_state,
+            nn.save_checkpoint, train_cfg=train_cfg, m=m, result=result,
             extra={"representation": cfg.to_json_dict(), "prior_scale": doc["prior_scale"],
                    "skeleton": skeleton.to_json_dict()}),
         "losses.csv": partial(nn.history_to_csv, result.history),
@@ -278,15 +281,15 @@ def _sample_points(ckpt: nn.Checkpoint, prior: mf.WrappedGaussianSpec,
 
 def cmd_sample(doc: dict, args) -> tuple[str, dict]:
     if not args.checkpoint:
-        raise ConfigError("sample requires --checkpoint")
+        raise InvalidConfig("sample requires --checkpoint")
     ckpt, cfg, skeleton, prior = _read(_load_model, args.checkpoint, "checkpoint")
     if doc["representation"] is not None:
         asked = _build(mo.RepresentationConfig, doc["representation"], "sample.representation")
         if asked != cfg:
-            raise ConfigError(f"representation does not match the checkpoint's "
-                              f"{cfg.to_json_dict()}")
+            raise InvalidConfig(f"representation does not match the checkpoint's "
+                                f"{cfg.to_json_dict()}")
     if doc["output_format"] not in ("jsonl", "motion"):
-        raise ConfigError(f"unknown output_format {doc['output_format']!r}")
+        raise InvalidConfig(f"unknown output_format {doc['output_format']!r}")
     num_samples = doc["num_samples"]
     guidance_scale = float(doc["guidance_scale"])
     # Checked before sampling, which would otherwise find a bad setting
@@ -331,7 +334,7 @@ def cmd_convert(doc: dict, args) -> tuple[str, dict]:
         seq = mo.points_to_sequence(points, cfg, skeleton, fps=doc["fps"])
         return f"converted {len(seq)} points to motion", {
             "motion.json": partial(mo.save_motion, seq)}
-    raise ConfigError(f"unknown convert target {target!r}")
+    raise InvalidConfig(f"unknown convert target {target!r}")
 
 
 def _eval_manifold(doc: dict) -> mf.ManifoldSpec:
@@ -342,13 +345,13 @@ def _eval_manifold(doc: dict) -> mf.ManifoldSpec:
     if doc["representation"] is not None:
         return mo.config_to_manifold(
             _build(mo.RepresentationConfig, doc["representation"], "eval.representation"))
-    raise ConfigError("eval config requires 'manifold' or 'representation'")
+    raise InvalidConfig("eval config requires 'manifold' or 'representation'")
 
 
 def _check_width(name: str, points: np.ndarray, m: mf.ManifoldSpec) -> None:
     if points.size and points.shape[1] != m.total_ambient_dim:
-        raise ConfigError(f"{name} dimension {points.shape[1]} does not match "
-                          f"the manifold ({m.total_ambient_dim})")
+        raise InvalidConfig(f"{name} dimension {points.shape[1]} does not match "
+                            f"the manifold ({m.total_ambient_dim})")
 
 
 def cmd_eval(doc: dict, args) -> tuple[str, dict]:
@@ -373,7 +376,7 @@ def cmd_eval(doc: dict, args) -> tuple[str, dict]:
 def cmd_sweep(doc: dict, args) -> tuple[str, dict]:
     scales = doc["guidance_scales"]
     if not scales:
-        raise ConfigError("sweep config requires a nonempty 'guidance_scales' list")
+        raise InvalidConfig("sweep config requires a nonempty 'guidance_scales' list")
     for i, scale in enumerate(scales):
         _check(scale, float, False, f"sweep.guidance_scales[{i}]")
     sample = _fill(doc["sample"], "sweep.sample")
@@ -382,7 +385,7 @@ def cmd_sweep(doc: dict, args) -> tuple[str, dict]:
     scoring = _fill(doc["eval"], "sweep.eval")
     ckpt_path = args.checkpoint or doc["checkpoint"]
     if not ckpt_path:
-        raise ConfigError("sweep requires a checkpoint")
+        raise InvalidConfig("sweep requires a checkpoint")
     ckpt, _, _, prior = _read(_load_model, ckpt_path, "checkpoint")
     nn._cond_indices(ckpt.net_spec, sample["condition"], 1)  # checked once, not per row
     m = ckpt.manifold
@@ -446,7 +449,7 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 doc["seed"] = args.seed
             if doc["seed"] < 0:
-                raise ConfigError(f"seed must be >= 0, got {doc['seed']}")
+                raise InvalidConfig(f"seed must be >= 0, got {doc['seed']}")
         # Looked up at call time, so a tracer that replaces a module
         # attribute cmd_* wraps the command that runs.
         summary, files = globals()[f"cmd_{args.command}"](doc, args)

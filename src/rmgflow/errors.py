@@ -25,7 +25,7 @@ class DomainError(RmgError):
 
 
 class InvalidConfig(RmgError):
-    """A configuration object violates its invariants."""
+    """A configuration object or file violates its invariants."""
 
 
 def require_int(name: str, value, minimum: int) -> None:
@@ -81,7 +81,3 @@ class NonFiniteLoss(RmgError):
 
 class EmptyBatch(RmgError):
     """An estimator received an empty sample batch."""
-
-
-class ConfigError(RmgError):
-    """A command configuration file failed validation."""

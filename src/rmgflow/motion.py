@@ -409,10 +409,7 @@ def load_motion_dict(doc: dict, tol: float = 1e-6) -> MotionSequence:
     auto-canonicalizing hemisphere signs (flip count is logged)."""
     if not tol >= 0:  # NaN fails too
         raise InvalidConfig(f"tolerance must be >= 0, got {tol}")
-    skeleton = Skeleton(
-        parents=doc["skeleton"]["parents"],
-        rest_offsets=doc["skeleton"]["rest_offsets"],
-    )
+    skeleton = Skeleton.from_json_dict(doc["skeleton"])
     frames = []
     flips = 0
     for i, fr in enumerate(doc["frames"]):

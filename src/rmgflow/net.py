@@ -114,7 +114,6 @@ class VectorFieldParams:
 
     def __init__(self, spec: NetworkSpec, flat: np.ndarray | None = None):
         self.spec = spec
-        self.layout: list[tuple[str, int, int]] = []
         sizes = self._shapes(spec)
         total = sum(int(np.prod(s)) for _, s in sizes)
         if flat is None:
@@ -128,7 +127,6 @@ class VectorFieldParams:
         for name, shape in sizes:
             n = int(np.prod(shape))
             self.views[name] = self.flat[off : off + n].reshape(shape)
-            self.layout.append((name, off, n))
             off += n
 
     @staticmethod
@@ -396,11 +394,7 @@ def adamw_step(
 @dataclass
 class EmaState:
     shadow: np.ndarray
-    decay: float = 0.999
-
-    def __post_init__(self):
-        if not 0.0 <= self.decay <= 1.0:
-            raise InvalidConfig("ema decay must lie in [0, 1]")
+    decay: float = 0.999  # TrainConfig checks the range
 
 
 def ema_update(ema: EmaState, params: VectorFieldParams) -> None:
@@ -487,34 +481,19 @@ def field_from_params(params: VectorFieldParams) -> fl.VelocityField:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(
-    path,
-    net_spec: NetworkSpec,
-    train_cfg: TrainConfig,
-    m: mf.ManifoldSpec,
-    params: VectorFieldParams,
-    ema: EmaState,
-    step: int,
-    rng_state: dict | None = None,
-    extra: dict | None = None,
-) -> None:
+def save_checkpoint(path, train_cfg: TrainConfig, m: mf.ManifoldSpec, result: TrainResult,
+                    extra: dict | None = None) -> None:
+    """The header, each fact once (the spec and ``train`` fix the parameter
+    count, layout and EMA decay), then the parameter and EMA blobs."""
     header = {
         "schema": 1,
-        "network": net_spec.to_json_dict(),
+        "network": result.params.spec.to_json_dict(),
         "train": train_cfg.to_json_dict(),
         "manifold": m.to_json_dict(),
-        "step": step,
-        "rng_state": rng_state,
-        "param_layout": [
-            {"name": name, "offset": off, "len": n} for name, off, n in params.layout
-        ],
-        "param_count": params.count,
-        "ema_decay": ema.decay,
-        "blobs": ["params", "ema"],
+        "rng_state": result.rng_state,
+        **(extra or {}),
     }
-    if extra:
-        header.update(extra)
-    blobs = params.flat.astype("<f8").tobytes() + ema.shadow.astype("<f8").tobytes()
+    blobs = result.params.flat.astype("<f8").tobytes() + result.ema.shadow.astype("<f8").tobytes()
     header["blob_sha256"] = hashlib.sha256(blobs).hexdigest()
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
@@ -529,32 +508,31 @@ class Checkpoint:
     manifold: mf.ManifoldSpec
     params: VectorFieldParams
     ema: EmaState
-    step: int
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; exactly two blobs of ``param_count`` float64 values
-    must follow the header line, and match its ``blob_sha256`` when the
-    header records one (older checkpoints do not)."""
+    """Read a ``"schema": 1`` header line, then the parameter and EMA blobs,
+    each as long as the network spec's parameter vector; they must match the
+    header's ``blob_sha256``, and a missing digest is a mismatch."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         blobs = fh.read()
-    spec = NetworkSpec.from_json_dict(header["network"])
-    count = header["param_count"]
-    if len(blobs) != 2 * 8 * count:
-        raise ShapeMismatch(f"checkpoint holds {len(blobs)} blob bytes, expected {16 * count}")
-    if "blob_sha256" in header and hashlib.sha256(blobs).hexdigest() != header["blob_sha256"]:
+    if not isinstance(header, dict) or header.get("schema") != 1:
+        raise InvalidConfig('checkpoint header must be a JSON object declaring "schema": 1')
+    if hashlib.sha256(blobs).hexdigest() != header.get("blob_sha256"):
         raise ChecksumMismatch("checkpoint blobs do not match the header's blob_sha256")
-    flat = np.frombuffer(blobs, dtype="<f8", count=count).astype(float)
-    shadow = np.frombuffer(blobs, dtype="<f8", count=count, offset=8 * count).astype(float)
+    if len(blobs) % 16:
+        raise ShapeMismatch(f"checkpoint holds {len(blobs)} blob bytes, not two equal blobs")
+    spec = NetworkSpec.from_json_dict(header["network"])
+    train_cfg = TrainConfig.from_json_dict(header["train"])
+    flat, shadow = np.frombuffer(blobs, dtype="<f8").astype(float).reshape(2, -1)
     return Checkpoint(
         header=header,
         net_spec=spec,
-        train_cfg=TrainConfig.from_json_dict(header["train"]),
+        train_cfg=train_cfg,
         manifold=mf.ManifoldSpec.from_json_dict(header["manifold"]),
-        params=VectorFieldParams(spec, flat),
-        ema=EmaState(shadow=shadow, decay=header["ema_decay"]),
-        step=header["step"],
+        params=VectorFieldParams(spec, flat),  # ShapeMismatch unless spec has len(flat)
+        ema=EmaState(shadow=shadow, decay=train_cfg.ema_decay),
     )
 
 

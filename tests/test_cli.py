@@ -140,21 +140,13 @@ def rotation_free(tmp_path_factory):
                              {"joints": 3, "translation": True, "preshape": True})
 
 
-@pytest.fixture(scope="module")
-def mismatched(tmp_path_factory):
-    """22-joint translation + rotations trained on the three-joint chain:
-    training needs no skeleton, rebuilding motion frames does."""
-    return _chain_checkpoint(tmp_path_factory, "mismatched",
-                             {"joints": 22, "translation": True, "rotations": True})
-
-
 @pytest.mark.parametrize("num_samples", [0, 3])
 @pytest.mark.parametrize("bad, checkpoint", [
     ({"num_steps": 0}, "trained"),
     ({"guidance_scale": -1.0}, "trained"),
     ({"output_format": "motion", "fps": 0.0}, "chain_pose"),
     ({"output_format": "motion"}, "rotation_free"),
-    ({"output_format": "motion"}, "mismatched"),
+    ({"output_format": "motion"}, "trained"),  # one joint on the bundled 22-joint skeleton
     ({"representation": {"joints": 1, "d_translation": True, "rotations": True}}, "trained"),
     ({"condition": 3}, "trained"),
     ({"condition": -1}, "trained"),
@@ -465,15 +457,18 @@ def test_ragged_points_file_exits_2(tmp_path, capsys):
     assert "ragged.jsonl" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncate", "short_ema", "trailing", "header"])
+@pytest.mark.parametrize("damage", ["truncate", "short_ema", "trailing", "header", "schema"])
 def test_damaged_checkpoint_exits_2(trained, tmp_path, damage):
     blob = (trained / "checkpoint.rmg").read_bytes()
     blob = {"truncate": blob[:-4], "short_ema": blob[:-8], "trailing": blob + bytes(8),
-            "header": b"{not json\n" + blob.partition(b"\n")[2]}[damage]
+            "header": b"{not json\n" + blob.partition(b"\n")[2],
+            "schema": blob.replace(b'{"schema": 1,', b'{"schema": 2,', 1)}[damage]
+    assert blob != (trained / "checkpoint.rmg").read_bytes()
     ckpt = tmp_path / "checkpoint.rmg"
     ckpt.write_bytes(blob)
     doc = {"schema": 1, "use_ema": False}  # a short EMA blob is caught on load
     assert _run(tmp_path, "sample", doc, "--checkpoint", str(ckpt)) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_flipped_checkpoint_blob_byte_exits_2(trained, tmp_path, capsys):
@@ -488,13 +483,69 @@ def test_flipped_checkpoint_blob_byte_exits_2(trained, tmp_path, capsys):
     assert "blob_sha256" in capsys.readouterr().err
 
 
-def test_checkpoint_without_digest_loads(trained, tmp_path):
+def _edited_checkpoint(trained, tmp_path, edit):
+    """The trained checkpoint with its header replaced by ``edit(header)``."""
     head, _, blobs = (trained / "checkpoint.rmg").read_bytes().partition(b"\n")
-    header = json.loads(head)
-    del header["blob_sha256"]
     ckpt = tmp_path / "checkpoint.rmg"
-    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blobs)
-    assert _run(tmp_path, "sample", {"schema": 1}, "--checkpoint", str(ckpt)) == 0
+    ckpt.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + blobs)
+    return str(ckpt)
+
+
+def test_train_writes_each_header_fact_once(trained):
+    header = json.loads((trained / "checkpoint.rmg").read_bytes().partition(b"\n")[0])
+    assert list(header) == ["schema", "network", "train", "manifold", "rng_state",
+                            "representation", "prior_scale", "skeleton", "blob_sha256"]
+
+
+def test_checkpoint_without_digest_exits_2(trained, tmp_path, capsys):
+    ckpt = _edited_checkpoint(trained, tmp_path,
+                              lambda h: {k: v for k, v in h.items() if k != "blob_sha256"})
+    assert _run(tmp_path, "sample", {"schema": 1}, "--checkpoint", ckpt) == 2
+    assert "blob_sha256" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _with_redundant_keys(header):
+    """A header in the earlier format, which also recorded the step, the
+    parameter layout and count, the EMA decay and the blob names."""
+    spec = nn.NetworkSpec.from_json_dict(header["network"])
+    params = nn.VectorFieldParams(spec)
+    layout, offset = [], 0
+    for name, view in params.views.items():
+        layout.append({"name": name, "offset": offset, "len": view.size})
+        offset += view.size
+    first = ("schema", "network", "train", "manifold")
+    return {**{k: header[k] for k in first}, "step": header["train"]["total_steps"],
+            "rng_state": header["rng_state"], "param_layout": layout,
+            "param_count": params.count, "ema_decay": header["train"]["ema_decay"],
+            "blobs": ["params", "ema"],
+            **{k: v for k, v in header.items() if k not in first + ("rng_state",)}}
+
+
+def test_checkpoint_with_redundant_keys_samples_the_same_bytes(trained, tmp_path):
+    old = _edited_checkpoint(trained, tmp_path, _with_redundant_keys)
+    cfg = write_json(tmp_path / "s.json", {"schema": 1, "num_samples": 5, "num_steps": 4,
+                                           "condition": 1, "guidance_scale": 2.0})
+    outs = []
+    for name, ckpt in (("old", old), ("new", str(trained / "checkpoint.rmg"))):
+        assert cli.main(["sample", "--config", cfg, "--out", str(tmp_path / name),
+                         "--checkpoint", ckpt]) == 0
+        outs.append((tmp_path / name / "samples.jsonl").read_bytes())
+    assert outs[0] == outs[1] and outs[0]
+
+
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_checkpoint_manifold_of_equal_width_exits_2(trained, tmp_path, capsys, command):
+    """Same width as the representation's R^3 x S^3, but flat: sampling on it
+    would leave the quaternion norms free."""
+    ckpt = _edited_checkpoint(trained, tmp_path, lambda h: {
+        **h, "manifold": mf.ManifoldSpec([mf.euclidean(7)]).to_json_dict()})
+    doc = ({"schema": 1, "num_samples": 3} if command == "sample"
+           else _sweep_doc(tmp_path, [1.0]))
+    assert _run(tmp_path, command, doc, "--checkpoint", ckpt) == 2
+    assert "manifold does not match" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 
 @pytest.mark.parametrize("section, field", [("manifold", "multiplicity"),
@@ -834,6 +885,15 @@ def _train_on_chain(tmp_path, representation):
            "train": {"total_steps": 0}}
     assert _run(tmp_path, "train", doc) == 0
     return cfg, str(tmp_path / "out" / "checkpoint.rmg")
+
+
+def test_train_on_a_skeleton_file_of_other_joint_count_exits_2(tmp_path, capsys, monkeypatch):
+    """Its checkpoint could never write motion, so train stops before training."""
+    monkeypatch.setattr(nn, "train", lambda *a, **k: pytest.fail("training started"))
+    doc = dict(TRAIN_DOC, skeleton=write_json(tmp_path / "chain.json", CHAIN))
+    assert _run(tmp_path, "train", doc) == 2
+    assert "skeleton has 3 joints, config has 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sample_prior_uses_training_skeleton(tmp_path):

@@ -38,10 +38,9 @@ def _toy_setup(batch=8, seed=0):
 def test_param_views_alias_flat():
     p = nn.VectorFieldParams(SPEC)
     p.views["b0"][:] = 7.0
-    name, off, n = next(t for t in p.layout if t[0] == "b0")
-    assert np.all(p.flat[off : off + n] == 7.0)
-    total = sum(n for _, _, n in p.layout)
-    assert total == p.count
+    assert np.count_nonzero(p.flat == 7.0) == SPEC.hidden_dim
+    assert all(np.shares_memory(view, p.flat) for view in p.views.values())
+    assert sum(view.size for view in p.views.values()) == p.count
 
 
 def test_param_count_formula():
@@ -394,17 +393,15 @@ def test_checkpoint_roundtrip(tmp_path):
     cfg, spec, m, data, prior = _train_small(steps=4)
     result = nn.train(cfg, spec, m, data, prior)
     path = tmp_path / "ckpt.rmg"
-    nn.save_checkpoint(path, spec, cfg, m, result.params, result.ema, step=4,
-                       rng_state=result.rng_state, extra={"tag": "x"})
+    nn.save_checkpoint(path, cfg, m, result, extra={"tag": "x"})
     ck = nn.load_checkpoint(path)
     assert np.array_equal(ck.params.flat, result.params.flat)
     assert np.array_equal(ck.ema.shadow, result.ema.shadow)
     assert ck.net_spec == spec
     assert ck.train_cfg == cfg
     assert ck.manifold == m
-    assert ck.step == 4 and ck.header["tag"] == "x"
-    layout = {e["name"]: (e["offset"], e["len"]) for e in ck.header["param_layout"]}
-    assert layout["b_out"][1] == 7
+    assert ck.ema.decay == cfg.ema_decay
+    assert ck.header["tag"] == "x" and ck.header["rng_state"] == result.rng_state
 
 
 def test_checkpoint_bitwise_stable(tmp_path):
@@ -412,7 +409,7 @@ def test_checkpoint_bitwise_stable(tmp_path):
     result = nn.train(cfg, spec, m, data, prior)
     p1, p2 = tmp_path / "a.rmg", tmp_path / "b.rmg"
     for p in (p1, p2):
-        nn.save_checkpoint(p, spec, cfg, m, result.params, result.ema, step=4)
+        nn.save_checkpoint(p, cfg, m, result)
     assert p1.read_bytes() == p2.read_bytes()
 
 
