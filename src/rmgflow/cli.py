@@ -15,7 +15,8 @@ eval, sweep) takes ``--seed``, which replaces that key; ``sample`` and
 ``sweep`` take ``--checkpoint``.  Outputs are bitwise deterministic given
 config + seed.
 Exit codes: 0 success, 2 configuration or validation error (an input file
-that cannot be read or parsed included), 3 non-finite training loss.
+that cannot be read or parsed included, and a run too large for the
+memory), 3 non-finite training loss.
 """
 
 from __future__ import annotations
@@ -160,8 +161,11 @@ def _skeleton(path) -> mo.Skeleton:
 
 
 def _write_json(doc, path, indent=None) -> None:
+    """``json.dump``'s bytes in one write: ``json.dump`` writes chunk by chunk
+    from CPython's pure-Python encoder, and ``json.dumps`` runs the C encoder
+    when there is no indent."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=indent)
+        fh.write(json.dumps(doc, indent=indent))
 
 
 def _write_lines(lines, path) -> None:
@@ -174,9 +178,11 @@ def _write_jsonl(points: np.ndarray, path) -> None:
 
 
 def _read_jsonl(path) -> np.ndarray:
-    """Points, one flat JSON array per line; ragged rows raise ValueError."""
+    """Points, one flat JSON array per line; ragged rows raise ValueError.
+    Each row becomes an array as it is read, so the Python floats of only one
+    line are alive at a time."""
     with open(path) as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+        rows = [np.asarray(json.loads(line), dtype=float) for line in fh if line.strip()]
     if not rows:
         return np.empty((0, 0))
     points = np.asarray(rows, dtype=float)
@@ -394,9 +400,6 @@ def cmd_sweep(doc: dict, args) -> tuple[str, dict]:
     score = {"bandwidth": scoring["bandwidth"], "modes": _modes(scoring["modes"]),
              "assign_radius": scoring["assign_radius"]}
     me.check_scoring(m, sample["num_samples"], reference.shape[0], **score)
-    # Every row scores against the same reference: build its matrix once and
-    # hand each row a copy, which evaluate_samples overwrites.
-    d_rr = me.pairwise_distance(m, reference, reference)
 
     def run_row(index, scale, integ, guid):
         seed = doc["seed"] + index
@@ -405,8 +408,7 @@ def cmd_sweep(doc: dict, args) -> tuple[str, dict]:
                                     sample["condition"], sample["use_ema"])
         except NotTangent as exc:
             return None, f"{seed},{float(scale):.12g},,,,,,{type(exc).__name__}: {exc}"
-        report = me.evaluate_samples(m, points, reference, reference_distances=d_rr.copy(),
-                                     **score)
+        report = me.evaluate_samples(m, points, reference, **score)
         return points, report.csv_row(seed, float(scale)) + ","
 
     rows = [run_row(i, *config) for i, config in enumerate(configs)]
@@ -464,6 +466,9 @@ def main(argv=None) -> int:
         return 3
     except (RmgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
 
 

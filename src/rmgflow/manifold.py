@@ -26,12 +26,13 @@ blocks stay near ``CHUNK_ELEMENTS`` elements, which bounds the temporaries
 of large or broadcast inputs independently of the batch size; the flow
 module's batch, loss and sampler steps take the blocks of a whole batch.
 
-``distance`` has its own kernel, because its outputs (such as an N x M
-distance matrix) are large next to its inputs: each factor copy of both
-operands is copied once from its block into contiguous planes, and the
-output is filled in row blocks of about ``CHUNK_ELEMENTS`` entries, one
-block at a time on each usable CPU.  The arithmetic of every entry is fixed,
-so the bits do not depend on the shape, the blocks or the number of CPUs.
+``distance`` has its own kernel (``_copy_distance``), because its outputs
+(such as an N x M distance matrix) are large next to its inputs: each factor
+copy of both operands is copied once from its block into contiguous planes
+(``_copies``), and the output is filled in row blocks of about
+``CHUNK_ELEMENTS`` entries, one block at a time on each usable CPU.  The
+arithmetic of every entry is fixed, so the bits do not depend on the shape,
+the blocks or the number of CPUs.
 """
 
 from __future__ import annotations
@@ -526,6 +527,47 @@ def _map_blocks(run, blocks: Sequence, parallel: bool = True) -> list:
     return [fut.result() for fut in futures]
 
 
+def _copies(m: ManifoldSpec, a: np.ndarray) -> list[np.ndarray]:
+    """Each factor copy of ``a`` (leading shape L), in order, as a
+    ``(width, *L)`` view of its block."""
+    return [c for f, sl in m.blocks for c in np.moveaxis(_block_view(a, f, sl), -1, 0)]
+
+
+def _copy_distance(m: ManifoldSpec, x: Sequence[np.ndarray], y: Sequence[np.ndarray],
+                   out: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Geodesic distances between the points whose ``_copies`` are the
+    planes x and y, which broadcast to ``out``'s shape, written into out;
+    ``acc`` and ``tmp`` are scratch of that shape.  Each copy is summed one
+    coordinate plane at a time, left to right (``_sum``); its distance
+    (sqrt, or clip and arccos) is squared and the copies are added in order,
+    so every entry has the same bits whatever the shape of the planes.  The
+    arithmetic is symmetric in its operands (x y = y x, (y - x)^2 =
+    (x - y)^2), so swapping x and y keeps the bits too."""
+    kinds = [f.kind == "euclidean" for f in m.factors for _ in range(f.multiplicity)]
+
+    def copy(c, buf):
+        xa, ya, euclid = x[c], y[c], kinds[c]
+
+        def term(k, b):
+            if not euclid:
+                return np.multiply(xa[k], ya[k], out=b)
+            np.subtract(ya[k], xa[k], out=b)
+            return np.multiply(b, b, out=b)
+
+        _sum(len(xa), term, buf, tmp)
+        # _dot's zero start is left out: it only turns a -0.0 sum into
+        # +0.0, and sqrt(-0.0)**2 and arccos(-0.0) equal those of +0.0.
+        if euclid:
+            np.sqrt(buf, out=buf)
+        else:
+            np.clip(buf, -1.0, 1.0, out=buf)
+            np.arccos(buf, out=buf)
+        return np.multiply(buf, buf, out=buf)
+
+    _sum(len(kinds), copy, out, acc)
+    return np.sqrt(out, out=out)
+
+
 def distance(m: ManifoldSpec, x, y) -> np.ndarray:
     """Product geodesic distance (factor-wise Pythagorean combination).
 
@@ -534,65 +576,24 @@ def distance(m: ManifoldSpec, x, y) -> np.ndarray:
     factor copy of both operands is copied once into contiguous memory.  The
     output is then filled in row blocks of about ``CHUNK_ELEMENTS`` entries,
     spread over a thread pool with one worker per usable CPU (a single block
-    runs inline).  Each copy is summed one coordinate plane at a time, left
-    to right (``_sum``).  The copy's distance (sqrt, or clip and arccos) is
-    squared and added to the total in copy order.  So every entry has the
-    same bits whatever the shape, the row blocks and the number of CPUs.
+    runs inline), by ``_copy_distance``, so every entry has the same bits
+    whatever the shape, the row blocks and the number of CPUs.
     """
-    return _distance(m, x, y)
-
-
-def _distance(m: ManifoldSpec, x, y, symmetric: bool = False) -> np.ndarray:
-    """``distance``; with ``symmetric``, x is ``p[:, None]`` and y is
-    ``p[None]`` of one (N, D) array p, and each row block fills only its
-    entries on and right of the diagonal and mirrors the rest of its columns
-    below it.  Every entry keeps its bits: the per-copy arithmetic is
-    symmetric in its operands (x y = y x, (y - x)^2 = (x - y)^2)."""
     x = _as_coords(m, x, "x")
     y = _as_coords(m, y, "y")
     shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
     if not shape:  # one pair: give it a row axis
-        return _distance(m, x[None], y[None])[0]
-    total = np.zeros(shape)
-    kinds = [f.kind == "euclidean" for f in m.factors for _ in range(f.multiplicity)]
-    # Each factor copy of both operands, copied from its _block_view into
-    # contiguous (width, ...) coordinate planes.
-    xc, yc = ([np.ascontiguousarray(c) for f, sl in m.blocks
-               for c in np.moveaxis(_block_view(a, f, sl), -1, 0)] for a in (x, y))
+        return distance(m, x[None], y[None])[0]
+    total = np.empty(shape)
+    xc, yc = ([np.ascontiguousarray(c) for c in _copies(m, a)] for a in (x, y))
     # Operands that do not span the leading axis broadcast across it whole.
     x_rows, y_rows = (a.ndim == len(shape) + 1 and a.shape[0] > 1 for a in (x, y))
 
     def run(rows: slice) -> None:
-        out = total[rows, rows.start:] if symmetric else total[rows]
-        # Contiguous scratch carved from a buffer sized for a whole block, so
-        # the shorter rows of a triangle do not fragment the heap.
-        n = out.size
-        scratch = np.empty(2 * total[rows].size)
-        acc, tmp = scratch[:n].reshape(out.shape), scratch[n:2 * n].reshape(out.shape)
-        for euclid, xa, ya in zip(kinds, xc, yc):
-            if symmetric:  # the columns from the diagonal on
-                ya = ya[..., rows.start:]
-
-            def term(k, buf):
-                xk, yk = xa[k][rows] if x_rows else xa[k], ya[k][rows] if y_rows else ya[k]
-                if not euclid:
-                    return np.multiply(xk, yk, out=buf)
-                np.subtract(yk, xk, out=buf)
-                return np.multiply(buf, buf, out=buf)
-
-            _sum(len(xa), term, acc, tmp)
-            # _dot's zero start is left out: it only turns a -0.0 sum into
-            # +0.0, and sqrt(-0.0)**2 and arccos(-0.0) equal those of +0.0.
-            if euclid:
-                np.sqrt(acc, out=acc)
-            else:
-                np.clip(acc, -1.0, 1.0, out=acc)
-                np.arccos(acc, out=acc)
-            np.multiply(acc, acc, out=acc)
-            np.add(out, acc, out=out)
-        np.sqrt(out, out=out)
-        if symmetric:
-            total[rows.stop:, rows] = total[rows, rows.stop:].T
+        out = total[rows]
+        _copy_distance(m, [c[:, rows] for c in xc] if x_rows else xc,
+                       [c[:, rows] for c in yc] if y_rows else yc, out,
+                       *np.empty((2,) + out.shape))
 
     step = max(1, CHUNK_ELEMENTS // max(1, prod(shape[1:])))
     _map_blocks(run, [slice(s, min(s + step, shape[0])) for s in range(0, shape[0], step)])

@@ -5,24 +5,33 @@ on geodesic distances (the estimator may be slightly negative; raw values
 are reported).  Diversity is proxied by geodesic mode-coverage fractions,
 and the manifold-preservation claim by aggregate constraint deviations.
 
-``evaluate_samples`` builds each of its three distance matrices
-(samples x samples, reference x reference, samples x reference) once.  It
-reads the median-heuristic bandwidth and the nearest-neighbour distances
-from them, then overwrites each with its kernel in place, so no more than
-those three N x M arrays (plus pool-sized scratch) are alive at once.  The
-report is bitwise equal to computing a fresh matrix for every term.  The
-two matrices of a set against itself fill one triangle and mirror it
-(``pairwise_distance``).  A caller that scores many sample sets against one
-reference (``sweep``) builds the reference x reference matrix once and hands
-each call a copy.
+Scoring (``evaluate_samples``, ``geodesic_mmd``, ``median_bandwidth``)
+streams the pairs of points and holds no N x M array.  The MMD is a sum of
+per-pair kernels, an unbiased U-statistic, so it adds up block by block.
+Every pair is computed once (``_score``): first the pairs of the median
+heuristic's pool, whose median is the bandwidth; then the other pairs in
+blocks of about ``mf.CHUNK_ELEMENTS`` entries on every usable CPU, each
+block turned into its kernel sum and its nearest-reference minima while in
+cache.  A set against itself takes each pair i < j once.  So, whatever N
+and M, memory is bounded by the pool (at most ``MEDIAN_POOL_POINTS``
+points: about 500k distances, 4 MB, plus the median's copy), two copies of
+the points' coordinates and one block per usable CPU; the mode assignment
+is one N x K distance matrix for K modes.  Each block's kernel values are
+summed by ``np.sum`` and each MMD term adds its block sums left to right,
+in the order ``_score`` documents.  The blocks do not depend on the number
+of CPUs, so neither do the bits.  The bandwidth, the nearest-neighbour
+distances and the mode masses have the bits of full distance matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import manifold as mf
 from . import motion as mo
@@ -146,13 +155,10 @@ def pairwise_distance(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> np.nd
     """Geodesic distance matrix between the rows of ``a`` and of ``b``.
 
     ``mf.distance`` fills it in row blocks on every usable CPU, with the same
-    bits as computing each row on its own.  When ``b`` is ``a`` itself, only
-    the diagonal and one triangle are computed and the other is mirrored,
-    which gives the same bits, because each distance is bitwise symmetric."""
-    symmetric = b is a
+    bits as computing each row on its own."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    return mf._distance(m, a[:, None, :], b[None, :, :], symmetric)
+    return mf.distance(m, a[:, None, :], b[None, :, :])
 
 
 def _pool(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice]:
@@ -165,14 +171,62 @@ def _pool(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice]:
     return slice(0, n, stride), slice(-n % stride, None, stride)
 
 
-def _pooled_median(d_aa: np.ndarray, d_ab: np.ndarray, d_bb: np.ndarray) -> float:
-    """Median over the distinct pairs of the pool ``[a; b]``, read from its
-    within-a, across and within-b distance blocks."""
-    def upper(d):
-        return d[np.triu(np.ones(d.shape, dtype=bool), k=1)]
+class _Set:
+    """n points as the contiguous planes of their ``mf._copies``, each
+    ``(width, 2n)``: the points twice, so that the partners ``(i + d) mod n``
+    of all i are the view ``[:, d:d + n]``."""
 
-    values = np.concatenate([upper(d_aa), d_ab.ravel(), upper(d_bb)])
-    return float(np.median(values, overwrite_input=True))
+    def __init__(self, m: mf.ManifoldSpec, points: np.ndarray):
+        self.n = points.shape[0]
+        self.planes = [np.concatenate([c, c], axis=-1) for c in mf._copies(m, points)]
+
+    def within(self) -> list:
+        """Blocks ``(left, right)`` of the pairs i < j, each pair once: for
+        the offsets d = 1 .. (n - 1) // 2, in blocks of about
+        ``CHUNK_ELEMENTS`` entries, the pairs (i, (i + d) mod n) for every i,
+        of shape (offsets, n); then, for even n, the pairs (i, i + n / 2) for
+        i < n / 2, of shape (1, n / 2)."""
+        n, x = self.n, self.planes
+        last = (n - 1) // 2
+        step = max(1, mf.CHUNK_ELEMENTS // max(1, n))
+        blocks = [([c[:, None, :n] for c in x],
+                   [sliding_window_view(c, n, axis=-1)[:, d:min(d + step, last + 1)] for c in x])
+                  for d in range(1, last + 1, step)]
+        if n and n % 2 == 0:
+            blocks.append(([c[:, None, :n // 2] for c in x], [c[:, None, n // 2:n] for c in x]))
+        return blocks
+
+    def across(self, other: "_Set") -> list:
+        """Blocks ``(left, right)`` of all pairs (i, j) of these points and
+        ``other``'s: rows i in blocks of about ``CHUNK_ELEMENTS`` entries, all
+        j, of shape (rows, other.n); none if other is empty."""
+        step = max(1, mf.CHUNK_ELEMENTS // max(1, other.n))
+        right = [c[:, None, :other.n] for c in other.planes]
+        return [([c[:, r:min(r + step, self.n), None] for c in self.planes], right)
+                for r in range(0, self.n if other.n else 0, step)]
+
+
+def _block_distances(m: mf.ManifoldSpec, block: tuple) -> np.ndarray:
+    """The distances of the pairs of ``block``, in an array of its shape."""
+    left, right = block
+    shape = np.broadcast_shapes(left[0].shape[1:], right[0].shape[1:])
+    return mf._copy_distance(m, left, right, np.empty(shape), *np.empty((2,) + shape))
+
+
+def _pool_distances(m: mf.ManifoldSpec, pa: _Set, pb: _Set) -> list[list[np.ndarray]]:
+    """The distances of the median heuristic's pool ``pa``, ``pb``, on every
+    usable CPU: the blocks (``_Set``) of its pairs within pa, of pa x pb and
+    within pb, as three lists."""
+    groups = [pa.within(), pa.across(pb), pb.within()]
+    done = iter(mf._map_blocks(lambda block: _block_distances(m, block),
+                               [block for group in groups for block in group]))
+    return [[next(done) for _ in group] for group in groups]
+
+
+def _median(groups: list[list[np.ndarray]]) -> float:
+    """The median of the distances of all blocks in ``groups``."""
+    return float(np.median(np.concatenate([d.ravel() for group in groups for d in group]),
+                           overwrite_input=True))
 
 
 def median_bandwidth(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> float:
@@ -181,9 +235,7 @@ def median_bandwidth(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> float:
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     ia, ib = _pool(a, b)
-    pa, pb = a[ia], b[ib]
-    return _pooled_median(pairwise_distance(m, pa, pa), pairwise_distance(m, pa, pb),
-                          pairwise_distance(m, pb, pb))
+    return _median(_pool_distances(m, _Set(m, a[ia]), _Set(m, b[ib])))
 
 
 def check_scoring(m: mf.ManifoldSpec, num_samples: int, num_reference: int,
@@ -205,37 +257,83 @@ def check_scoring(m: mf.ManifoldSpec, num_samples: int, num_reference: int,
             raise InvalidConfig(f"assign_radius must be >= 0, got {assign_radius}")
 
 
-def _kernel_mean(d: np.ndarray, s2: float, same_set: bool):
-    """Mean of the kernel exp(-d^2 / s2) over the pairs of distance matrix
-    ``d``, skipping the diagonal when both sides are one set.  ``d`` is
-    overwritten with the kernel matrix."""
-    np.multiply(d, d, out=d)
-    np.negative(d, out=d)
-    np.divide(d, s2, out=d)
-    np.exp(d, out=d)
-    n, mm = d.shape
-    if same_set:
-        return (d.sum() - np.trace(d)) / (n * (n - 1))
-    return d.sum() / (n * mm)
+def _score(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray,
+           bandwidth: Optional[float]) -> tuple[float, float, np.ndarray]:
+    """``(bandwidth, mmd, nearest)``: the bandwidth (given, or the median
+    heuristic's), the unbiased squared MMD of a against b, and the distance
+    from each row of a to its nearest row of b.
 
-
-def _mmd(d_aa: np.ndarray, d_bb: np.ndarray, d_ab: np.ndarray, bandwidth: float) -> float:
-    """Unbiased squared MMD from the three distance matrices, which are
-    overwritten with their kernels."""
+    Every pair is computed once, in two passes.  The pairs of the pool
+    (P_a, P_b: ``_pool``) come first (``_pool_distances``); their median is
+    the heuristic bandwidth.  Then the pairs of the rest of each set (Q_a,
+    Q_b: the rows not pooled, in order) are streamed on every usable CPU,
+    each block turned into kernel values while it is in cache.  The pairs of
+    each MMD term are, in this order,
+    a x a: within P_a, P_a x Q_a, within Q_a;
+    a x b: P_a x P_b, P_a x Q_b, Q_a x P_b, Q_a x Q_b;
+    b x b: within P_b, P_b x Q_b, within Q_b;
+    each in the blocks of ``_Set``.  A block's kernel values are summed by
+    ``np.sum`` over the block, and a term's block sums are added left to right
+    in that order.  The blocks do not depend on the number of CPUs, so
+    neither do the bits."""
+    ia, ib = _pool(a, b)
+    pa, pb = _Set(m, a[ia]), _Set(m, b[ib])
+    pool = _pool_distances(m, pa, pb)
+    if bandwidth is None:
+        bandwidth = _median(pool)
+        check_scoring(m, a.shape[0], b.shape[0], bandwidth)
     s2 = 2.0 * bandwidth * bandwidth
-    return float(_kernel_mean(d_aa, s2, True) + _kernel_mean(d_bb, s2, True)
-                 - 2.0 * _kernel_mean(d_ab, s2, False))
+
+    def kernel_sum(d):
+        """Sum of the kernel exp(-d^2 / s2) over the block d, overwritten."""
+        np.multiply(d, d, out=d)
+        np.divide(d, -s2, out=d)  # the bits of -(d^2) / s2
+        np.exp(d, out=d)
+        return float(d.sum())
+
+    # the nearest distances of the rows of P_a and of Q_a, one array per group
+    near_pa = [np.concatenate([d.min(axis=1) for d in pool[1]])] if pool[1] else []
+    near_qa = []
+    sums = [[kernel_sum(d) for d in group] for group in pool]
+    del pool
+    qa, qb = _Set(m, np.delete(a, ia, axis=0)), _Set(m, np.delete(b, ib, axis=0))
+    groups = [(0, None, pa.across(qa)), (0, None, qa.within()),
+              (1, near_pa, pa.across(qb)), (1, near_qa, qa.across(pb)),
+              (1, near_qa, qa.across(qb)),
+              (2, None, pb.across(qb)), (2, None, qb.within())]
+
+    def run(term_block):
+        term, block = term_block
+        d = _block_distances(m, block)
+        return d.min(axis=1) if term == 1 else None, kernel_sum(d)
+
+    done = iter(mf._map_blocks(run, [(term, block) for term, _, group in groups
+                                     for block in group]))
+    for term, near, group in groups:
+        results = [next(done) for _ in group]
+        sums[term] += [s for _, s in results]
+        if near is not None and results:
+            near.append(np.concatenate([row_min for row_min, _ in results]))
+    nearest = np.empty(a.shape[0])
+    nearest[ia] = np.minimum.reduce(near_pa)
+    if qa.n:
+        nearest[np.delete(np.arange(a.shape[0]), ia)] = np.minimum.reduce(near_qa)
+    n, k = a.shape[0], b.shape[0]
+    # reduce, not sum(), which compensates its float additions from Python 3.12
+    aa, ab, bb = (reduce(add, term, 0.0) for term in sums)
+    mmd = aa / (n * (n - 1) // 2) + bb / (k * (k - 1) // 2) - 2.0 * (ab / (n * k))
+    return bandwidth, float(mmd), nearest
 
 
 def geodesic_mmd(
     m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray, bandwidth: float
 ) -> float:
-    """Unbiased squared MMD with kernel exp(-d(x,y)^2 / (2 sigma^2))."""
+    """Unbiased squared MMD with kernel exp(-d(x,y)^2 / (2 sigma^2)), summed
+    in the order of ``_score``."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     check_scoring(m, a.shape[0], b.shape[0], bandwidth)
-    return _mmd(pairwise_distance(m, a, a), pairwise_distance(m, b, b),
-                pairwise_distance(m, a, b), bandwidth)
+    return _score(m, a, b, bandwidth)[1]
 
 
 def _mode_coverage(
@@ -328,14 +426,9 @@ def evaluate_samples(
     bandwidth: Optional[float] = None,
     modes: Optional[Sequence[np.ndarray]] = None,
     assign_radius: float = 1.0,
-    reference_distances: Optional[np.ndarray] = None,
 ) -> MetricReport:
-    """Score ``samples`` against ``reference``.
-
-    ``reference_distances``, if given, is ``pairwise_distance(m, reference,
-    reference)`` built by the caller (a sweep scores many sample sets against
-    one reference); it is overwritten with its kernel.
-    """
+    """Score ``samples`` against ``reference`` in one streamed pass over
+    their pairs (``_score``)."""
     samples = np.atleast_2d(samples)
     reference = np.atleast_2d(reference)
     check_scoring(m, samples.shape[0], reference.shape[0], bandwidth, modes, assign_radius)
@@ -343,28 +436,13 @@ def evaluate_samples(
         mass, outliers = _mode_coverage(m, samples, modes, assign_radius)
     else:
         mass, outliers = np.array([1.0]), 0.0
-    # Each matrix is built once; _mmd overwrites it with its kernel.
-    d_ss = pairwise_distance(m, samples, samples)
-    if reference_distances is None:
-        d_rr = pairwise_distance(m, reference, reference)
-    elif reference_distances.shape == (reference.shape[0],) * 2:
-        d_rr = reference_distances
-    else:
-        raise DimensionMismatch(f"reference_distances has shape {reference_distances.shape}, "
-                                f"expected {(reference.shape[0],) * 2}")
-    d_sr = pairwise_distance(m, samples, reference)
-    if bandwidth is None:
-        ia, ib = _pool(samples, reference)
-        bandwidth = _pooled_median(d_ss[ia, ia], d_sr[ia, ib], d_rr[ib, ib])
-        check_scoring(m, samples.shape[0], reference.shape[0], bandwidth)
-    nn = float(d_sr.min(axis=1).mean())
-    mmd = _mmd(d_ss, d_rr, d_sr, bandwidth)
+    bandwidth, mmd, nearest = _score(m, samples, reference, bandwidth)
     return MetricReport(
         mmd=mmd,
         per_mode_mass=tuple(float(x) for x in mass),
         outlier_fraction=outliers,
         max_constraint_violation=mf.max_constraint_deviation(m, samples),
-        mean_geodesic_nn_distance=nn,
+        mean_geodesic_nn_distance=float(nearest.mean()),
         sample_count=samples.shape[0],
         bandwidth=float(bandwidth),
     )

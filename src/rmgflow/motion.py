@@ -451,4 +451,4 @@ def motion_to_dict(seq: MotionSequence) -> dict:
 
 def save_motion(seq: MotionSequence, path) -> None:
     with open(path, "w") as fh:
-        json.dump(motion_to_dict(seq), fh)
+        fh.write(json.dumps(motion_to_dict(seq)))  # json.dump's bytes, see cli._write_json

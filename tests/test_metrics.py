@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,8 +137,8 @@ def test_pairwise_distance_blocking_consistent(toy_manifold, rng):
     [mf.preshape(3, 1, multiplicity=2), mf.preshape(3, 2), mf.sphere(7)],
 ], ids=["pose", "six_factor", "narrow"])
 def test_self_distance_triangle_bitwise(factors, n):
-    """A set against itself fills one triangle and mirrors it: the same bits
-    as the full matrix against a copy, diagonal included (it is not 0)."""
+    """A set against itself has the same bits as against a copy, and they are
+    symmetric, diagonal included (it is not 0)."""
     m = mf.ManifoldSpec(factors)
     x = mf.random_point(m, np.random.default_rng(n), size=n)
     if n == 700:  # several row blocks, on a thread pool when CPUs allow
@@ -258,13 +259,37 @@ def test_evaluate_samples_end_to_end(toy_manifold, toy_means, rng):
         me.evaluate_samples(m, np.empty((0, 7)), reference)
 
 
+def _within_blocks(n):
+    """Index blocks ``(rows, cols)`` of the pairs i < j of n points, in the
+    order ``metrics._score`` documents: offsets d from 1 to (n - 1) // 2 in
+    blocks of CHUNK_ELEMENTS // n, pairs (i, (i + d) mod n); then, for even
+    n, the pairs (i, i + n / 2) for i < n / 2."""
+    last, step, i = (n - 1) // 2, max(1, mf.CHUNK_ELEMENTS // max(1, n)), np.arange(n)
+    for d in range(1, last + 1, step):
+        offsets = np.arange(d, min(d + step, last + 1))[:, None]
+        yield np.broadcast_to(i, (len(offsets), n)), (i + offsets) % n
+    if n and n % 2 == 0:
+        yield np.arange(n // 2)[None, :], np.arange(n // 2, n)[None, :]
+
+
+def _across_blocks(nx, ny):
+    """Row blocks of CHUNK_ELEMENTS // ny rows of all pairs of nx x ny points."""
+    step = max(1, mf.CHUNK_ELEMENTS // max(1, ny))
+    for r in range(0, nx if ny else 0, step):
+        yield np.arange(r, min(r + step, nx))[:, None], np.arange(ny)[None, :]
+
+
 def _separate_matrices_report(m, samples, reference, bandwidth, modes, assign_radius):
     """The evaluation composed the straightforward way: a fresh distance
-    matrix for every term, new kernel arrays, and the pooled median."""
+    matrix for every term, new kernel arrays, and the pooled median.  The
+    kernel entries of each MMD term are added over the blocks and in the
+    order that ``metrics._score`` documents."""
+    n, k = samples.shape[0], reference.shape[0]
+    pooled = np.arange(n + k)
+    if n + k > 1000:
+        pooled = pooled[::int(np.ceil((n + k) / 1000))]
     if bandwidth is None:
-        pool = np.concatenate([samples, reference])
-        if pool.shape[0] > 1000:
-            pool = pool[::int(np.ceil(pool.shape[0] / 1000))]
+        pool = np.concatenate([samples, reference])[pooled]
         d = me.pairwise_distance(m, pool, pool)
         bandwidth = float(np.median(d[np.triu_indices(pool.shape[0], k=1)]))
     s2 = 2.0 * bandwidth * bandwidth
@@ -273,12 +298,26 @@ def _separate_matrices_report(m, samples, reference, bandwidth, modes, assign_ra
         d = me.pairwise_distance(m, x, y)
         return np.exp(-(d * d) / s2)
 
-    n, mm = samples.shape[0], reference.shape[0]
-    kss, krr, ksr = kernel(samples, samples), kernel(reference, reference), \
-        kernel(samples, reference)
-    mmd = float((kss.sum() - np.trace(kss)) / (n * (n - 1))
-                + (krr.sum() - np.trace(krr)) / (mm * (mm - 1))
-                - 2.0 * (ksr.sum() / (n * mm)))
+    # the pooled rows (P) and the rest (Q) of each set, in order
+    pa, pb = pooled[pooled < n], pooled[pooled >= n] - n
+    qa, qb = np.setdiff1d(np.arange(n), pa), np.setdiff1d(np.arange(k), pb)
+
+    def term(kmat, groups):
+        total = 0.0
+        for rows, cols, blocks in groups:
+            for r, c in blocks:
+                total += float(kmat[rows[r], cols[c]].sum())
+        return total
+
+    ss = term(kernel(samples, samples), [
+        (pa, pa, _within_blocks(len(pa))), (pa, qa, _across_blocks(len(pa), len(qa))),
+        (qa, qa, _within_blocks(len(qa)))])
+    sr = term(kernel(samples, reference), [
+        (x, y, _across_blocks(len(x), len(y))) for x in (pa, qa) for y in (pb, qb)])
+    rr = term(kernel(reference, reference), [
+        (pb, pb, _within_blocks(len(pb))), (pb, qb, _across_blocks(len(pb), len(qb))),
+        (qb, qb, _within_blocks(len(qb)))])
+    mmd = float(ss / (n * (n - 1) // 2) + rr / (k * (k - 1) // 2) - 2.0 * (sr / (n * k)))
     mass, outliers = (me._mode_coverage(m, samples, modes, assign_radius) if modes
                       else (np.array([1.0]), 0.0))
     nn_mean = float(me.pairwise_distance(m, samples, reference).min(axis=1).mean())
@@ -332,15 +371,60 @@ def test_evaluate_samples_checks_in_order(toy_manifold, rng):
         me.evaluate_samples(m, np.tile(x[0], (3, 1)), np.tile(x[0], (3, 1)))
 
 
-def test_evaluate_samples_takes_reference_matrix(toy_manifold, rng):
-    m = toy_manifold
-    samples = mf.random_point(m, rng, size=30)
-    reference = mf.random_point(m, rng, size=40)
-    d_rr = me.pairwise_distance(m, reference, reference)
-    report = me.evaluate_samples(m, samples, reference, reference_distances=d_rr.copy())
-    assert report.to_json_dict() == me.evaluate_samples(m, samples, reference).to_json_dict()
-    with pytest.raises(DimensionMismatch):
-        me.evaluate_samples(m, samples, reference, reference_distances=d_rr[:-1])
+POSE = [mf.euclidean(3), mf.sphere(3, multiplicity=22)]
+
+
+def test_evaluate_samples_memory_is_bounded(monkeypatch):
+    """The pairs are streamed in blocks: from 1000 to 4000 points per set
+    (16 times the pairs) the peak stays nearly flat, and 1000 x 1000 pose
+    points stay within 12 MiB (on 2 CPUs, each holding one block)."""
+    monkeypatch.setattr(mf, "_usable_cpus", lambda: 2)
+
+    def peak(m, n):
+        rng = np.random.default_rng(n)
+        a, b = mf.random_point(m, rng, size=n), mf.random_point(m, rng, size=n)
+        tracemalloc.start()
+        try:
+            me.evaluate_samples(m, a, b, modes=[a[0], b[0]])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cheap = mf.ManifoldSpec([mf.sphere(2)])
+    assert peak(cheap, 4000) < 1.25 * peak(cheap, 1000)
+    assert peak(mf.ManifoldSpec(POSE), 1000) <= 12 * 2**20
+
+
+def test_evaluate_samples_bits_do_not_depend_on_cpu_count(monkeypatch):
+    """The same report bits on 1 and on 3 CPUs, over several blocks of every
+    set, computing each pair once; ``geodesic_mmd`` at the median-heuristic
+    bandwidth sums in the same blocks, so it gives the report's MMD bit for
+    bit."""
+    m = mf.ManifoldSpec(POSE)
+    rng = np.random.default_rng(11)
+    samples, reference = mf.random_point(m, rng, size=900), mf.random_point(m, rng, size=700)
+    assert 450 * 900 > 4 * mf.CHUNK_ELEMENTS  # several blocks per set beyond the pool
+    computed = []
+    copy_distance = mf._copy_distance
+
+    def counting(mm, x, y, out, *scratch):
+        computed.append(out.size)
+        return copy_distance(mm, x, y, out, *scratch)
+
+    monkeypatch.setattr(mf, "_copy_distance", counting)
+    reports = {}
+    for cpus in (1, 3):
+        computed.clear()
+        monkeypatch.setattr(mf, "_usable_cpus", lambda: cpus)
+        reports[cpus] = json.dumps(me.evaluate_samples(
+            m, samples, reference, modes=[samples[0], reference[0]]).to_json_dict())
+        # every pair once: a set against itself i < j only, plus 2 modes
+        assert sum(computed) == 900 * 899 // 2 + 700 * 699 // 2 + 900 * 700 + 900 * 2
+    assert reports[1] == reports[3]
+    report = json.loads(reports[1])
+    bandwidth = me.median_bandwidth(m, samples, reference)
+    assert bandwidth == report["bandwidth"]
+    assert me.geodesic_mmd(m, samples, reference, bandwidth) == report["mmd"]
 
 
 def test_modes_as_one_array(rng):
