@@ -344,6 +344,10 @@ def cmd_convert(doc: dict, args) -> tuple[str, dict]:
 
 
 def _eval_manifold(doc: dict) -> mf.ManifoldSpec:
+    """The manifold that an eval config names, by ``manifold`` or by
+    ``representation``; naming it twice is an error, not a precedence."""
+    if doc["manifold"] is not None and doc["representation"] is not None:
+        raise InvalidConfig("eval config takes 'manifold' or 'representation', not both")
     if doc["manifold"] is not None:
         factors = _fill(doc["manifold"], "eval.manifold")["factors"]
         return mf.ManifoldSpec([_build(mf.FactorSpec, f, f"eval.manifold.factors[{i}]")
@@ -354,18 +358,10 @@ def _eval_manifold(doc: dict) -> mf.ManifoldSpec:
     raise InvalidConfig("eval config requires 'manifold' or 'representation'")
 
 
-def _check_width(name: str, points: np.ndarray, m: mf.ManifoldSpec) -> None:
-    if points.size and points.shape[1] != m.total_ambient_dim:
-        raise InvalidConfig(f"{name} dimension {points.shape[1]} does not match "
-                            f"the manifold ({m.total_ambient_dim})")
-
-
 def cmd_eval(doc: dict, args) -> tuple[str, dict]:
     m = _eval_manifold(doc)
     samples = _read(_read_jsonl, doc["samples"], "points")
     reference = _read(_read_jsonl, doc["reference"], "points")
-    for name, arr in (("samples", samples), ("reference", reference)):
-        _check_width(name, arr, m)
     report = me.evaluate_samples(
         m, samples, reference,
         bandwidth=doc["bandwidth"],
@@ -396,10 +392,9 @@ def cmd_sweep(doc: dict, args) -> tuple[str, dict]:
     nn._cond_indices(ckpt.net_spec, sample["condition"], 1)  # checked once, not per row
     m = ckpt.manifold
     reference = _read(_read_jsonl, scoring["reference"], "points")
-    _check_width("reference", reference, m)
     score = {"bandwidth": scoring["bandwidth"], "modes": _modes(scoring["modes"]),
              "assign_radius": scoring["assign_radius"]}
-    me.check_scoring(m, sample["num_samples"], reference.shape[0], **score)
+    me.check_scoring(m, (sample["num_samples"], m.total_ambient_dim), reference.shape, **score)
 
     def run_row(index, scale, integ, guid):
         seed = doc["seed"] + index

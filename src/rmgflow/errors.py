@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and the integer check
 that every config object applies to its counts."""
 
+import sys
 from numbers import Integral
 
 
@@ -30,9 +31,12 @@ class InvalidConfig(RmgError):
 
 def require_int(name: str, value, minimum: int) -> None:
     """Raise InvalidConfig naming ``name`` unless ``value`` is an integer of at
-    least ``minimum``; NaN, 2.5 and booleans are not integers."""
+    least ``minimum`` and at most ``sys.maxsize // 8``, the most entries a
+    float64 array can hold; NaN, 2.5 and booleans are not integers."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value > sys.maxsize // 8:
+        raise InvalidConfig(f"{name} {value} is more than any array can hold")
 
 
 class ZeroQuaternion(RmgError):

@@ -29,10 +29,11 @@ module's batch, loss and sampler steps take the blocks of a whole batch.
 ``distance`` has its own kernel (``_copy_distance``), because its outputs
 (such as an N x M distance matrix) are large next to its inputs: each factor
 copy of both operands is copied once from its block into contiguous planes
-(``_copies``), and the output is filled in row blocks of about
-``CHUNK_ELEMENTS`` entries, one block at a time on each usable CPU.  The
-arithmetic of every entry is fixed, so the bits do not depend on the shape,
-the blocks or the number of CPUs.
+(``_copies``), and every entry is summed plane by plane in a fixed order, so
+the bits do not depend on the shape.  ``distance`` fills its whole output in
+one call, with two scratch arrays of the output's shape; the metrics
+module's scorer streams large distance sets through the same kernel in
+blocks on every usable CPU.
 """
 
 from __future__ import annotations
@@ -533,16 +534,20 @@ def _copies(m: ManifoldSpec, a: np.ndarray) -> list[np.ndarray]:
     return [c for f, sl in m.blocks for c in np.moveaxis(_block_view(a, f, sl), -1, 0)]
 
 
-def _copy_distance(m: ManifoldSpec, x: Sequence[np.ndarray], y: Sequence[np.ndarray],
-                   out: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _copy_distance(m: ManifoldSpec, x: Sequence[np.ndarray],
+                   y: Sequence[np.ndarray]) -> np.ndarray:
     """Geodesic distances between the points whose ``_copies`` are the
-    planes x and y, which broadcast to ``out``'s shape, written into out;
-    ``acc`` and ``tmp`` are scratch of that shape.  Each copy is summed one
-    coordinate plane at a time, left to right (``_sum``); its distance
-    (sqrt, or clip and arccos) is squared and the copies are added in order,
-    so every entry has the same bits whatever the shape of the planes.  The
-    arithmetic is symmetric in its operands (x y = y x, (y - x)^2 =
-    (x - y)^2), so swapping x and y keeps the bits too."""
+    planes x and y, in a new array of their broadcast shape.  Each copy is
+    summed one coordinate plane at a time, left to right (``_sum``); its
+    distance (sqrt, or clip and arccos) is squared and the copies are added
+    in order, so every entry has the same bits whatever the shape of the
+    planes.  The arithmetic is symmetric in its operands (x y = y x,
+    (y - x)^2 = (x - y)^2), so swapping x and y keeps the bits too.  The
+    output is allocated apart from the two scratch arrays, so that a caller
+    who keeps it does not keep them alive."""
+    shape = np.broadcast_shapes(x[0].shape[1:], y[0].shape[1:])
+    out = np.empty(shape)
+    acc, tmp = np.empty((2,) + shape)
     kinds = [f.kind == "euclidean" for f in m.factors for _ in range(f.multiplicity)]
 
     def copy(c, buf):
@@ -573,31 +578,16 @@ def distance(m: ManifoldSpec, x, y) -> np.ndarray:
 
     x and y broadcast against each other like numpy arrays over their leading
     axes; ``x[:, None]`` against ``y[None]`` gives the N x M matrix.  Each
-    factor copy of both operands is copied once into contiguous memory.  The
-    output is then filled in row blocks of about ``CHUNK_ELEMENTS`` entries,
-    spread over a thread pool with one worker per usable CPU (a single block
-    runs inline), by ``_copy_distance``, so every entry has the same bits
-    whatever the shape, the row blocks and the number of CPUs.
+    factor copy of both operands is copied once into contiguous memory, and
+    ``_copy_distance`` fills the whole output in one call, so every entry has
+    the same bits whatever the shape.
     """
     x = _as_coords(m, x, "x")
     y = _as_coords(m, y, "y")
-    shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
-    if not shape:  # one pair: give it a row axis
+    if x.ndim == y.ndim == 1:  # one pair: give it a row axis
         return distance(m, x[None], y[None])[0]
-    total = np.empty(shape)
-    xc, yc = ([np.ascontiguousarray(c) for c in _copies(m, a)] for a in (x, y))
-    # Operands that do not span the leading axis broadcast across it whole.
-    x_rows, y_rows = (a.ndim == len(shape) + 1 and a.shape[0] > 1 for a in (x, y))
-
-    def run(rows: slice) -> None:
-        out = total[rows]
-        _copy_distance(m, [c[:, rows] for c in xc] if x_rows else xc,
-                       [c[:, rows] for c in yc] if y_rows else yc, out,
-                       *np.empty((2,) + out.shape))
-
-    step = max(1, CHUNK_ELEMENTS // max(1, prod(shape[1:])))
-    _map_blocks(run, [slice(s, min(s + step, shape[0])) for s in range(0, shape[0], step)])
-    return total
+    return _copy_distance(m, *([np.ascontiguousarray(c) for c in _copies(m, a)]
+                               for a in (x, y)))
 
 
 def point_deviations(m: ManifoldSpec, x) -> list[tuple[int, str, np.ndarray]]:

@@ -16,11 +16,12 @@ cache.  A set against itself takes each pair i < j once.  So, whatever N
 and M, memory is bounded by the pool (at most ``MEDIAN_POOL_POINTS``
 points: about 500k distances, 4 MB, plus the median's copy), two copies of
 the points' coordinates and one block per usable CPU; the mode assignment
-is one N x K distance matrix for K modes.  Each block's kernel values are
-summed by ``np.sum`` and each MMD term adds its block sums left to right,
-in the order ``_score`` documents.  The blocks do not depend on the number
-of CPUs, so neither do the bits.  The bandwidth, the nearest-neighbour
-distances and the mode masses have the bits of full distance matrices.
+is one N x K distance matrix (``mf.distance``) for K modes.  Each block's
+kernel values are summed by ``np.sum`` and each MMD term adds its block
+sums left to right, in the order ``_score`` documents.  The blocks do not
+depend on the number of CPUs, so neither do the bits.  The bandwidth, the
+nearest-neighbour distances and the mode masses have the bits of full
+distance matrices.
 """
 
 from __future__ import annotations
@@ -151,16 +152,6 @@ def _rotating_joint_points(task: ToyTaskSpec, m: mf.ManifoldSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pairwise_distance(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geodesic distance matrix between the rows of ``a`` and of ``b``.
-
-    ``mf.distance`` fills it in row blocks on every usable CPU, with the same
-    bits as computing each row on its own."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    return mf.distance(m, a[:, None, :], b[None, :, :])
-
-
 def _pool(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice]:
     """Rows of ``a`` and of ``b`` in the median heuristic's pool: every
     stride-th row of the stacked ``[a; b]``, with the stride chosen so that at
@@ -206,19 +197,12 @@ class _Set:
                 for r in range(0, self.n if other.n else 0, step)]
 
 
-def _block_distances(m: mf.ManifoldSpec, block: tuple) -> np.ndarray:
-    """The distances of the pairs of ``block``, in an array of its shape."""
-    left, right = block
-    shape = np.broadcast_shapes(left[0].shape[1:], right[0].shape[1:])
-    return mf._copy_distance(m, left, right, np.empty(shape), *np.empty((2,) + shape))
-
-
 def _pool_distances(m: mf.ManifoldSpec, pa: _Set, pb: _Set) -> list[list[np.ndarray]]:
     """The distances of the median heuristic's pool ``pa``, ``pb``, on every
     usable CPU: the blocks (``_Set``) of its pairs within pa, of pa x pb and
     within pb, as three lists."""
     groups = [pa.within(), pa.across(pb), pb.within()]
-    done = iter(mf._map_blocks(lambda block: _block_distances(m, block),
+    done = iter(mf._map_blocks(lambda block: mf._copy_distance(m, *block),
                                [block for group in groups for block in group]))
     return [[next(done) for _ in group] for group in groups]
 
@@ -234,20 +218,34 @@ def median_bandwidth(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray) -> float:
     beyond MEDIAN_POOL_POINTS so the estimate stays deterministic)."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
+    _check_widths(m, a=a.shape, b=b.shape)
     ia, ib = _pool(a, b)
     return _median(_pool_distances(m, _Set(m, a[ia]), _Set(m, b[ib])))
 
 
-def check_scoring(m: mf.ManifoldSpec, num_samples: int, num_reference: int,
+def _check_widths(m: mf.ManifoldSpec, **shapes: tuple) -> None:
+    """Raise DimensionMismatch unless each named shape is that of rows of
+    points of the manifold, ``(count, m.total_ambient_dim)``."""
+    for name, shape in shapes.items():
+        if tuple(shape[1:]) != (m.total_ambient_dim,):
+            raise DimensionMismatch(f"{name} dimension {' x '.join(map(str, shape[1:]))} "
+                                    f"does not match the manifold ({m.total_ambient_dim})")
+
+
+def check_scoring(m: mf.ManifoldSpec, samples_shape: tuple, reference_shape: tuple,
                   bandwidth: Optional[float] = None,
                   modes: Optional[Sequence[np.ndarray]] = None,
                   assign_radius: float = 1.0) -> None:
-    """Raise unless ``num_samples`` samples can be scored against
-    ``num_reference`` reference points with this bandwidth (None: the median
-    heuristic's, checked once it is chosen), modes and radius."""
+    """Raise unless samples of shape ``samples_shape`` can be scored against
+    reference points of shape ``reference_shape`` (each ``(count, width)``)
+    with this bandwidth (None: the median heuristic's, checked once it is
+    chosen), modes and radius.  The counts are checked before the widths, so
+    an empty set of any width gives EmptyBatch."""
+    num_samples, num_reference = samples_shape[0], reference_shape[0]
     if num_samples < 2 or num_reference < 2:
         raise EmptyBatch(f"MMD needs at least 2 points per set, got {num_samples} samples "
                          f"and {num_reference} reference points")
+    _check_widths(m, samples=samples_shape, reference=reference_shape)
     if bandwidth is not None and not bandwidth > 0:  # NaN fails too
         raise InvalidConfig(f"bandwidth must be positive, got {bandwidth}")
     if modes is not None and len(modes):
@@ -281,7 +279,7 @@ def _score(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray,
     pool = _pool_distances(m, pa, pb)
     if bandwidth is None:
         bandwidth = _median(pool)
-        check_scoring(m, a.shape[0], b.shape[0], bandwidth)
+        check_scoring(m, a.shape, b.shape, bandwidth)
     s2 = 2.0 * bandwidth * bandwidth
 
     def kernel_sum(d):
@@ -304,7 +302,7 @@ def _score(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray,
 
     def run(term_block):
         term, block = term_block
-        d = _block_distances(m, block)
+        d = mf._copy_distance(m, *block)
         return d.min(axis=1) if term == 1 else None, kernel_sum(d)
 
     done = iter(mf._map_blocks(run, [(term, block) for term, _, group in groups
@@ -332,7 +330,7 @@ def geodesic_mmd(
     in the order of ``_score``."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    check_scoring(m, a.shape[0], b.shape[0], bandwidth)
+    check_scoring(m, a.shape, b.shape, bandwidth)
     return _score(m, a, b, bandwidth)[1]
 
 
@@ -345,7 +343,7 @@ def _mode_coverage(
     """Fraction of samples nearest each mode within the radius, plus the
     outlier fraction; fractions sum to 1 exactly."""
     n = samples.shape[0]
-    d = pairwise_distance(m, samples, np.stack([np.asarray(mm) for mm in modes]))
+    d = mf.distance(m, samples[:, None], np.stack([np.asarray(mm) for mm in modes])[None])
     nearest = d.argmin(axis=1)
     within = d[np.arange(n), nearest] <= assign_radius
     counts = np.bincount(nearest[within], minlength=len(modes))
@@ -431,7 +429,7 @@ def evaluate_samples(
     their pairs (``_score``)."""
     samples = np.atleast_2d(samples)
     reference = np.atleast_2d(reference)
-    check_scoring(m, samples.shape[0], reference.shape[0], bandwidth, modes, assign_radius)
+    check_scoring(m, samples.shape, reference.shape, bandwidth, modes, assign_radius)
     if modes is not None and len(modes):
         mass, outliers = _mode_coverage(m, samples, modes, assign_radius)
     else:

@@ -84,8 +84,7 @@ class TrainConfig:
         # Written as `not ok` so that NaN fails every check.
         if not self.total_steps >= 0:
             raise InvalidConfig("total_steps must be >= 0")
-        if not self.batch_size >= 1:
-            raise InvalidConfig("batch_size must be >= 1")
+        require_int("batch_size", self.batch_size, 1)
         if not self.max_lr > 0:
             raise InvalidConfig("max_lr must be positive")
         if not 0.0 <= self.warmup_ratio <= 1.0:

@@ -179,6 +179,27 @@ def test_out_of_memory_exits_2_before_writing(trained, tmp_path, capsys, monkeyp
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("sample", None, "num_samples"), ("sweep", "sample", "num_samples"),
+    ("train", "task", "sample_count"), ("train", "train", "batch_size"),
+    ("train", "network", "hidden_dim"),
+])
+def test_count_no_array_can_hold_exits_2(trained, tmp_path, capsys, command, section, key):
+    """2**60 float64 entries take 2**63 bytes, past the largest array index:
+    such a count is refused before any allocation, with one error line."""
+    if command == "train":
+        doc = json.loads(json.dumps(TRAIN_DOC))
+    elif command == "sweep":
+        doc = _sweep_doc(tmp_path, [1.0], {"condition": None})
+    else:
+        doc = {"schema": 1}
+    (doc[section] if section else doc)[key] = 2**60
+    extra = () if command == "train" else ("--checkpoint", str(trained / "checkpoint.rmg"))
+    assert _run(tmp_path, command, doc, *extra) == 2
+    assert capsys.readouterr().err == f"error: {key} {2**60} is more than any array can hold\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sample_writes_points_and_metadata(trained, tmp_path):
     cfg = write_json(tmp_path / "s.json",
                      {"schema": 1, "num_samples": 6, "num_steps": 8,
@@ -338,6 +359,19 @@ def test_eval_manifold_mismatch(tmp_path, capsys):
                       "manifold": other.to_json_dict()})
     assert cli.main(["eval", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "dimension" in capsys.readouterr().err
+
+
+def test_eval_names_its_manifold_once(tmp_path, capsys):
+    """``manifold`` and ``representation`` together exit 2, also when they
+    name the same manifold: neither takes precedence."""
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
+    a = _points_file(tmp_path / "a.jsonl", m, np.array([0, 0, 0, 1.0, 0, 0, 0]), 10, 0)
+    doc = {"schema": 1, "samples": str(a), "reference": str(a), "manifold": m.to_json_dict(),
+           "representation": {"joints": 1, "translation": True, "rotations": True}}
+    assert _run(tmp_path, "eval", doc) == 2
+    assert "eval config takes 'manifold' or 'representation', not both" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_empty_scales(trained, tmp_path):

@@ -1,8 +1,6 @@
 import dataclasses
 import json
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import patch
 
 import numpy as np
@@ -485,9 +483,8 @@ def _with_specials(rng, a, count):
 
 
 @given(st.lists(WIDE_FACTORS, min_size=1, max_size=3), st.integers(1, 12), st.integers(1, 12),
-       st.sampled_from([1, 5, 64, mf.CHUNK_ELEMENTS]), st.integers(1, 3),
        st.integers(0, 2**32 - 1))
-def test_distance_equals_per_factor_oracle(factors, n, k, chunk, cpus, seed):
+def test_distance_equals_per_factor_oracle(factors, n, k, seed):
     m = mf.ManifoldSpec(factors)
     rng = np.random.default_rng(seed)
     x = mf.random_point(m, rng, size=n)
@@ -504,54 +501,19 @@ def test_distance_equals_per_factor_oracle(factors, n, k, chunk, cpus, seed):
         "matrix": (x[:, None, :], y[None, :, :]),
         "matrix_3d": (x[:, None, None, :], np.stack([y, y[::-1]])[None]),
     }
-    with patch.object(mf, "CHUNK_ELEMENTS", chunk), patch.object(mf, "_usable_cpus", lambda: cpus):
-        for name, (a, b) in shapes.items():
-            got, want = mf.distance(m, a, b), _oracle_distance(m, a, b)
-            assert type(got) is type(want) and np.shape(got) == np.shape(want), name
-            assert _bits(got) == _bits(want), name
+    for name, (a, b) in shapes.items():
+        got, want = mf.distance(m, a, b), _oracle_distance(m, a, b)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want), name
+        assert _bits(got) == _bits(want), name
 
 
-def test_distance_bits_independent_of_cpu_count():
+def test_distance_matrix_bits_equal_oracle():
     m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3, multiplicity=22), mf.euclidean(9)])
     rng = np.random.default_rng(5)
     a = mf.random_point(m, rng, size=600)
     b = mf.random_point(m, rng, size=500)
-    assert 600 * 500 > 4 * mf.CHUNK_ELEMENTS  # several row blocks
-    before = threading.enumerate()
-    pools = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            pools.append(self._max_workers)
-
-        def shutdown(self, wait=True, **kwargs):
-            pools.append(("shutdown", wait))
-            super().shutdown(wait=wait, **kwargs)
-
-    results = {}
-    with patch.object(mf, "ThreadPoolExecutor", CountingPool):
-        for cpus in (1, 4):
-            with patch.object(mf, "_usable_cpus", lambda: cpus):
-                results[cpus] = mf.distance(m, a[:, None, :], b[None, :, :])
-    # one CPU runs inline; four get a pool of four, joined before the call returns
-    assert pools == [4, ("shutdown", True)]
-    assert results[1].tobytes() == results[4].tobytes()
-    assert results[1].tobytes() == _oracle_distance(m, a[:, None, :], b[None, :, :]).tobytes()
-    assert threading.enumerate() == before  # no worker outlives the call
-
-
-def test_distance_workers_keep_caller_errstate():
-    # inf - inf is invalid: ignored under the caller's errstate on every worker
-    m = mf.ManifoldSpec([mf.euclidean(2)])
-    a = np.zeros((400, 2))
-    a[::7, 0] = np.inf
-    with patch.object(mf, "_usable_cpus", lambda: 2), patch.object(mf, "CHUNK_ELEMENTS", 400):
-        with np.errstate(invalid="ignore"):
-            d = mf.distance(m, a[:, None, :], a[None, :, :])
-        assert np.isnan(d[0, 7]) and d[1, 2] == 0.0
-        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            mf.distance(m, a[:, None, :], a[None, :, :])
+    d = mf.distance(m, a[:, None, :], b[None, :, :])
+    assert d.tobytes() == _oracle_distance(m, a[:, None, :], b[None, :, :]).tobytes()
 
 
 # ---------------------------------------------------------------------------

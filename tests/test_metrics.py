@@ -1,5 +1,7 @@
 import json
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -110,23 +112,26 @@ def test_rotating_joint_points(skeleton, rng):
 # ---------------------------------------------------------------------------
 
 
-def test_pairwise_distance_properties(toy_manifold, rng):
+def _matrix(m, a, b):
+    """The distance matrix between the rows of a and of b."""
+    return mf.distance(m, a[:, None], b[None])
+
+
+def test_distance_matrix_properties(toy_manifold, rng):
     m = toy_manifold
     x = mf.random_point(m, rng, size=20)
-    d = me.pairwise_distance(m, x, x)
+    d = _matrix(m, x, x)
     assert d.shape == (20, 20)
     assert np.allclose(d, d.T, atol=1e-12)
     assert np.max(np.abs(np.diag(d))) < 1e-7
 
 
-def test_pairwise_distance_blocking_consistent(toy_manifold, rng):
+def test_distance_matrix_equals_rows(toy_manifold, rng):
     m = toy_manifold
     a = mf.random_point(m, rng, size=600)
     b = mf.random_point(m, rng, size=500)
-    # 600 x 500 output entries span several of mf.distance's row blocks
-    assert 600 * 500 > 4 * mf.CHUNK_ELEMENTS
     rows = np.stack([mf.distance(m, a[i], b) for i in range(600)])
-    assert np.array_equal(me.pairwise_distance(m, a, b), rows)
+    assert np.array_equal(_matrix(m, a, b), rows)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 700])
@@ -141,15 +146,13 @@ def test_self_distance_triangle_bitwise(factors, n):
     symmetric, diagonal included (it is not 0)."""
     m = mf.ManifoldSpec(factors)
     x = mf.random_point(m, np.random.default_rng(n), size=n)
-    if n == 700:  # several row blocks, on a thread pool when CPUs allow
-        assert n * n > 4 * mf.CHUNK_ELEMENTS
-    d = me.pairwise_distance(m, x, x)
-    assert d.tobytes() == me.pairwise_distance(m, x, x.copy()).tobytes()
+    d = _matrix(m, x, x)
+    assert d.tobytes() == _matrix(m, x, x.copy()).tobytes()
     assert d.tobytes() == d.T.copy().tobytes()
     # another set of the same shape takes the full path
     y = mf.random_point(m, np.random.default_rng(n + 1), size=n)
     rows = np.stack([mf.distance(m, x[i], y) for i in range(n)])
-    assert me.pairwise_distance(m, x, y).tobytes() == rows.tobytes()
+    assert _matrix(m, x, y).tobytes() == rows.tobytes()
 
 
 def test_median_bandwidth_positive(toy_manifold, rng):
@@ -290,12 +293,12 @@ def _separate_matrices_report(m, samples, reference, bandwidth, modes, assign_ra
         pooled = pooled[::int(np.ceil((n + k) / 1000))]
     if bandwidth is None:
         pool = np.concatenate([samples, reference])[pooled]
-        d = me.pairwise_distance(m, pool, pool)
+        d = _matrix(m, pool, pool)
         bandwidth = float(np.median(d[np.triu_indices(pool.shape[0], k=1)]))
     s2 = 2.0 * bandwidth * bandwidth
 
     def kernel(x, y):
-        d = me.pairwise_distance(m, x, y)
+        d = _matrix(m, x, y)
         return np.exp(-(d * d) / s2)
 
     # the pooled rows (P) and the rest (Q) of each set, in order
@@ -320,7 +323,7 @@ def _separate_matrices_report(m, samples, reference, bandwidth, modes, assign_ra
     mmd = float(ss / (n * (n - 1) // 2) + rr / (k * (k - 1) // 2) - 2.0 * (sr / (n * k)))
     mass, outliers = (me._mode_coverage(m, samples, modes, assign_radius) if modes
                       else (np.array([1.0]), 0.0))
-    nn_mean = float(me.pairwise_distance(m, samples, reference).min(axis=1).mean())
+    nn_mean = float(_matrix(m, samples, reference).min(axis=1).mean())
     return {"mmd": mmd, "per_mode_mass": [float(x) for x in mass],
             "outlier_fraction": outliers, "mean_geodesic_nn_distance": nn_mean,
             "bandwidth": float(bandwidth)}
@@ -371,6 +374,42 @@ def test_evaluate_samples_checks_in_order(toy_manifold, rng):
         me.evaluate_samples(m, np.tile(x[0], (3, 1)), np.tile(x[0], (3, 1)))
 
 
+@pytest.mark.parametrize("cut", ["narrow", "wide"])
+def test_scoring_checks_the_width_first(toy_manifold, rng, monkeypatch, cut):
+    """Points narrower or wider than the manifold raise DimensionMismatch
+    before any distance is computed; an empty set of any width still gives
+    EmptyBatch."""
+    m = toy_manifold
+    x = mf.random_point(m, rng, size=5)
+    bad = x[:, :-1] if cut == "narrow" else np.hstack([x, x[:, :1]])
+
+    def no_distances(*args):
+        raise AssertionError("a distance was computed")
+
+    monkeypatch.setattr(mf, "_copy_distance", no_distances)
+    for score in (lambda a, b: me.evaluate_samples(m, a, b, modes=[x[0]]),
+                  lambda a, b: me.geodesic_mmd(m, a, b, 1.0),
+                  lambda a, b: me.median_bandwidth(m, a, b)):
+        for a, b in ((bad, x), (x, bad)):
+            with pytest.raises(DimensionMismatch, match="does not match the manifold"):
+                score(a, b)
+    with pytest.raises(EmptyBatch):
+        me.evaluate_samples(m, np.empty((0, 0)), bad)
+
+
+def test_scoring_workers_keep_caller_errstate(monkeypatch):
+    # inf - inf is invalid: ignored under the caller's errstate on every worker
+    m = mf.ManifoldSpec([mf.euclidean(2)])
+    a = np.zeros((60, 2))
+    a[::7, 0] = np.inf
+    monkeypatch.setattr(mf, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mf, "CHUNK_ELEMENTS", 60)  # many blocks on the pool
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(me.geodesic_mmd(m, a, a, 1.0))
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        me.geodesic_mmd(m, a, a, 1.0)
+
+
 POSE = [mf.euclidean(3), mf.sphere(3, multiplicity=22)]
 
 
@@ -399,7 +438,8 @@ def test_evaluate_samples_bits_do_not_depend_on_cpu_count(monkeypatch):
     """The same report bits on 1 and on 3 CPUs, over several blocks of every
     set, computing each pair once; ``geodesic_mmd`` at the median-heuristic
     bandwidth sums in the same blocks, so it gives the report's MMD bit for
-    bit."""
+    bit.  One CPU runs inline; three get a pool of three for each of the two
+    passes, joined before the call returns."""
     m = mf.ManifoldSpec(POSE)
     rng = np.random.default_rng(11)
     samples, reference = mf.random_point(m, rng, size=900), mf.random_point(m, rng, size=700)
@@ -407,11 +447,25 @@ def test_evaluate_samples_bits_do_not_depend_on_cpu_count(monkeypatch):
     computed = []
     copy_distance = mf._copy_distance
 
-    def counting(mm, x, y, out, *scratch):
-        computed.append(out.size)
-        return copy_distance(mm, x, y, out, *scratch)
+    def counting(mm, x, y):
+        d = copy_distance(mm, x, y)
+        computed.append(d.size)
+        return d
+
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self._max_workers)
+
+        def shutdown(self, wait=True, **kwargs):
+            pools.append(("shutdown", wait))
+            super().shutdown(wait=wait, **kwargs)
 
     monkeypatch.setattr(mf, "_copy_distance", counting)
+    monkeypatch.setattr(mf, "ThreadPoolExecutor", CountingPool)
+    before = threading.enumerate()
     reports = {}
     for cpus in (1, 3):
         computed.clear()
@@ -420,6 +474,8 @@ def test_evaluate_samples_bits_do_not_depend_on_cpu_count(monkeypatch):
             m, samples, reference, modes=[samples[0], reference[0]]).to_json_dict())
         # every pair once: a set against itself i < j only, plus 2 modes
         assert sum(computed) == 900 * 899 // 2 + 700 * 699 // 2 + 900 * 700 + 900 * 2
+    assert pools == [3, ("shutdown", True)] * 2
+    assert threading.enumerate() == before  # no worker outlives the call
     assert reports[1] == reports[3]
     report = json.loads(reports[1])
     bandwidth = me.median_bandwidth(m, samples, reference)
@@ -435,10 +491,10 @@ def test_modes_as_one_array(rng):
     modes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     report = me.evaluate_samples(m, x, x, modes=modes)
     assert report.to_json_dict() == me.evaluate_samples(m, x, x, modes=list(modes)).to_json_dict()
-    me.check_scoring(m, 4, 4, modes=modes)
+    me.check_scoring(m, (4, 3), (4, 3), modes=modes)
     wide = np.zeros((2, 4))
     with pytest.raises(DimensionMismatch):
-        me.check_scoring(m, 4, 4, modes=wide)
+        me.check_scoring(m, (4, 3), (4, 3), modes=wide)
     with pytest.raises(DimensionMismatch):
         me.evaluate_samples(m, x, x, modes=wide)
 
@@ -451,7 +507,7 @@ def test_modes_as_one_array(rng):
     lambda: fl.GuidanceConfig(scale=float("nan")),
     lambda: mf.WrappedGaussianSpec(mf.ManifoldSpec([mf.sphere(2)]), [0.0, 0.0, 1.0],
                                    float("nan")),
-    lambda: me.check_scoring(mf.ManifoldSpec([mf.sphere(2)]), 2, 2,
+    lambda: me.check_scoring(mf.ManifoldSpec([mf.sphere(2)]), (2, 3), (2, 3),
                              modes=[np.array([0.0, 0.0, 1.0])], assign_radius=float("nan")),
     lambda: mo.load_motion_dict({  # a quaternion of norm 2
         "fps": 30.0, "skeleton": {"parents": [-1], "rest_offsets": [[0.0, 0.0, 0.0]]},
