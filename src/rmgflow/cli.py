@@ -3,17 +3,18 @@
 Every command reads a JSON config (``{"schema": 1, ...}``).  ``SCHEMA``
 declares each top-level key once, with its JSON type and default; a section
 that configures a dataclass (``representation``, ``network``, ``train``,
-``task`` and its components, the factors of an eval ``manifold``) takes that
-dataclass's fields, types and defaults.  Unknown keys, missing required keys
-and values of the wrong JSON type are rejected.  ``main`` loads and fills the
-config once and calls ``cmd_<command>(doc, args)``, which returns
-``(summary, files)``: a one-line summary and an ordered dict from each
-artifact's path under ``--out`` to its writer ``write(path)``.  Only then
-does ``main`` create ``--out`` and call the writers, so a command that fails
-writes nothing.  A command whose config has a ``seed`` key (train, sample,
-eval, sweep) takes ``--seed``, which replaces that key; ``sample`` and
-``sweep`` take ``--checkpoint``.  Outputs are bitwise deterministic given
-config + seed.
+``task`` and its components, an eval ``manifold`` and its factors) takes that
+dataclass's fields, types and defaults.  The one JSON reader of ``errors``
+rejects unknown keys, missing required keys and values of the wrong JSON
+type, here as in checkpoint headers and skeleton and motion files.  ``main``
+loads and fills the config once and calls ``cmd_<command>(doc, args)``,
+which returns ``(summary, files)``: a one-line summary and an ordered dict
+from each artifact's path under ``--out`` to its writer ``write(path)``.
+Only then does ``main`` create ``--out`` and call the writers, so a command
+that fails writes nothing.  A command whose config has a ``seed`` key (train,
+sample, eval, sweep) takes ``--seed``, which replaces that key; ``sample``
+and ``sweep`` take ``--checkpoint``.  Outputs are bitwise deterministic
+given config + seed.
 Exit codes: 0 success, 2 configuration or validation error (an input file
 that cannot be read or parsed included, and a run too large for the
 memory), 3 non-finite training loss.
@@ -25,7 +26,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import typing
 from functools import partial
 from pathlib import Path
 
@@ -36,15 +36,10 @@ from . import manifold as mf
 from . import metrics as me
 from . import motion as mo
 from . import net as nn
-from .errors import InvalidConfig, NonFiniteLoss, NotTangent, RmgError
+from .errors import (REQUIRED, InvalidConfig, NonFiniteLoss, NotTangent, RmgError, _build,
+                     _check, _fill)
 
-# ---------------------------------------------------------------------------
-# config schema: key -> (JSON type, default or REQUIRED); null is accepted
-# exactly where the default is None
-# ---------------------------------------------------------------------------
-
-REQUIRED = object()
-
+# config schema (see ``errors``): key -> (JSON type, default or REQUIRED)
 _SAMPLING = {"num_steps": (int, 100), "condition": (int, None), "use_ema": (bool, True)}
 _SCORING = {"bandwidth": (float, None), "modes": (list, None), "assign_radius": (float, 1.0)}
 
@@ -60,72 +55,12 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     "eval": {"samples": (str, REQUIRED), "reference": (str, REQUIRED),
              "manifold": (dict, None), "representation": (dict, None), **_SCORING,
              "seed": (int, 0), "guidance_scale": (float, 0.0)},
-    "eval.manifold": {"factors": (list, REQUIRED)},
     "sweep": {"checkpoint": (str, None), "guidance_scales": (list, REQUIRED),
               "sample": (dict, {}), "eval": (dict, REQUIRED), "seed": (int, 0)},
     "sweep.sample": {**_SAMPLING, "num_samples": (int, 100)},
     "sweep.eval": {"reference": (str, REQUIRED), **_SCORING},
     "validate": {"input": (str, REQUIRED), "tolerance": (float, 1e-6)},
 }
-
-_JSON_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
-               list: "an array", dict: "an object"}
-
-
-def _check(value, typ: type, nullable: bool, where: str) -> None:
-    """Raise unless ``value`` has JSON type ``typ``; an integer is a number,
-    a boolean is neither."""
-    if value is None and nullable:
-        return
-    if isinstance(value, (int, float) if typ is float else typ) and (
-            typ is bool or not isinstance(value, bool)):
-        return
-    raise InvalidConfig(f"{where} must be {_JSON_NAMES[typ]}{' or null' if nullable else ''}, "
-                        f"got {json.dumps(value)}")
-
-
-def _fill(doc, ctx: str, schema: dict | None = None) -> dict:
-    """``doc`` checked against ``schema`` (default ``SCHEMA[ctx]``), with
-    every default filled in."""
-    schema = SCHEMA[ctx] if schema is None else schema
-    _check(doc, dict, False, ctx)
-    for key in doc:
-        if key not in schema:
-            raise InvalidConfig(f"unknown key '{key}' in {ctx}")
-    out = {}
-    for key, (typ, default) in schema.items():
-        if key in doc:
-            _check(doc[key], typ, default is None, f"{ctx}.{key}")
-            out[key] = doc[key]
-        elif default is REQUIRED:
-            raise InvalidConfig(f"{ctx} requires '{key}'")
-        else:
-            out[key] = default
-    return out
-
-
-def _json_type(hint) -> type:
-    if typing.get_origin(hint) is typing.Union:  # Optional[X]
-        hint = typing.get_args(hint)[0]
-    hint = typing.get_origin(hint) or hint
-    return list if hint in (tuple, np.ndarray) else hint
-
-
-def _dataclass_schema(cls, fixed=()) -> dict:
-    """``SCHEMA`` entries for the fields of dataclass ``cls`` not in ``fixed``."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: (_json_type(hints[f.name]),
-                     REQUIRED if f.default is dataclasses.MISSING else f.default)
-            for f in dataclasses.fields(cls) if f.name not in fixed}
-
-
-def _build(cls, d, ctx: str, **fixed):
-    """Dataclass ``cls`` from config section ``d`` plus the ``fixed`` fields."""
-    kwargs = _fill(d, ctx, _dataclass_schema(cls, fixed))
-    try:
-        return cls(**kwargs, **fixed)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"{ctx}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +86,13 @@ def _load_config(path, command: str) -> dict:
     doc = _read(_json_file, path, "config")
     if not isinstance(doc, dict) or doc.pop("schema", None) != 1:
         raise InvalidConfig("config must be a JSON object declaring \"schema\": 1")
-    return _fill(doc, command)
+    return _fill(doc, command, SCHEMA[command])
 
 
 def _skeleton(path) -> mo.Skeleton:
     if path is None:
         return mo.default_skeleton()
-    return _read(lambda p: mo.Skeleton.from_json_dict(_json_file(p)), path, "skeleton")
+    return _build(mo.Skeleton, _read(_json_file, path, "skeleton"), "skeleton")
 
 
 def _write_json(doc, path, indent=None) -> None:
@@ -212,11 +147,13 @@ def _load_model(path):
     its manifold must be the representation's."""
     ckpt = nn.load_checkpoint(path)
     header = ckpt.header
-    cfg = mo.RepresentationConfig.from_json_dict(header["representation"])
+    cfg = _build(mo.RepresentationConfig, header.get("representation"),
+                 "checkpoint.representation")
     if mo.config_to_manifold(cfg) != ckpt.manifold:
         raise InvalidConfig(f"checkpoint manifold does not match its representation "
-                            f"{cfg.to_json_dict()}")
-    skeleton = mo.Skeleton.from_json_dict(header["skeleton"])
+                            f"{dataclasses.asdict(cfg)}")
+    skeleton = _build(mo.Skeleton, header.get("skeleton"), "checkpoint.skeleton")
+    _check(header.get("prior_scale"), float, False, "checkpoint.prior_scale")
     return ckpt, cfg, skeleton, _prior(ckpt.manifold, cfg, skeleton, header["prior_scale"])
 
 
@@ -260,7 +197,7 @@ def cmd_train(doc: dict, args) -> tuple[str, dict]:
     return f"trained {train_cfg.total_steps} steps", {
         "checkpoint.rmg": partial(
             nn.save_checkpoint, train_cfg=train_cfg, m=m, result=result,
-            extra={"representation": cfg.to_json_dict(), "prior_scale": doc["prior_scale"],
+            extra={"representation": dataclasses.asdict(cfg), "prior_scale": doc["prior_scale"],
                    "skeleton": skeleton.to_json_dict()}),
         "losses.csv": partial(nn.history_to_csv, result.history),
     }
@@ -293,7 +230,7 @@ def cmd_sample(doc: dict, args) -> tuple[str, dict]:
         asked = _build(mo.RepresentationConfig, doc["representation"], "sample.representation")
         if asked != cfg:
             raise InvalidConfig(f"representation does not match the checkpoint's "
-                                f"{cfg.to_json_dict()}")
+                                f"{dataclasses.asdict(cfg)}")
     if doc["output_format"] not in ("jsonl", "motion"):
         raise InvalidConfig(f"unknown output_format {doc['output_format']!r}")
     num_samples = doc["num_samples"]
@@ -349,9 +286,7 @@ def _eval_manifold(doc: dict) -> mf.ManifoldSpec:
     if doc["manifold"] is not None and doc["representation"] is not None:
         raise InvalidConfig("eval config takes 'manifold' or 'representation', not both")
     if doc["manifold"] is not None:
-        factors = _fill(doc["manifold"], "eval.manifold")["factors"]
-        return mf.ManifoldSpec([_build(mf.FactorSpec, f, f"eval.manifold.factors[{i}]")
-                                for i, f in enumerate(factors)])
+        return mf.ManifoldSpec.from_json_dict(doc["manifold"], "eval.manifold")
     if doc["representation"] is not None:
         return mo.config_to_manifold(
             _build(mo.RepresentationConfig, doc["representation"], "eval.representation"))
@@ -369,7 +304,7 @@ def cmd_eval(doc: dict, args) -> tuple[str, dict]:
         assign_radius=doc["assign_radius"],
     )
     return f"mmd={report.mmd:.6g}", {
-        "report.json": partial(_write_json, report.to_json_dict(), indent=1),
+        "report.json": partial(_write_json, dataclasses.asdict(report), indent=1),
         "report.csv": partial(_write_lines, [
             me.CSV_HEADER, report.csv_row(doc["seed"], doc["guidance_scale"])]),
     }
@@ -381,10 +316,10 @@ def cmd_sweep(doc: dict, args) -> tuple[str, dict]:
         raise InvalidConfig("sweep config requires a nonempty 'guidance_scales' list")
     for i, scale in enumerate(scales):
         _check(scale, float, False, f"sweep.guidance_scales[{i}]")
-    sample = _fill(doc["sample"], "sweep.sample")
+    sample = _fill(doc["sample"], "sweep.sample", SCHEMA["sweep.sample"])
     configs = [(scale, *_sampler_configs(sample["num_steps"], float(scale), sample["condition"]))
                for scale in scales]
-    scoring = _fill(doc["eval"], "sweep.eval")
+    scoring = _fill(doc["eval"], "sweep.eval", SCHEMA["sweep.eval"])
     ckpt_path = args.checkpoint or doc["checkpoint"]
     if not ckpt_path:
         raise InvalidConfig("sweep requires a checkpoint")

@@ -1,8 +1,19 @@
-"""Exception hierarchy shared across the package, and the integer check
-that every config object applies to its counts."""
+"""Exception hierarchy shared across the package, the integer check that
+every config object applies to its counts, and the one JSON reader: a
+section is checked against a schema (``_fill``); a section that configures a
+dataclass takes that dataclass's fields, types and defaults and becomes one
+through ``_build``.  Configs, checkpoint headers, skeleton files and motion
+files are all read this way."""
 
+import dataclasses
+import json
 import sys
+import typing
+from functools import cache
 from numbers import Integral
+from types import MappingProxyType
+
+import numpy as np
 
 
 class RmgError(Exception):
@@ -27,16 +38,6 @@ class DomainError(RmgError):
 
 class InvalidConfig(RmgError):
     """A configuration object or file violates its invariants."""
-
-
-def require_int(name: str, value, minimum: int) -> None:
-    """Raise InvalidConfig naming ``name`` unless ``value`` is an integer of at
-    least ``minimum`` and at most ``sys.maxsize // 8``, the most entries a
-    float64 array can hold; NaN, 2.5 and booleans are not integers."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
-        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
-    if value > sys.maxsize // 8:
-        raise InvalidConfig(f"{name} {value} is more than any array can hold")
 
 
 class ZeroQuaternion(RmgError):
@@ -85,3 +86,88 @@ class NonFiniteLoss(RmgError):
 
 class EmptyBatch(RmgError):
     """An estimator received an empty sample batch."""
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise InvalidConfig naming ``name`` unless ``value`` is an integer of at
+    least ``minimum`` and at most ``sys.maxsize // 8``, the most entries a
+    float64 array can hold; NaN, 2.5 and booleans are not integers."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
+    require_rows(name, value, 1)
+
+
+def require_rows(name: str, rows: int, width: int) -> None:
+    """Raise InvalidConfig naming ``name`` unless ``rows`` rows of ``width``
+    float64 entries fit in one array: at most ``sys.maxsize // 8`` entries."""
+    if rows * width > sys.maxsize // 8:
+        each = "" if width == 1 else f" rows of {width} entries"
+        raise InvalidConfig(f"{name} {rows}{each} is more than any array can hold")
+
+
+# the JSON reader: schema key -> (JSON type, default or REQUIRED); null is
+# accepted exactly where the default is None
+REQUIRED = object()
+
+_JSON_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def _check(value, typ: type, nullable: bool, where: str) -> None:
+    """Raise unless ``value`` has JSON type ``typ``; an integer is a number,
+    a boolean is neither.  The message shows at most 80 characters of the
+    value, which may be a whole motion file's frames."""
+    if value is None and nullable:
+        return
+    if isinstance(value, (int, float) if typ is float else typ) and (
+            typ is bool or not isinstance(value, bool)):
+        return
+    got = json.dumps(value)
+    raise InvalidConfig(f"{where} must be {_JSON_NAMES[typ]}{' or null' if nullable else ''}, "
+                        f"got {got if len(got) <= 80 else got[:77] + '...'}")
+
+
+def _fill(doc, ctx: str, schema) -> dict:
+    """``doc`` checked against ``schema``, with every default filled in."""
+    _check(doc, dict, False, ctx)
+    for key in doc:
+        if key not in schema:
+            raise InvalidConfig(f"unknown key '{key}' in {ctx}")
+    out = {}
+    for key, (typ, default) in schema.items():
+        if key in doc:
+            _check(doc[key], typ, default is None, f"{ctx}.{key}")
+            out[key] = doc[key]
+        elif default is REQUIRED:
+            raise InvalidConfig(f"{ctx} requires '{key}'")
+        else:
+            out[key] = default
+    return out
+
+
+def _json_type(hint) -> type:
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        hint = typing.get_args(hint)[0]
+    hint = typing.get_origin(hint) or hint
+    return dict if dataclasses.is_dataclass(hint) else (
+        list if hint in (tuple, np.ndarray) else hint)
+
+
+@cache
+def _dataclass_schema(cls, fixed: tuple = ()) -> MappingProxyType:
+    """Schema entries for the fields of dataclass ``cls`` not in ``fixed``;
+    computed once per dataclass, so that a read per motion frame stays cheap,
+    and read-only, since every caller shares it."""
+    hints = typing.get_type_hints(cls)
+    return MappingProxyType({f.name: (_json_type(hints[f.name]),
+                                      REQUIRED if f.default is dataclasses.MISSING else f.default)
+                             for f in dataclasses.fields(cls) if f.name not in fixed})
+
+
+def _build(cls, d, ctx: str, **fixed):
+    """Dataclass ``cls`` from JSON section ``d`` plus the ``fixed`` fields."""
+    kwargs = _fill(d, ctx, _dataclass_schema(cls, tuple(fixed)))
+    try:
+        return cls(**kwargs, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"{ctx}: {exc}") from exc

@@ -47,6 +47,7 @@ from .errors import (
     DimensionMismatch,
     InvalidConfig,
     require_int,
+    require_rows,
 )
 from .motion import reference_point  # noqa: F401  (re-exported)
 
@@ -311,6 +312,7 @@ def sample_ode(
             raise DimensionMismatch("num_samples disagrees with condition batch")
     else:
         B = 1 if num_samples is None else num_samples
+    require_rows("num_samples", B, m.total_ambient_dim)
     x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
     N = integ.num_steps
     h = integ.step_size

@@ -54,6 +54,9 @@ from .errors import (
     DomainError,
     InvalidConfig,
     NotTangent,
+    _build,
+    _dataclass_schema,
+    _fill,
     require_int,
 )
 
@@ -111,10 +114,6 @@ class FactorSpec:
             }
         return {"kind": self.kind, "dim": self.dim, "multiplicity": self.multiplicity}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FactorSpec":
-        return cls(**d)
-
 
 def euclidean(n: int, multiplicity: int = 1) -> FactorSpec:
     return FactorSpec(kind="euclidean", dim=n, multiplicity=multiplicity)
@@ -159,8 +158,10 @@ class ManifoldSpec:
         return {"factors": [f.to_json_dict() for f in self.factors]}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "ManifoldSpec":
-        return cls([FactorSpec.from_json_dict(f) for f in d["factors"]])
+    def from_json_dict(cls, d, ctx: str = "manifold") -> "ManifoldSpec":
+        """The manifold of JSON section ``d``, each factor read as a FactorSpec."""
+        factors = _fill(d, ctx, _dataclass_schema(cls))["factors"]
+        return cls([_build(FactorSpec, f, f"{ctx}.factors[{i}]") for i, f in enumerate(factors)])
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import manifold as mf
 from . import motion as mo
-from .errors import DimensionMismatch, EmptyBatch, InvalidConfig, require_int
+from .errors import DimensionMismatch, EmptyBatch, InvalidConfig, require_int, require_rows
 
 MEDIAN_POOL_POINTS = 1000  # pool size of the median-heuristic bandwidth
 
@@ -96,6 +96,7 @@ def generate_toy_dataset(
     """Sample (points, condition labels); labels are None when no component
     carries a condition.  Deterministic per rng state."""
     n = task.sample_count
+    require_rows("sample_count", n, m.total_ambient_dim)
     if task.kind == "rotating_joint":
         return _rotating_joint_points(task, m), None
     if any(c.mean.shape != (m.total_ambient_dim,) for c in task.components):
@@ -394,17 +395,6 @@ class MetricReport:
                   self.mean_geodesic_nn_distance, *self.per_mode_mass]
         if not np.all(np.isfinite(values)):
             raise InvalidConfig("metric report contains non-finite values")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mmd": self.mmd,
-            "per_mode_mass": list(self.per_mode_mass),
-            "outlier_fraction": self.outlier_fraction,
-            "max_constraint_violation": self.max_constraint_violation,
-            "mean_geodesic_nn_distance": self.mean_geodesic_nn_distance,
-            "sample_count": self.sample_count,
-            "bandwidth": self.bandwidth,
-        }
 
     def csv_row(self, seed: int, guidance_scale: float) -> str:
         mode0 = self.per_mode_mass[0] if self.per_mode_mass else 0.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -29,6 +29,10 @@ from .errors import (
     SequenceTooShort,
     SkeletonMismatch,
     ZeroQuaternion,
+    _build,
+    _dataclass_schema,
+    _fill,
+    require_int,
 )
 
 log = logging.getLogger(__name__)
@@ -129,11 +133,14 @@ class Skeleton:
     rest_offsets: np.ndarray   # (J, 3) meters, root offset is zero
 
     def __post_init__(self):
-        self.parents = np.asarray(self.parents, dtype=int)
+        parents = np.asarray(self.parents, dtype=object)  # 0.6 and True stay as given
+        if parents.ndim != 1:
+            raise InvalidConfig("parents must be a flat list of joint indices")
+        for j, p in enumerate(parents):
+            require_int(f"parent of joint {j}", p, -1)
+        self.parents = parents.astype(int)
         self.rest_offsets = np.asarray(self.rest_offsets, dtype=float)
         J = self.parents.size
-        if self.parents.ndim != 1:
-            raise InvalidConfig("parents must be a flat list of joint indices")
         if self.rest_offsets.shape != (J, 3):
             raise InvalidConfig(f"rest_offsets must be ({J}, 3)")
         if J < 1 or self.parents[0] != -1:
@@ -154,15 +161,11 @@ class Skeleton:
             "rest_offsets": self.rest_offsets.tolist(),
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Skeleton":
-        return cls(parents=d["parents"], rest_offsets=d["rest_offsets"])
-
 
 def default_skeleton() -> Skeleton:
     """22-joint SMPL-like test skeleton shipped with the package."""
     text = resources.files("rmgflow.data").joinpath("skeleton22.json").read_text()
-    return Skeleton.from_json_dict(json.loads(text))
+    return _build(Skeleton, json.loads(text), "skeleton")
 
 
 @dataclass
@@ -233,12 +236,9 @@ class RepresentationConfig:
     def has_differences(self) -> bool:
         return self.d_translation or self.d_rotations or self.d_preshape
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
-    def from_json_dict(cls, d: dict) -> "RepresentationConfig":
-        return cls(**d)
+    def from_json_dict(cls, d) -> "RepresentationConfig":
+        return _build(cls, d, "representation")
 
 
 def ambient_dimension(cfg: RepresentationConfig) -> int:
@@ -405,15 +405,17 @@ def convert_to_position_format(seq: MotionSequence) -> tuple[np.ndarray, np.ndar
 
 
 def load_motion_dict(doc: dict, tol: float = 1e-6) -> MotionSequence:
-    """Parse the motion JSON document, rejecting invalid quaternions and
-    auto-canonicalizing hemisphere signs (flip count is logged)."""
+    """Parse the motion JSON document, its skeleton and each frame through
+    the schema reader, rejecting invalid quaternions and auto-canonicalizing
+    hemisphere signs (flip count is logged)."""
     if not tol >= 0:  # NaN fails too
         raise InvalidConfig(f"tolerance must be >= 0, got {tol}")
-    skeleton = Skeleton.from_json_dict(doc["skeleton"])
+    doc = _fill(doc, "motion", _dataclass_schema(MotionSequence))
+    skeleton = _build(Skeleton, doc["skeleton"], "motion.skeleton")
     frames = []
     flips = 0
     for i, fr in enumerate(doc["frames"]):
-        frame = MotionFrame(root_translation=fr["root_translation"], rotations=fr["rotations"])
+        frame = _build(MotionFrame, fr, f"motion.frames[{i}]")
         rot = frame.rotations
         norms = np.linalg.norm(rot, axis=-1)
         bad = np.abs(norms - 1.0) > tol

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -38,7 +39,9 @@ from .errors import (
     ShapeMismatch,
     StepOutOfRange,
     UnknownConditionClass,
+    _build,
     require_int,
+    require_rows,
 )
 
 
@@ -59,13 +62,6 @@ class NetworkSpec:
     @property
     def in_features(self) -> int:
         return self.input_dim + self.time_embed_dim + self.cond_embed_dim
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "NetworkSpec":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -100,13 +96,6 @@ class TrainConfig:
         if not self.seed >= 0:
             raise InvalidConfig("seed must be >= 0")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
 
 class VectorFieldParams:
     """Flat parameter vector plus shaped views aliasing the same memory."""
@@ -114,7 +103,8 @@ class VectorFieldParams:
     def __init__(self, spec: NetworkSpec, flat: np.ndarray | None = None):
         self.spec = spec
         sizes = self._shapes(spec)
-        total = sum(int(np.prod(s)) for _, s in sizes)
+        total = sum(prod(s) for _, s in sizes)
+        require_int("network parameter count", total, 1)
         if flat is None:
             flat = np.zeros(total)
         flat = np.ascontiguousarray(np.asarray(flat, dtype=float))
@@ -124,7 +114,7 @@ class VectorFieldParams:
         self.views: dict[str, np.ndarray] = {}
         off = 0
         for name, shape in sizes:
-            n = int(np.prod(shape))
+            n = prod(shape)
             self.views[name] = self.flat[off : off + n].reshape(shape)
             off += n
 
@@ -439,6 +429,7 @@ def train(
         raise DimensionMismatch("dataset dimension disagrees with the manifold")
     if net_spec.input_dim != m.total_ambient_dim:
         raise DimensionMismatch("network input_dim disagrees with the manifold")
+    require_rows("batch_size", cfg.batch_size, max(net_spec.in_features, net_spec.hidden_dim))
     rng = np.random.default_rng(cfg.seed)
     params = VectorFieldParams.init_random(net_spec, rng)
     opt = OptimizerState.new(params.count, weight_decay=cfg.weight_decay)
@@ -486,8 +477,8 @@ def save_checkpoint(path, train_cfg: TrainConfig, m: mf.ManifoldSpec, result: Tr
     count, layout and EMA decay), then the parameter and EMA blobs."""
     header = {
         "schema": 1,
-        "network": result.params.spec.to_json_dict(),
-        "train": train_cfg.to_json_dict(),
+        "network": asdict(result.params.spec),
+        "train": asdict(train_cfg),
         "manifold": m.to_json_dict(),
         "rng_state": result.rng_state,
         **(extra or {}),
@@ -512,7 +503,9 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Read a ``"schema": 1`` header line, then the parameter and EMA blobs,
     each as long as the network spec's parameter vector; they must match the
-    header's ``blob_sha256``, and a missing digest is a mismatch."""
+    header's ``blob_sha256``, and a missing digest is a mismatch.  Its
+    sections are read like config sections; ``network.input_dim`` must be
+    the manifold's width."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         blobs = fh.read()
@@ -522,14 +515,18 @@ def load_checkpoint(path) -> Checkpoint:
         raise ChecksumMismatch("checkpoint blobs do not match the header's blob_sha256")
     if len(blobs) % 16:
         raise ShapeMismatch(f"checkpoint holds {len(blobs)} blob bytes, not two equal blobs")
-    spec = NetworkSpec.from_json_dict(header["network"])
-    train_cfg = TrainConfig.from_json_dict(header["train"])
+    spec = _build(NetworkSpec, header.get("network"), "checkpoint.network")
+    train_cfg = _build(TrainConfig, header.get("train"), "checkpoint.train")
+    m = mf.ManifoldSpec.from_json_dict(header.get("manifold"), "checkpoint.manifold")
+    if spec.input_dim != m.total_ambient_dim:
+        raise InvalidConfig(f"checkpoint.network.input_dim {spec.input_dim} is not the width "
+                            f"{m.total_ambient_dim} of checkpoint.manifold")
     flat, shadow = np.frombuffer(blobs, dtype="<f8").astype(float).reshape(2, -1)
     return Checkpoint(
         header=header,
         net_spec=spec,
         train_cfg=train_cfg,
-        manifold=mf.ManifoldSpec.from_json_dict(header["manifold"]),
+        manifold=m,
         params=VectorFieldParams(spec, flat),  # ShapeMismatch unless spec has len(flat)
         ema=EmaState(shadow=shadow, decay=train_cfg.ema_decay),
     )

@@ -179,24 +179,31 @@ def test_out_of_memory_exits_2_before_writing(trained, tmp_path, capsys, monkeyp
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command, section, key", [
-    ("sample", None, "num_samples"), ("sweep", "sample", "num_samples"),
-    ("train", "task", "sample_count"), ("train", "train", "batch_size"),
-    ("train", "network", "hidden_dim"),
+@pytest.mark.parametrize("command, section, key, count, width", [
+    ("sample", None, "num_samples", 2**60, 1), ("sweep", "sample", "num_samples", 2**60, 1),
+    ("train", "task", "sample_count", 2**60, 1), ("train", "train", "batch_size", 2**60, 1),
+    ("train", "network", "hidden_dim", 2**60, 1),
+    # rows of the manifold's width 7, and of the network's input width 19
+    ("sample", None, "num_samples", 2**59, 7), ("sweep", "sample", "num_samples", 2**59, 7),
+    ("train", "task", "sample_count", 2**59, 7), ("train", "train", "batch_size", 2**59, 19),
 ])
-def test_count_no_array_can_hold_exits_2(trained, tmp_path, capsys, command, section, key):
+def test_count_no_array_can_hold_exits_2(trained, tmp_path, capsys, command, section, key,
+                                         count, width):
     """2**60 float64 entries take 2**63 bytes, past the largest array index:
-    such a count is refused before any allocation, with one error line."""
+    such a count, or a count of rows that holds that many entries, is
+    refused before any allocation, with one error line."""
     if command == "train":
         doc = json.loads(json.dumps(TRAIN_DOC))
     elif command == "sweep":
         doc = _sweep_doc(tmp_path, [1.0], {"condition": None})
     else:
         doc = {"schema": 1}
-    (doc[section] if section else doc)[key] = 2**60
+    (doc[section] if section else doc)[key] = count
     extra = () if command == "train" else ("--checkpoint", str(trained / "checkpoint.rmg"))
     assert _run(tmp_path, command, doc, *extra) == 2
-    assert capsys.readouterr().err == f"error: {key} {2**60} is more than any array can hold\n"
+    each = "" if width == 1 else f" rows of {width} entries"
+    err = capsys.readouterr().err
+    assert err == f"error: {key} {count}{each} is more than any array can hold\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -304,6 +311,49 @@ def test_validate_ok_and_bad(tmp_path, skeleton, rng, capsys):
     cfg = write_json(tmp_path / "v2.json", {"schema": 1, "input": str(bad)})
     assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "frame 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(fps="30"), 'motion.fps must be a number, got "30"'),
+    (lambda d: d["frames"][0].update(x=1), "unknown key 'x' in motion.frames[0]"),
+    (lambda d: d["frames"][0].pop("rotations"), "motion.frames[0] requires 'rotations'"),
+    (lambda d: d["skeleton"].update(x=1), "unknown key 'x' in motion.skeleton"),
+    (lambda d: d["skeleton"]["parents"].__setitem__(1, 0.6),
+     "parent of joint 1 must be an integer >= -1, got 0.6"),
+    (lambda d: d.update(frames={"all": d["frames"]}),  # the value is cut to 80 characters
+     'motion.frames must be an array, got {"all": [{"root_translation": ['),
+])
+def test_malformed_motion_file_exits_2(tmp_path, skeleton, rng, capsys, edit, message):
+    """A motion file, its skeleton and each frame are read like config
+    sections, by validate and by convert, with one short error line."""
+    motion_path, _ = _motion_file(tmp_path, skeleton, rng)
+    doc = json.loads(motion_path.read_text())
+    edit(doc)
+    motion_path.write_text(json.dumps(doc))
+    for command, extra in (("validate", {}), ("convert", {"target": "positions"})):
+        assert _run(tmp_path, command, {"schema": 1, "input": str(motion_path), **extra}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and len(err) < 160
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(x=1), "unknown key 'x' in skeleton"),
+    (lambda d: d.update(parents=[-1, 0.7, 1.9]),
+     "parent of joint 1 must be an integer >= -1, got 0.7"),
+    (lambda d: d.update(parents=[-1, True, 1]),
+     "parent of joint 1 must be an integer >= -1, got True"),
+])
+def test_malformed_skeleton_file_exits_2(tmp_path, capsys, edit, message):
+    skeleton = json.loads(json.dumps(CHAIN))
+    edit(skeleton)
+    (tmp_path / "empty.jsonl").write_text("")
+    doc = {"schema": 1, "input": str(tmp_path / "empty.jsonl"), "target": "motion",
+           "representation": {"joints": 3, "translation": True, "rotations": True},
+           "skeleton": write_json(tmp_path / "chain.json", skeleton)}
+    assert _run(tmp_path, "convert", doc) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +620,7 @@ def test_checkpoint_without_digest_exits_2(trained, tmp_path, capsys):
 def _with_redundant_keys(header):
     """A header in the earlier format, which also recorded the step, the
     parameter layout and count, the EMA decay and the blob names."""
-    spec = nn.NetworkSpec.from_json_dict(header["network"])
+    spec = nn.NetworkSpec(**header["network"])
     params = nn.VectorFieldParams(spec)
     layout, offset = [], 0
     for name, view in params.views.items():
@@ -610,17 +660,41 @@ def test_checkpoint_manifold_of_equal_width_exits_2(trained, tmp_path, capsys, c
 
 
 
-@pytest.mark.parametrize("section, field", [("manifold", "multiplicity"),
-                                            ("network", "hidden_dim")])
-def test_checkpoint_nan_integer_field_exits_2(trained, tmp_path, capsys, section, field):
-    head, _, blobs = (trained / "checkpoint.rmg").read_bytes().partition(b"\n")
-    header = json.loads(head)
-    target = header["manifold"]["factors"][1] if section == "manifold" else header["network"]
-    target[field] = float("nan")
-    ckpt = tmp_path / "checkpoint.rmg"
-    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blobs)
-    assert _run(tmp_path, "sample", {"schema": 1}, "--checkpoint", str(ckpt)) == 2
-    assert f"{field} must be an integer" in capsys.readouterr().err
+def _set(path, value):
+    """A header edit that sets the entry at ``path`` to ``value``."""
+    def edit(header):
+        _at(header, path[:-1])[path[-1]] = value
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("prior_scale",), "0.5", 'checkpoint.prior_scale must be a number, got "0.5"'),
+    (("prior_scale",), True, "checkpoint.prior_scale must be a number, got true"),
+    (("train", "total_steps"), 2.5, "checkpoint.train.total_steps must be an integer, got 2.5"),
+    (("representation", "translation"), 1,
+     "checkpoint.representation.translation must be a boolean, got 1"),
+    (("network", "x"), 1, "unknown key 'x' in checkpoint.network"),
+    (("skeleton", "x"), 1, "unknown key 'x' in checkpoint.skeleton"),
+    (("manifold", "factors", 1, "x"), 1, "unknown key 'x' in checkpoint.manifold.factors[1]"),
+    (("network", "input_dim"), 6,
+     "checkpoint.network.input_dim 6 is not the width 7 of checkpoint.manifold"),
+    (("network", "hidden_dim"), float("nan"),
+     "checkpoint.network.hidden_dim must be an integer, got NaN"),
+    (("manifold", "factors", 1, "multiplicity"), float("nan"),
+     "checkpoint.manifold.factors[1].multiplicity must be an integer, got NaN"),
+])
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_malformed_checkpoint_section_exits_2(trained, tmp_path, capsys, command, path, value,
+                                              message):
+    """The header sections that the model is rebuilt from are read like
+    config sections; the blob digest stays valid."""
+    ckpt = _edited_checkpoint(trained, tmp_path, _set(path, value))
+    doc = ({"schema": 1, "num_samples": 3} if command == "sample"
+           else _sweep_doc(tmp_path, [1.0]))
+    assert _run(tmp_path, command, doc, "--checkpoint", ckpt) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_nan_max_lr_exits_2(tmp_path, capsys):
@@ -968,7 +1042,7 @@ def test_sample_prior_uses_training_skeleton(tmp_path):
         "--checkpoint", ckpt])
     assert code == 0
     pts = cli._read_jsonl(out / "samples.jsonl")
-    want = fl.reference_point(cfg, mo.Skeleton.from_json_dict(CHAIN))
+    want = fl.reference_point(cfg, mo.Skeleton(**CHAIN))
     np.testing.assert_allclose(pts, np.tile(want, (2, 1)), rtol=0, atol=1e-12)
 
 
@@ -980,7 +1054,7 @@ def test_sample_motion_uses_training_skeleton(tmp_path):
         "--out", str(out), "--checkpoint", ckpt])
     assert code == 0
     seq = mo.load_motion(out / "samples_motion.json")
-    assert seq.skeleton.to_json_dict() == mo.Skeleton.from_json_dict(CHAIN).to_json_dict()
+    assert seq.skeleton.to_json_dict() == mo.Skeleton(**CHAIN).to_json_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -1003,35 +1077,6 @@ def test_module_entry_point_runs_without_warning():
         flags[command] = {f for f in ("--seed", "--checkpoint") if f in proc.stdout}
     assert {c for c in flags if "--seed" in flags[c]} == {"train", "sample", "eval", "sweep"}
     assert {c for c in flags if "--checkpoint" in flags[c]} == {"sample", "sweep"}
-
-
-JSON_TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string",
-                   list: "array", dict: "object"}
-
-
-def _readme_row(section, key, typ, default):
-    shown = "required" if default is cli.REQUIRED else f"`{json.dumps(default)}`"
-    return f"| `{section}` | `{key}` | {JSON_TYPE_NAMES[typ]} | {shown} |"
-
-
-DATACLASS_SECTIONS = [
-    ("representation", mo.RepresentationConfig, ()),
-    ("train.network", nn.NetworkSpec, ("input_dim",)),
-    ("train.train", nn.TrainConfig, ()),
-    ("train.task", me.ToyTaskSpec, ("representation", "skeleton")),
-    ("train.task.components[i]", me.MixtureComponent, ()),
-    ("eval.manifold.factors[i]", mf.FactorSpec, ()),
-]
-
-
-def test_readme_tables_match_schema():
-    want = [_readme_row(ctx, key, *spec)
-            for ctx, schema in cli.SCHEMA.items() for key, spec in schema.items()]
-    want += [_readme_row(ctx, key, *spec) for ctx, cls, fixed in DATACLASS_SECTIONS
-             for key, spec in cli._dataclass_schema(cls, fixed).items()]
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    cli_section = readme.split("## CLI\n")[1].split("\n## ")[0]
-    assert [line for line in cli_section.splitlines() if line.startswith("| `")] == want
 
 
 # ---------------------------------------------------------------------------
@@ -1136,9 +1181,33 @@ def _open_std_fds() -> set:
     return open_fds
 
 
+# The checkpoint header's sections; its other keys belong to the digest.
+HEADER_SECTIONS = ("network", "train", "manifold", "representation", "prior_scale", "skeleton")
+
+
+def _mutate(data, doc, op, roots=None):
+    """Delete a key, add one or set a value to a ``FUZZ_VALUES`` entry
+    (``op``) at one place in ``doc``; with ``roots``, only under those
+    top-level keys."""
+    nodes = [(p, v) for p, v in _nodes(doc) if roots is None or p[0] in roots]
+    if op == "delete":
+        path = data.draw(st.sampled_from([p for p, _ in nodes if isinstance(p[-1], str)]))
+        del _at(doc, path[:-1])[path[-1]]
+    elif op == "add":
+        dicts = ([] if roots else [()]) + [p for p, v in nodes if isinstance(v, dict)]
+        _at(doc, data.draw(st.sampled_from(dicts)))["bogus_key"] = 1
+    else:
+        path = data.draw(st.sampled_from([p for p, _ in nodes]))
+        value = data.draw(st.sampled_from(FUZZ_VALUES))
+        _at(doc, path[:-1])[path[-1]] = json.loads(json.dumps(value))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mutated_inputs_exit_cleanly(fuzz_inputs, data):
+    """A mutated config, a truncated input file, or a mutated JSON document
+    inside the skeleton file, the motion file or the checkpoint header's
+    sections (its blob digest still valid) exits 0, 2 or 3."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = {}
@@ -1146,27 +1215,28 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, data):
             (tmp / name).write_bytes(blob)
             files[name] = str(tmp / name)
         command, doc, extra = data.draw(st.sampled_from(_fuzz_bases(files)))
-        op = data.draw(st.sampled_from(["delete", "add", "set", "truncate"]))
-        if op == "delete":
-            path = data.draw(st.sampled_from(
-                [p for p, _ in _nodes(doc) if isinstance(p[-1], str)]))
-            del _at(doc, path[:-1])[path[-1]]
-        elif op == "add":
-            dicts = [()] + [p for p, v in _nodes(doc) if isinstance(v, dict)]
-            _at(doc, data.draw(st.sampled_from(dicts)))["bogus_key"] = 1
-        elif op == "set":
-            path = data.draw(st.sampled_from([p for p, _ in _nodes(doc)]))
-            value = data.draw(st.sampled_from(FUZZ_VALUES))
-            _at(doc, path[:-1])[path[-1]] = json.loads(json.dumps(value))
-        else:
+        named = {*extra, *(v for _, v in _nodes(doc) if isinstance(v, str))}
+        documents = [n for n in ("skeleton", "motion", "checkpoint") if files[n] in named]
+        op = data.draw(st.sampled_from(["delete", "add", "set", "truncate"]
+                                       + ["document"] * bool(documents)))
+        if op == "truncate":
             name = data.draw(st.sampled_from(["checkpoint", "points", "motion"]))
             blob = fuzz_inputs[name]
             cut = data.draw(st.integers(0, len(blob) - 1))
             (tmp / name).write_bytes(blob[:cut])
+        elif op == "document":
+            name = data.draw(st.sampled_from(documents))
+            head, newline, blobs = fuzz_inputs[name].partition(b"\n")
+            inner = json.loads(head)
+            _mutate(data, inner, data.draw(st.sampled_from(["delete", "add", "set"])),
+                    HEADER_SECTIONS if name == "checkpoint" else None)
+            (tmp / name).write_bytes(json.dumps(inner).encode() + newline + blobs)
+        else:
+            _mutate(data, doc, op)
         config = write_json(tmp / "config.json", doc)
         before = _open_std_fds()
         code = cli.main([command, "--config", config, "--out", str(tmp / "out"), *extra])
-        assert code in (0, 2, 3)
+        assert code in ((0, 2) if op == "document" else (0, 2, 3))
         assert _open_std_fds() == before
         if code == 2:  # every check runs before --out is created
             assert not (tmp / "out").exists()

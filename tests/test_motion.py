@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -14,6 +15,7 @@ from rmgflow.errors import (
     SequenceTooShort,
     SkeletonMismatch,
     ZeroQuaternion,
+    _build,
 )
 
 unit_quats = st.lists(
@@ -84,6 +86,12 @@ def test_skeleton_validation():
         mo.Skeleton(parents=[0], rest_offsets=[[0.0, 0.0, 0.0]])
     with pytest.raises(InvalidConfig):
         mo.Skeleton(parents=[-1, 1], rest_offsets=np.zeros((2, 3)))
+    # not truncated to [-1, 0, 1]: a non-integer or boolean parent is rejected
+    for parents in ([-1, 0.7, 1.9], [-1, True, 1], [-1.0, 0, 1], np.array([-1.0, 0.0, 1.0])):
+        with pytest.raises(InvalidConfig, match="must be an integer"):
+            mo.Skeleton(parents=parents, rest_offsets=np.zeros((3, 3)))
+    chain = mo.Skeleton(parents=np.array([-1, 0, 1]), rest_offsets=np.zeros((3, 3)))
+    assert chain.parents.tolist() == [-1, 0, 1]
 
 
 def test_rest_pose_positions(skeleton):
@@ -115,7 +123,7 @@ def test_bone_lengths_invariant(skeleton, rng):
 
 def test_skeleton_json_roundtrip(skeleton):
     d = skeleton.to_json_dict()
-    again = mo.Skeleton.from_json_dict(json.loads(json.dumps(d)))
+    again = _build(mo.Skeleton, json.loads(json.dumps(d)), "skeleton")
     assert np.array_equal(again.parents, skeleton.parents)
     assert np.array_equal(again.rest_offsets, skeleton.rest_offsets)
 
@@ -172,7 +180,7 @@ def test_config_to_manifold_factors():
 def test_config_json_roundtrip():
     cfg = mo.RepresentationConfig(joints=5, translation=True, rotations=True,
                                   d_translation=True)
-    assert mo.RepresentationConfig.from_json_dict(cfg.to_json_dict()) == cfg
+    assert mo.RepresentationConfig.from_json_dict(dataclasses.asdict(cfg)) == cfg
 
 
 # ---------------------------------------------------------------------------

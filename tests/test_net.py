@@ -52,6 +52,10 @@ def test_param_count_formula():
         + s.hidden_dim * s.input_dim + s.input_dim
     )
     assert nn.VectorFieldParams(SPEC).count == expected
+    # W1 alone would be 2**62 entries: refused before any allocation
+    huge = nn.NetworkSpec(input_dim=7, hidden_dim=2**31, num_layers=2)
+    with pytest.raises(InvalidConfig, match="parameter count .* more than any array can hold"):
+        nn.VectorFieldParams(huge)
 
 
 def test_zero_init_field_is_zero(rng):
