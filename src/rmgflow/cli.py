@@ -37,11 +37,12 @@ from . import metrics as me
 from . import motion as mo
 from . import net as nn
 from .errors import (REQUIRED, InvalidConfig, NonFiniteLoss, NotTangent, RmgError, _build,
-                     _check, _fill)
+                     _check, _fill, _numbers)
 
 # config schema (see ``errors``): key -> (JSON type, default or REQUIRED)
 _SAMPLING = {"num_steps": (int, 100), "condition": (int, None), "use_ema": (bool, True)}
-_SCORING = {"bandwidth": (float, None), "modes": (list, None), "assign_radius": (float, 1.0)}
+_SCORING = {"bandwidth": (float, None), "modes": (np.ndarray, None),
+            "assign_radius": (float, 1.0)}
 
 SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     "train": {"seed": (int, 0), "representation": (dict, REQUIRED), "task": (dict, REQUIRED),
@@ -70,10 +71,11 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
 
 def _read(parse, path, what: str):
     """``parse(path)``, with an input that cannot be read or parsed turned
-    into an InvalidConfig."""
+    into an InvalidConfig; json raises RecursionError for arrays nested
+    about a thousand deep."""
     try:
         return parse(path)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise InvalidConfig(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -112,17 +114,27 @@ def _write_jsonl(points: np.ndarray, path) -> None:
     _write_lines((json.dumps(row) for row in np.atleast_2d(points).tolist()), path)
 
 
+_FLAT = "each line must be a flat array of numbers"
+
+
+def _point(line: str) -> np.ndarray:
+    row = json.loads(line)
+    if not _numbers(row):
+        raise ValueError(_FLAT)
+    return np.asarray(row, dtype=float)
+
+
 def _read_jsonl(path) -> np.ndarray:
-    """Points, one flat JSON array per line; ragged rows raise ValueError.
-    Each row becomes an array as it is read, so the Python floats of only one
-    line are alive at a time."""
+    """Points, one flat JSON array of numbers per line; other lines and
+    ragged rows raise ValueError.  Each row becomes an array as it is read,
+    so the Python floats of only one line are alive at a time."""
     with open(path) as fh:
-        rows = [np.asarray(json.loads(line), dtype=float) for line in fh if line.strip()]
+        rows = [_point(line) for line in fh if line.strip()]
     if not rows:
         return np.empty((0, 0))
     points = np.asarray(rows, dtype=float)
     if points.ndim != 2:
-        raise ValueError("each line must be a flat array of numbers")
+        raise ValueError(_FLAT)
     return points
 
 
@@ -132,7 +144,7 @@ def _modes(modes) -> list[np.ndarray] | None:
         return None
     try:
         return list(np.asarray(modes, dtype=float))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # ragged
         raise InvalidConfig(f"modes must be arrays of numbers: {exc}") from exc
 
 

@@ -109,18 +109,40 @@ def require_rows(name: str, rows: int, width: int) -> None:
 # accepted exactly where the default is None
 REQUIRED = object()
 
+# ``np.ndarray`` stands for an array of numbers, or of arrays of numbers:
+# the JSON value of a field that becomes a float array
 _JSON_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
-               list: "an array", dict: "an object"}
+               list: "an array", dict: "an object", np.ndarray: "an array of numbers"}
+
+
+def _number(value) -> bool:
+    """Whether ``value`` is a number that a float holds: no boolean, and no
+    integer beyond the float range."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
+
+
+def _numbers(value, depth: int = 2) -> bool:
+    """Whether ``value`` is an array whose entries are numbers or, down to
+    ``depth`` levels, such arrays.  No field nests deeper, and the bound keeps
+    a line nested hundreds deep from exhausting the stack."""
+    return isinstance(value, list) and all(
+        _number(v) or (depth > 1 and _numbers(v, depth - 1)) for v in value)
 
 
 def _check(value, typ: type, nullable: bool, where: str) -> None:
-    """Raise unless ``value`` has JSON type ``typ``; an integer is a number,
-    a boolean is neither.  The message shows at most 80 characters of the
-    value, which may be a whole motion file's frames."""
+    """Raise unless ``value`` has JSON type ``typ``; an integer is a number
+    if a float holds it, a boolean is neither.  The message shows at most 80
+    characters of the value, which may be a whole motion file's frames."""
     if value is None and nullable:
         return
-    if isinstance(value, (int, float) if typ is float else typ) and (
-            typ is bool or not isinstance(value, bool)):
+    if typ is np.ndarray:
+        if _numbers(value):
+            return
+    elif typ is float:
+        if _number(value):
+            return
+    elif isinstance(value, typ) and (typ is bool or not isinstance(value, bool)):
         return
     got = json.dumps(value)
     raise InvalidConfig(f"{where} must be {_JSON_NAMES[typ]}{' or null' if nullable else ''}, "
@@ -146,11 +168,14 @@ def _fill(doc, ctx: str, schema) -> dict:
 
 
 def _json_type(hint) -> type:
+    """The JSON type of a field: ``np.ndarray`` (an array of numbers) for
+    array and float-tuple fields, ``list`` for other tuples."""
     if typing.get_origin(hint) is typing.Union:  # Optional[X]
         hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple and set(typing.get_args(hint)) <= {float, Ellipsis}:
+        return np.ndarray
     hint = typing.get_origin(hint) or hint
-    return dict if dataclasses.is_dataclass(hint) else (
-        list if hint in (tuple, np.ndarray) else hint)
+    return dict if dataclasses.is_dataclass(hint) else (list if hint is tuple else hint)
 
 
 @cache

@@ -42,13 +42,7 @@ except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath
 
 from . import manifold as mf
-from .errors import (
-    AntipodalPoints,
-    DimensionMismatch,
-    InvalidConfig,
-    require_int,
-    require_rows,
-)
+from .errors import DimensionMismatch, InvalidConfig, require_int, require_rows
 from .motion import reference_point  # noqa: F401  (re-exported)
 
 # Flow times are sampled on [0, 1 - EPS_T] so the Euclidean 1/(1-t) target stays bounded.
@@ -85,8 +79,8 @@ class GuidanceConfig:
     enabled: bool = False
 
     def __post_init__(self):
-        if not self.scale >= 0:  # NaN fails too
-            raise InvalidConfig("guidance scale must be >= 0")
+        if not 0 <= self.scale < np.inf:  # NaN fails too
+            raise InvalidConfig(f"guidance_scale must be >= 0 and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -103,18 +97,25 @@ class IntegratorConfig:
         return 1.0 / self.num_steps
 
 
-def _flow_pairs(m: mf.ManifoldSpec, x0, x1b, t) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per factor, the blocks of x_t and of its target: the geodesic point and
-    velocity of ``mf._geodesic`` on sphere and pre-shape copies, and on
-    Euclidean blocks ``x0 + t (x1 - x0)`` and ``(x1 - x_t) / (1 - t)``."""
-    out = []
+def _flow_pairs(m: mf.ManifoldSpec, x0, x1b,
+                t) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """``(pairs, antipodal)``.  ``pairs`` holds per factor the blocks of x_t
+    and of its target: the geodesic point and velocity of ``mf._geodesic`` on
+    sphere and pre-shape copies, and on Euclidean blocks ``x0 + t (x1 - x0)``
+    and ``(x1 - x_t) / (1 - t)``.  ``antipodal`` marks the rows with a sphere
+    or pre-shape copy of x0 antipodal to x1's, from the same angles, whose
+    pairs have no unique geodesic."""
+    pairs = []
+    antipodal = np.zeros(t.shape, dtype=bool)
     tt = t[..., None]
     for f, a, b in zip(m.factors, mf._blocks(m, x0), x1b):
-        x_t, v = mf._geodesic(f, a, b, tt)
+        x_t, v, theta = mf._geodesic(f, a, b, tt)
         if f.kind == "euclidean":
             v = (b - x_t) / (1.0 - tt)
-        out.append((x_t, v))
-    return out
+        else:
+            antipodal |= mf._near_pi(theta).any(axis=-1)
+        pairs.append((x_t, v))
+    return pairs, antipodal
 
 
 def make_flow_batch(
@@ -129,25 +130,24 @@ def make_flow_batch(
 
     RNG call order (relied on by seeded reproducibility tests):
     prior normals, then uniform times, then condition-dropout uniforms.
-    Rows whose prior draw is antipodal to their data point draw again, just
-    those rows, after the times; after ``MAX_PRIOR_REDRAWS`` such rounds
-    AntipodalPoints propagates.  x_t and its target come from one pass per
-    factor over contiguous blocks (``_flow_pairs``).
+    x_t and its target come from one pass per factor over contiguous blocks
+    (``_flow_pairs``), which also marks the rows whose prior draw is
+    antipodal to their data point.  Those rows, and just those, draw again
+    after the times, and the pass runs again; once ``MAX_PRIOR_REDRAWS``
+    such rounds leave a row antipodal, AntipodalPoints is raised.
     """
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     B = x1.shape[0]
     x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
     t = rng.uniform(0.0, 1.0 - EPS_T, size=B)
     x1b = mf._blocks(m, x1)
-    for redraws in range(MAX_PRIOR_REDRAWS + 1):
-        try:
-            pairs = _flow_pairs(m, x0, x1b, t)
+    pairs, bad = _flow_pairs(m, x0, x1b, t)
+    for _ in range(MAX_PRIOR_REDRAWS):
+        if not bad.any():
             break
-        except AntipodalPoints:
-            if redraws == MAX_PRIOR_REDRAWS:
-                raise
-            bad = mf.antipodal(m, x0, x1)
-            x0[bad] = mf.sample_wrapped_gaussian(m, prior, rng, size=int(bad.sum()))
+        x0[bad] = mf.sample_wrapped_gaussian(m, prior, rng, size=int(bad.sum()))
+        pairs, bad = _flow_pairs(m, x0, x1b, t)
+    mf._check_not_antipodal(bad)
     x_t = mf._unblock(m, [p for p, _ in pairs], (B,))
     v = mf._unblock(m, [v for _, v in pairs], (B,))
     cond = None

@@ -21,10 +21,11 @@ so one formula call covers every copy of the factor and a time broadcasts
 over any block as ``t[..., None]``.  Every per-copy sum over coordinates
 (``_dot`` and ``distance``) adds whole planes left to right, written once in
 ``_sum``, so its bits do not depend on the shape or the chunk of the rows
-it runs on.  The public operations walk the leading rows in chunks whose
-blocks stay near ``CHUNK_ELEMENTS`` elements, which bounds the temporaries
-of large or broadcast inputs independently of the batch size; the flow
-module's batch, loss and sampler steps take the blocks of a whole batch.
+it runs on.  The public operations run through one chunk loop (``_map``),
+which walks the leading rows in chunks whose blocks stay near
+``CHUNK_ELEMENTS`` elements and so bounds the temporaries of large or
+broadcast inputs independently of the batch size; the flow module's batch,
+loss and sampler steps take the blocks of a whole batch.
 
 ``distance`` has its own kernel (``_copy_distance``), because its outputs
 (such as an N x M distance matrix) are large next to its inputs: each factor
@@ -58,6 +59,7 @@ from .errors import (
     _dataclass_schema,
     _fill,
     require_int,
+    require_rows,
 )
 
 # Centralized tolerance table (double precision throughout).
@@ -256,14 +258,15 @@ def _near_pi(theta):
     return theta >= np.pi - ANTIPODAL_MARGIN
 
 
-def _check_not_antipodal(theta):
-    if np.any(_near_pi(theta)):
+def _check_not_antipodal(near):
+    """Raise AntipodalPoints if any entry of the mask ``near`` is set."""
+    if np.any(near):
         raise AntipodalPoints("sphere angle within 1e-6 of pi: no unique geodesic")
 
 
 def _sphere_log(x, y):
     dot, theta = _sphere_angle(x, y)
-    _check_not_antipodal(theta)
+    _check_not_antipodal(_near_pi(theta))
     u = y - dot * x
     un = _norm(u)
     small = theta < SMALL_ANGLE
@@ -275,12 +278,13 @@ def _sphere_log(x, y):
 
 def _sphere_geodesic(x0, x1, t):
     """Point and velocity at time t of the geodesic from x0 to x1, both from
-    one clipped angle theta: the sin-weighted slerp
+    one clipped angle theta, and theta: the sin-weighted slerp
     (sin((1-t) theta) x0 + sin(t theta) x1) / sin(theta) and its analytic
     time derivative, of constant speed theta.  Below SMALL_ANGLE the weights
-    sin(a theta) / sin(theta) and theta / sin(theta) take their series."""
+    sin(a theta) / sin(theta) and theta / sin(theta) take their series.
+    Antipodal copies (``_near_pi(theta)``) have no unique geodesic; the
+    caller finds them from theta."""
     _, theta = _sphere_angle(x0, x1)
-    _check_not_antipodal(theta)
     small = theta < SMALL_ANGLE
     safe_sin = np.where(small, 1.0, np.sin(theta))
     s = 1.0 - t
@@ -290,11 +294,11 @@ def _sphere_geodesic(x0, x1, t):
     ratio = np.where(small, 1.0 + th2, theta / safe_sin)
     point = w0 * x0 + w1 * x1
     velocity = ratio * (-np.cos(s * theta) * x0 + np.cos(t * theta) * x1)
-    return point, velocity
+    return point, velocity, theta
 
 
 # ---------------------------------------------------------------------------
-# the block layout and the chunked per-factor driver
+# the block layout and the chunk loop
 # ---------------------------------------------------------------------------
 
 
@@ -328,19 +332,19 @@ def _project_blocks(m: ManifoldSpec, xb: Sequence[np.ndarray], a: np.ndarray) ->
                     a.shape[:1])
 
 
-def _per_factor(m: ManifoldSpec, *arrays: np.ndarray, t=None):
-    """``(shape, chunks)``: the broadcast leading shape of the arrays (and of
-    t, one time per point, if given), and an iterator of ``(rows, factors)``
-    per row chunk, where ``factors`` lists ``(factor, blocks)`` in factor
-    order.
+def _map(m: ManifoldSpec, fn, *arrays: np.ndarray, t=None) -> np.ndarray:
+    """``fn(factor, *blocks)`` per factor, assembled into one array of the
+    broadcast leading shape of the arrays (and of t, one time per point, if
+    given).
 
     The arrays are padded with leading axes of length 1 to a common rank of
-    at least one leading axis, and ``rows`` slices a chunk of the first one.
-    Each array's chunk is copied into ``_blocks`` once (an array that does
-    not span the first axis broadcasts across it whole); ``blocks`` holds
-    each array's block of the factor, then t's chunk with a trailing axis of
-    length 1 (``t[..., None]``), which broadcasts over any block.  A chunk
-    holds about CHUNK_ELEMENTS elements over its copied blocks and its result.
+    at least one leading axis, and that first axis is walked in chunks of
+    rows.  Each array's chunk is copied into ``_blocks`` once (an array
+    that does not span the first axis broadcasts across it whole); ``blocks``
+    holds each array's block of the factor, then t's chunk with a trailing
+    axis of length 1 (``t[..., None]``), which broadcasts over any block.  A
+    chunk holds about CHUNK_ELEMENTS elements over its copied blocks and its
+    result.
     """
     shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays),
                                 *(() if t is None else (t.shape,)))
@@ -350,34 +354,20 @@ def _per_factor(m: ManifoldSpec, *arrays: np.ndarray, t=None):
     step = max(1, CHUNK_ELEMENTS // max(1, copies * prod(lead[1:]) * m.total_ambient_dim))
     if t is not None:
         t = t.reshape((1,) * (len(lead) - t.ndim) + t.shape + (1,))
-
-    def factors(rows):
-        part = [_blocks(m, a[rows] if a.shape[0] > 1 else a) for a in arrays]
-        times = [] if t is None else [t[rows] if t.shape[0] > 1 else t]
-        return [(f, [b[i] for b in part] + times) for i, f in enumerate(m.factors)]
-
-    def chunks():  # holds no reference to a chunk's blocks once it is yielded
-        for s in range(0, lead[0], step):
-            rows = slice(s, s + step)
-            yield rows, factors(rows)
-
-    return shape, chunks()
-
-
-def _map(m: ManifoldSpec, fn, *arrays: np.ndarray, t=None) -> np.ndarray:
-    """Assemble ``fn(factor, *blocks)`` over the chunks and factors of
-    ``_per_factor`` into one array of the broadcast shape."""
-    shape, chunks = _per_factor(m, *arrays, t=t)
     out = np.empty(0)
-    for rows, factors in chunks:
-        results = [fn(f, *blocks) for f, blocks in factors]
-        del factors
+    for s in range(0, lead[0], step):
+        rows = slice(s, s + step)
+        # per factor, the tuple of each array's block
+        blocks = list(zip(*(_blocks(m, a[rows] if a.shape[0] > 1 else a) for a in arrays)))
+        times = () if t is None else (t[rows] if t.shape[0] > 1 else t,)
+        results = [fn(f, *b, *times) for f, b in zip(m.factors, blocks)]
+        del blocks
         # Allocated only now, after the chunk's blocks and temporaries are
         # freed: with glibc's malloc, an output allocated first lets the heap
         # top above it be trimmed and the next call fault it back in (the
         # 256 x 91 prior draw measured about 20% slower).
         if not out.size:
-            out = np.empty((shape or (1,)) + (m.total_ambient_dim,))
+            out = np.empty(lead + (m.total_ambient_dim,))
         for (f, sl), r in zip(m.blocks, results):
             _block_view(out[rows], f, sl)[...] = r
     return out.reshape(shape + (m.total_ambient_dim,))
@@ -438,38 +428,32 @@ def log_map(m: ManifoldSpec, x, y) -> np.ndarray:
                 else _sphere_log(xs, ys), x, y)
 
 
-def antipodal(m: ManifoldSpec, x, y) -> np.ndarray:
-    """Boolean mask over the broadcast leading axes: True where some sphere or
-    pre-shape copy of x and y is antipodal within ``ANTIPODAL_MARGIN``, the
-    pairs for which ``log_map`` raises AntipodalPoints."""
-    x = _as_coords(m, x, "x")
-    y = _as_coords(m, y, "y")
-    shape, chunks = _per_factor(m, x, y)
-    out = np.zeros(shape or (1,), dtype=bool)
-    for rows, factors in chunks:
-        for f, (xs, ys) in factors:
-            if f.kind != "euclidean":
-                out[rows] |= _near_pi(_sphere_angle(xs, ys)[1]).any(axis=-1)
-    return out.reshape(shape)
-
-
 def _geodesic(f: FactorSpec, x0, x1, t):
-    """Point and velocity of the geodesic per copy of factor f; on Euclidean
-    factors ``x0 + t (x1 - x0)`` and ``x1 - x0``."""
+    """Point, velocity and angle of the geodesic per copy of factor f, as
+    ``_sphere_geodesic``; on Euclidean factors ``x0 + t (x1 - x0)``,
+    ``x1 - x0`` and None."""
     if f.kind == "euclidean":
         d = x1 - x0
-        return x0 + t * d, d
+        return x0 + t * d, d, None
     return _sphere_geodesic(x0, x1, t)
 
 
 def _geodesic_part(m: ManifoldSpec, x0, x1, t, part: int) -> np.ndarray:
-    """Part ``part`` (0 point, 1 velocity) of ``_geodesic`` over x0, x1 and t."""
+    """Part ``part`` (0 point, 1 velocity) of ``_geodesic`` over x0, x1 and
+    t; AntipodalPoints if some sphere or pre-shape copy is antipodal."""
     x0 = _as_coords(m, x0, "x0")
     x1 = _as_coords(m, x1, "x1")
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
         raise DomainError("interpolation time t must lie in [0, 1]")
-    return _map(m, lambda f, a, b, tt: _geodesic(f, a, b, tt)[part], x0, x1, t=t)
+
+    def one_part(f, a, b, tt):
+        *parts, theta = _geodesic(f, a, b, tt)
+        if theta is not None:
+            _check_not_antipodal(_near_pi(theta))
+        return parts[part]
+
+    return _map(m, one_part, x0, x1, t=t)
 
 
 def geodesic(m: ManifoldSpec, x0, x1, t) -> np.ndarray:
@@ -616,11 +600,15 @@ def max_constraint_deviation(m: ManifoldSpec, x) -> float:
 
 
 def _draw_shape(m: ManifoldSpec, size) -> tuple[int, ...]:
+    """The shape of ``size`` draws; InvalidConfig if no array can hold them."""
     if size is None:
-        return (m.total_ambient_dim,)
-    if np.isscalar(size):
-        return (int(size), m.total_ambient_dim)
-    return tuple(size) + (m.total_ambient_dim,)
+        lead = ()
+    elif np.isscalar(size):
+        lead = (int(size),)
+    else:
+        lead = tuple(size)
+    require_rows("size", prod(lead), m.total_ambient_dim)
+    return lead + (m.total_ambient_dim,)
 
 
 def sample_wrapped_gaussian(

@@ -247,8 +247,8 @@ def check_scoring(m: mf.ManifoldSpec, samples_shape: tuple, reference_shape: tup
         raise EmptyBatch(f"MMD needs at least 2 points per set, got {num_samples} samples "
                          f"and {num_reference} reference points")
     _check_widths(m, samples=samples_shape, reference=reference_shape)
-    if bandwidth is not None and not bandwidth > 0:  # NaN fails too
-        raise InvalidConfig(f"bandwidth must be positive, got {bandwidth}")
+    if bandwidth is not None and not 0 < bandwidth < np.inf:  # NaN fails too
+        raise InvalidConfig(f"bandwidth must be positive and finite, got {bandwidth}")
     if modes is not None and len(modes):
         if any(np.shape(mode) != (m.total_ambient_dim,) for mode in modes):
             raise DimensionMismatch(f"modes must be points of dimension {m.total_ambient_dim}")

@@ -195,8 +195,8 @@ class MotionSequence:
     skeleton: Skeleton
 
     def __post_init__(self):
-        if not self.fps > 0:  # NaN fails too
-            raise InvalidConfig("fps must be positive")
+        if not 0 < self.fps < np.inf:  # NaN fails too
+            raise InvalidConfig(f"fps must be positive and finite, got {self.fps}")
         J = self.skeleton.joint_count
         for i, f in enumerate(self.frames):
             if f.joint_count != J:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -342,7 +343,7 @@ def test_malformed_motion_file_exits_2(tmp_path, skeleton, rng, capsys, edit, me
     (lambda d: d.update(parents=[-1, 0.7, 1.9]),
      "parent of joint 1 must be an integer >= -1, got 0.7"),
     (lambda d: d.update(parents=[-1, True, 1]),
-     "parent of joint 1 must be an integer >= -1, got True"),
+     "skeleton.parents must be an array of numbers, got [-1, true, 1]"),
 ])
 def test_malformed_skeleton_file_exits_2(tmp_path, capsys, edit, message):
     skeleton = json.loads(json.dumps(CHAIN))
@@ -726,6 +727,24 @@ def test_nan_motion_fps_exits_2(tmp_path, skeleton, rng, capsys):
     assert not (tmp_path / "out" / "positions.json").exists()
 
 
+def test_infinite_fps_exits_2(tmp_path, skeleton, rng, capsys):
+    """An infinite fps would be written to motion.json as the non-JSON token
+    Infinity; neither convert nor validate accepts it."""
+    points = tmp_path / "points.jsonl"
+    cfg = mo.RepresentationConfig(joints=22, translation=True, rotations=True)
+    cli._write_jsonl(mo.reference_point(cfg, skeleton)[None], points)
+    motion_path, _ = _motion_file(tmp_path, skeleton, rng)
+    doc = json.loads(motion_path.read_text())
+    motion_path.write_text(json.dumps({**doc, "fps": float("inf")}))
+    for command, config in (
+            ("convert", {"schema": 1, "input": str(points), "target": "motion",
+                         "fps": float("inf"), "representation": dataclasses.asdict(cfg)}),
+            ("validate", {"schema": 1, "input": str(motion_path)})):
+        assert _run(tmp_path, command, config) == 2
+        assert "fps must be positive and finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_convert_to_motion_checks_skeleton_on_empty_points(tmp_path, capsys):
     """No rows still need a skeleton with the representation's joint count."""
     (tmp_path / "empty.jsonl").write_text("")
@@ -810,7 +829,7 @@ def _sweep_doc(tmp_path, scales, sample=None, scoring=None):
 @pytest.mark.parametrize("scales, sample, scoring, message", [
     ([1.0, 3.0], {"condition": 7}, None, "condition indices must lie in [0, 3)"),
     ([1.0, 3.0], {"num_steps": 0}, None, "num_steps must be an integer >= 1"),
-    ([-1.0], None, None, "guidance scale must be >= 0"),
+    ([-1.0], None, None, "guidance_scale must be >= 0"),
     ([1.0], None, {"bandwidth": 0.0}, "bandwidth must be positive"),
     ([1.0], None, {"modes": [[0, 0, 0, 1.0, 0, 0, 0]], "assign_radius": -1.0},
      "assign_radius must be >= 0"),
@@ -856,6 +875,148 @@ def test_sample_numerical_failure_writes_nothing(trained, tmp_path, capsys):
            "guidance_scale": 1e308}
     assert _run(tmp_path, "sample", doc, "--checkpoint", str(trained / "checkpoint.rmg")) == 2
     assert "tangency defect" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_infinite_guidance_scale_exits_2_before_sampling(trained, tmp_path, capsys,
+                                                        monkeypatch):
+    """An infinite scale is a config error that names the key; the sampler,
+    and so its NotTangent, is never reached.  A sweep fails before its first
+    row."""
+    monkeypatch.setattr(cli, "_sample_points", lambda *a, **k: pytest.fail("sampling started"))
+    ckpt = str(trained / "checkpoint.rmg")
+    for command, doc in (
+            ("sample", {"schema": 1, "num_samples": 4, "condition": 1,
+                        "guidance_scale": float("inf")}),
+            ("sweep", _sweep_doc(tmp_path, [1.0, float("inf")]))):
+        assert _run(tmp_path, command, doc, "--checkpoint", ckpt) == 2
+        assert capsys.readouterr().err == \
+            "error: guidance_scale must be >= 0 and finite, got inf\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_infinite_bandwidth_exits_2(tmp_path, capsys):
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
+    mean = np.array([0, 0, 0, 1.0, 0, 0, 0])
+    doc = {"schema": 1, "samples": str(_points_file(tmp_path / "a.jsonl", m, mean, 20, 0)),
+           "reference": str(_points_file(tmp_path / "b.jsonl", m, mean, 20, 1)),
+           "manifold": m.to_json_dict(), "bandwidth": float("inf")}
+    assert _run(tmp_path, "eval", doc) == 2
+    assert capsys.readouterr().err == "error: bandwidth must be positive and finite, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+# json reads an array nested this deep; numpy makes at most 64 dimensions
+DEEP = "[" * 600 + "1.0" + "]" * 600
+
+
+def _entry_in_motion(tmp_path, key, entry=True):
+    motion_path, _ = _motion_file(tmp_path, mo.default_skeleton(), np.random.default_rng(0))
+    doc = json.loads(motion_path.read_text())
+    doc["frames"][0][key][0] = [entry, 0, 0, 0] if key == "rotations" else entry
+    motion_path.write_text(json.dumps(doc))
+    return "validate", {"schema": 1, "input": str(motion_path)}
+
+
+def _skeleton_offsets(tmp_path, rest_offsets):
+    (tmp_path / "empty.jsonl").write_text("")
+    skeleton = {**CHAIN, "rest_offsets": rest_offsets}
+    return "convert", {"schema": 1, "input": str(tmp_path / "empty.jsonl"), "target": "motion",
+                       "representation": {"joints": 3, "translation": True, "rotations": True},
+                       "skeleton": write_json(tmp_path / "chain.json", skeleton)}
+
+
+def _bool_in_task(tmp_path, key):
+    doc = json.loads(json.dumps(TRAIN_DOC))
+    if key == "axis":
+        doc["representation"]["joints"] = 22
+        doc["task"] = {"kind": "rotating_joint", "sample_count": 8, "axis": [0, 0, True]}
+    else:
+        doc["task"]["components"][1]["mean"][0] = True
+    return "train", doc
+
+
+def _entry_in_modes(tmp_path, command, entry=True):
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
+    modes = {"modes": [[0, 0, 0, 1.0, 0, 0, 0], [0, 0, 0, entry, 0, 0, 0]]}
+    if command == "sweep":
+        return command, _sweep_doc(tmp_path, [1.0], scoring=modes)
+    mean = np.array([0, 0, 0, 1.0, 0, 0, 0])
+    return command, {"schema": 1, "manifold": m.to_json_dict(), **modes,
+                     "samples": str(_points_file(tmp_path / "a.jsonl", m, mean, 20, 0)),
+                     "reference": str(_points_file(tmp_path / "b.jsonl", m, mean, 20, 1))}
+
+
+@pytest.mark.parametrize("case, key, shown", [
+    (lambda p: _entry_in_motion(p, "root_translation"), "motion.frames[0].root_translation",
+     "true"),
+    (lambda p: _entry_in_motion(p, "rotations"), "motion.frames[0].rotations", "true"),
+    (lambda p: _skeleton_offsets(p, [[0, 0, 0], [0.3, False, 0], [0, 0.5, 0.2]]),
+     "skeleton.rest_offsets", "false"),
+    (lambda p: _bool_in_task(p, "mean"), "train.task.components[1].mean", "true"),
+    (lambda p: _bool_in_task(p, "axis"), "train.task.axis", "true"),
+    (lambda p: _entry_in_modes(p, "eval"), "eval.modes", "true"),
+    (lambda p: _entry_in_modes(p, "sweep"), "sweep.eval.modes", "true"),
+    (lambda p: _entry_in_motion(p, "rotations", json.loads(DEEP)), "motion.frames[0].rotations",
+     "[[[["),
+    (lambda p: _entry_in_modes(p, "eval", json.loads(DEEP)), "eval.modes", "[[[["),
+    (lambda p: _entry_in_modes(p, "sweep", json.loads(DEEP)), "sweep.eval.modes", "[[[["),
+], ids=["root_translation", "rotations", "rest_offsets", "component_mean", "task_axis",
+        "eval_modes", "sweep_modes", "deep_rotations", "deep_eval_modes", "deep_sweep_modes"])
+def test_boolean_in_number_array_exits_2(trained, tmp_path, capsys, case, key, shown):
+    """A boolean inside an array that becomes a float array is not the
+    number 1 or 0, and an array nested deeper than any field holds no
+    numbers: one error line names the key and shows the value."""
+    command, doc = case(tmp_path)
+    assert _run(tmp_path, command, doc, *(
+        ("--checkpoint", str(trained / "checkpoint.rmg")) if command == "sweep" else ())) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be an array of numbers")
+    assert shown in err and err.count("\n") == 1 and len(err) < 200
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry", ["true", '"1.0"', "1" + "0" * 400, DEEP],
+                         ids=["boolean", "string", "huge_integer", "deeply_nested"])
+def test_non_number_in_points_file_exits_2(tmp_path, capsys, entry):
+    """A points line holds numbers only: numpy would read true as 1.0 and
+    parse the string "1.0"."""
+    points = tmp_path / "points.jsonl"
+    points.write_text(f"[0, 0, 0, 1.0, 0, 0, 0]\n[0, 0, 0, {entry}, 0, 0, 0]\n")
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
+    assert _run(tmp_path, "eval", {"schema": 1, "samples": str(points), "reference": str(points),
+                                   "manifold": m.to_json_dict()}) == 2
+    assert capsys.readouterr().err == (f"error: cannot read points {points}: "
+                                       "each line must be a flat array of numbers\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_json_nested_beyond_the_parser_exits_2(tmp_path, capsys):
+    """json gives up on arrays nested about a thousand deep with a
+    RecursionError; the file is then unreadable, not a crash."""
+    cfg = tmp_path / "eval.json"
+    cfg.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {cfg}: maximum recursion depth exceeded")
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    (lambda p: ("validate", {"schema": 1, "input": "motion.json", "tolerance": 10 ** 400}),
+     "validate.tolerance must be a number, got 1000"),
+    (lambda p: _skeleton_offsets(p, [[0, 0, 0], [10 ** 400, 0, 0], [0, 0.5, 0.2]]),
+     "skeleton.rest_offsets must be an array of numbers, got [[0, 0, 0], [1000"),
+    (lambda p: ("train", {**TRAIN_DOC, "prior_scale": 10 ** 400}),
+     "train.prior_scale must be a number, got 1000"),
+], ids=["tolerance", "rest_offsets", "prior_scale"])
+def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, case, message):
+    """An integer no float holds is not a number: one error line, where
+    converting it raised OverflowError with a traceback."""
+    command, doc = case(tmp_path)
+    assert _run(tmp_path, command, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and len(err) < 200
     assert not (tmp_path / "out").exists()
 
 

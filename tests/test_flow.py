@@ -54,7 +54,8 @@ def test_interpolate_domain():
 def test_flow_pairs_euclidean():
     m = mf.ManifoldSpec([mf.euclidean(2)])
     x0, x1 = np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]])
-    [(x_t, v)] = fl._flow_pairs(m, x0, mf._blocks(m, x1), np.array([0.5]))
+    [(x_t, v)], antipodal = fl._flow_pairs(m, x0, mf._blocks(m, x1), np.array([0.5]))
+    assert not antipodal.any()
     assert np.array_equal(x_t[:, 0, 0], [1.0, 0.0])
     assert np.array_equal(v[:, 0, 0], [2.0, 0.0])
 
@@ -120,7 +121,7 @@ def test_target_near_one_matches_longdouble_reference(pose_manifold, rng):
     x0 = mf.random_point(m, rng, size=B)
     x1 = mf.exp_map(m, x0, mf.random_tangent(m, x0, rng, max_norm=2.0))
     t = 1.0 - fl.EPS_T * rng.uniform(1.0, 2.0, size=B)
-    pairs = fl._flow_pairs(m, x0, mf._blocks(m, x1), t)
+    pairs, _ = fl._flow_pairs(m, x0, mf._blocks(m, x1), t)
     x_t_error, target_error = _longdouble_errors(m, x0, x1, t, pairs)
     assert x_t_error <= 1e-15 and target_error <= 1e-13
 
@@ -143,7 +144,8 @@ def test_batch_on_manifold_and_tangent(manifold, angle, rng):
     x0 = mf.random_point(m, rng, size=B)
     x1 = mf.exp_map(m, x0, mf.random_tangent(m, x0, rng, max_norm=angle))
     t = np.concatenate([rng.uniform(0.0, 1.0 - fl.EPS_T, size=B - 2), [0.0, 1.0 - fl.EPS_T]])
-    pairs = fl._flow_pairs(m, x0, mf._blocks(m, x1), t)
+    pairs, antipodal = fl._flow_pairs(m, x0, mf._blocks(m, x1), t)
+    assert not antipodal.any()
     x_t = mf._unblock(m, [p for p, _ in pairs], (B,))
     v = mf._unblock(m, [v for _, v in pairs], (B,))
     assert mf.max_constraint_deviation(m, x_t) <= 1e-9
@@ -187,11 +189,11 @@ def test_make_flow_batch_condition_dropout(toy_manifold, rng):
 
 
 def _forced_prior(monkeypatch, x1, rows, stay_bad=False):
-    """Patch the prior sampler: its first draw puts ``rows`` of the sphere
-    block exactly antipodal to ``x1``, and with ``stay_bad`` so does every
-    redraw.  Returns the lists of draw sizes and of ``mf.antipodal`` masks."""
-    draw, antipodal = mf.sample_wrapped_gaussian, mf.antipodal
-    sizes, masks = [], []
+    """Patch the prior sampler: its first draw puts ``rows`` of the blocks
+    after the leading euclidean(3) exactly antipodal to ``x1``, and with
+    ``stay_bad`` so does every redraw.  Returns the list of draw sizes."""
+    draw = mf.sample_wrapped_gaussian
+    sizes = []
 
     def forced(m, g, rng, size=None):
         sizes.append(size)
@@ -202,39 +204,48 @@ def _forced_prior(monkeypatch, x1, rows, stay_bad=False):
             x[:, 3:] = -x1[rows, 3:]
         return x
 
-    def counted(m, x, y):
-        masks.append(antipodal(m, x, y))
-        return masks[-1]
-
     monkeypatch.setattr(mf, "sample_wrapped_gaussian", forced)
-    monkeypatch.setattr(mf, "antipodal", counted)
-    return sizes, masks
+    return sizes
+
+
+def _assert_redrawn(m, prior, x1, rows, monkeypatch):
+    """A batch whose first prior draw is antipodal in ``rows`` draws those
+    rows once more, after the times, and keeps every other row's first draw:
+    the same stream replayed gives the same x0, t and x_t.  Each of the two
+    attempts computes the angles of m's one non-Euclidean factor once."""
+    draw, angle, angles = mf.sample_wrapped_gaussian, mf._sphere_angle, []
+    sizes = _forced_prior(monkeypatch, x1, rows)
+    monkeypatch.setattr(mf, "_sphere_angle", lambda x, y: angles.append(x.shape) or angle(x, y))
+    batch = fl.make_flow_batch(m, x1, prior, np.random.default_rng(4))
+    assert sizes == [len(x1), len(rows)] and len(angles) == 2
+    rng = np.random.default_rng(4)
+    x0 = draw(m, prior, rng, size=len(x1))
+    t = rng.uniform(0.0, 1.0 - fl.EPS_T, size=len(x1))
+    x0[rows] = draw(m, prior, rng, size=len(rows))
+    assert np.array_equal(batch.x0, x0) and np.array_equal(batch.t, t)
+    assert np.array_equal(batch.x_t, mf.geodesic(m, x0, x1, t))
 
 
 def test_make_flow_batch_redraws_only_antipodal_rows(toy_manifold, monkeypatch):
     m = toy_manifold
     prior = _prior(m)
     x1 = mf.sample_wrapped_gaussian(m, prior, np.random.default_rng(0), size=16)
-    draw = mf.sample_wrapped_gaussian
-    sizes, masks = _forced_prior(monkeypatch, x1, [2, 9])
-    batch = fl.make_flow_batch(m, x1, prior, np.random.default_rng(4))
-    assert sizes == [16, 2]
-    assert [np.flatnonzero(mask).tolist() for mask in masks] == [[2, 9]]
-    # The same stream replayed: every other row keeps its first draw.
-    rng = np.random.default_rng(4)
-    x0 = draw(m, prior, rng, size=16)
-    t = rng.uniform(0.0, 1.0 - fl.EPS_T, size=16)
-    x0[[2, 9]] = draw(m, prior, rng, size=2)
-    assert np.array_equal(batch.x0, x0) and np.array_equal(batch.t, t)
-    assert np.array_equal(batch.x_t, mf.geodesic(m, x0, x1, t))
+    _assert_redrawn(m, prior, x1, [2, 9], monkeypatch)
+
+
+def test_make_flow_batch_redraws_antipodal_preshape_rows(monkeypatch):
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.preshape(3, 2)])
+    prior = mf.WrappedGaussianSpec(m, mf.random_point(m, np.random.default_rng(1)), 0.5)
+    x1 = mf.sample_wrapped_gaussian(m, prior, np.random.default_rng(0), size=16)
+    _assert_redrawn(m, prior, x1, [11], monkeypatch)
 
 
 def test_make_flow_batch_redraws_are_bounded(toy_manifold, monkeypatch):
     m = toy_manifold
     prior = _prior(m)
     x1 = mf.sample_wrapped_gaussian(m, prior, np.random.default_rng(0), size=16)
-    sizes, _ = _forced_prior(monkeypatch, x1, [5], stay_bad=True)
-    with pytest.raises(AntipodalPoints):
+    sizes = _forced_prior(monkeypatch, x1, [5], stay_bad=True)
+    with pytest.raises(AntipodalPoints, match="no unique geodesic"):
         fl.make_flow_batch(m, x1, prior, np.random.default_rng(4))
     assert sizes == [16] + [1] * fl.MAX_PRIOR_REDRAWS
 
@@ -243,9 +254,11 @@ def test_make_flow_batch_clean_batch_draws_once(toy_manifold, monkeypatch):
     m = toy_manifold
     prior = _prior(m)
     x1 = mf.sample_wrapped_gaussian(m, prior, np.random.default_rng(0), size=16)
-    sizes, masks = _forced_prior(monkeypatch, x1, [])
+    angle, angles = mf._sphere_angle, []
+    sizes = _forced_prior(monkeypatch, x1, [])
+    monkeypatch.setattr(mf, "_sphere_angle", lambda x, y: angles.append(x.shape) or angle(x, y))
     fl.make_flow_batch(m, x1, prior, np.random.default_rng(4))
-    assert sizes == [16] and masks == []
+    assert sizes == [16] and len(angles) == 1
 
 
 def test_fm_loss_zero_on_exact_prediction(toy_manifold, rng):

@@ -176,8 +176,9 @@ def test_antipodal_rejected():
     m = mf.ManifoldSpec([mf.sphere(2)])
     with pytest.raises(AntipodalPoints):
         mf.log_map(m, [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
-    with pytest.raises(AntipodalPoints):
-        mf.geodesic(m, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], 0.5)
+    for op in (mf.geodesic, mf.geodesic_velocity):
+        with pytest.raises(AntipodalPoints):
+            op(m, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], 0.5)
 
 
 def test_exp_rejects_non_tangent():
@@ -399,7 +400,6 @@ def test_public_ops_on_broadcast_shapes_equal_per_point_calls(factors, lead, n, 
         "exp": (mf.exp_map, coords(x), coords(v)),
         "log": (mf.log_map, coords(x), coords(y)),
         "project": (mf.project_tangent, coords(x), coords(a)),
-        "antipodal": (mf.antipodal, coords(x), coords(far)),
         "distance": (mf.distance, coords(x), coords(far)),
         "deviations": (lambda mm, p: [d for _, _, d in mf.point_deviations(mm, p)],
                        coords(xb + 1e-3 * a)),
@@ -611,6 +611,20 @@ def test_wrapped_gaussian_per_factor_scales():
         mf.WrappedGaussianSpec(m, mean, (1.0,))
     with pytest.raises(InvalidConfig):
         mf.WrappedGaussianSpec(m, mean, -1.0)
+
+
+@pytest.mark.parametrize("size", [2 ** 57, (2 ** 30, 2 ** 27)], ids=["rows", "shape"])
+def test_draw_no_array_can_hold_raises_invalid_config(pose_manifold, size):
+    """A draw size no float64 array can hold is refused before any draw."""
+    m = pose_manifold
+    g = mf.WrappedGaussianSpec(m, mf.random_point(m, np.random.default_rng(0)), 0.5)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    for draw in (lambda: mf.sample_wrapped_gaussian(m, g, rng, size=size),
+                 lambda: mf.random_point(m, rng, size=size)):
+        with pytest.raises(InvalidConfig, match="more than any array can hold"):
+            draw()
+    assert rng.bit_generator.state == state
 
 
 def test_sampling_deterministic(rng):
