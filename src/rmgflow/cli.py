@@ -121,12 +121,15 @@ def _point(line: str) -> np.ndarray:
     row = json.loads(line)
     if not _numbers(row):
         raise ValueError(_FLAT)
-    return np.asarray(row, dtype=float)
+    point = np.asarray(row, dtype=float)
+    if not np.isfinite(point).all():
+        raise ValueError("each coordinate must be finite")
+    return point
 
 
 def _read_jsonl(path) -> np.ndarray:
-    """Points, one flat JSON array of numbers per line; other lines and
-    ragged rows raise ValueError.  Each row becomes an array as it is read,
+    """Points, one flat JSON array of finite numbers per line; other lines
+    and ragged rows raise ValueError.  Each row becomes an array as it is read,
     so the Python floats of only one line are alive at a time."""
     with open(path) as fh:
         rows = [_point(line) for line in fh if line.strip()]

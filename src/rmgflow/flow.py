@@ -12,10 +12,11 @@ steps, which keep every iterate on the manifold by construction.
 
 Each sampler step is one pass per factor over the contiguous coordinate
 planes of the point and of the field evaluations (``manifold._blocks``).
-The pass projects, applies guidance, checks tangency and shoots with the
-per-element arithmetic of ``project_tangent`` and ``exp_map``: the test
-oracle ``_sample_ode_chain`` in ``tests/test_flow.py`` composes those public
-operations on whole arrays, and every ``sample_ode`` run has its bits.
+The pass applies guidance to the raw fields, projects once (the projection
+is linear), checks tangency and shoots with the per-element arithmetic of
+``project_tangent`` and ``exp_map``.  The test oracle ``_sample_ode_chain``
+in ``tests/test_flow.py`` composes those public operations on whole arrays;
+a run with one field per step has its bits, a guided one agrees to rounding.
 
 The sampler cuts the rows after the prior draw into fixed blocks of
 ``SAMPLE_BLOCK_ROWS`` and integrates each block on its own, the blocks in
@@ -161,13 +162,14 @@ def make_flow_batch(
 
 
 def _fm_terms(m: mf.ManifoldSpec, batch: FlowBatch,
-              predicted: np.ndarray) -> tuple[float, np.ndarray, list[np.ndarray]]:
-    """``(loss, r, xb)``: the flow-matching loss, the mean squared norm of
-    the residual r = target_v - P_{x_t}(predicted); r; and the ``_blocks``
-    of x_t that projected it."""
-    xb = mf._blocks(m, batch.x_t)
-    r = batch.target_v - mf._project_blocks(m, xb, predicted)
-    return float(np.mean(np.sum(r * r, axis=-1))), r, xb
+              predicted: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(loss, r)``: the flow-matching loss, the mean squared norm of the
+    residual r = target_v - P_{x_t}(predicted), and r, tangent at x_t like
+    the target.  P runs per factor on ``_blocks``, as ``project_tangent``."""
+    projected = [mf._project(f, x, a) for f, x, a in
+                 zip(m.factors, mf._blocks(m, batch.x_t), mf._blocks(m, predicted))]
+    r = batch.target_v - mf._unblock(m, projected, predicted.shape[:1])
+    return float(np.mean(np.sum(r * r, axis=-1))), r
 
 
 def fm_loss(m: mf.ManifoldSpec, batch: FlowBatch, predicted: np.ndarray) -> float:
@@ -193,25 +195,22 @@ def _field_blocks(m: mf.ManifoldSpec, field: VelocityField, x, t, cond) -> list[
 def _euler_pass(m: mf.ManifoldSpec, xb, ab, a0b, scale: float, h: float) -> list[np.ndarray]:
     """One guided geodesic Euler step on the contiguous blocks of ``mf._blocks``.
 
-    Per factor: project the field ``ab`` to v; given the null-condition field
-    ``a0b`` (passed only when scale is neither 0 nor 1), project it to v0 and
-    take ``project(v0 + scale (v - v0))``, the classifier-free combination;
-    scale by h, then shoot along the geodesic with ``mf._shoot``, which
+    Per factor: the field ``ab`` or, given the null-condition field ``a0b``
+    (passed only when scale is neither 0 nor 1), the classifier-free
+    combination ``a0 + scale (a - a0)`` of the raw fields is projected once,
+    scaled by h and shot along the geodesic with ``mf._shoot``, which
     rejects a step whose tangency defect exceeds ``TANGENT_REJECT`` (so any
-    non-finite field).  It has the bits of the test oracle
-    ``_sample_ode_chain`` (``tests/test_flow.py``): per step
-    ``project_tangent``, that combination and ``exp_map(x, h v)``.
+    non-finite field).  The projection is linear: the test oracle
+    ``_sample_ode_chain`` (``tests/test_flow.py``) combines projected fields
+    and projects again.  With one field a step has the oracle's bits.
     """
     out = []
     for i, (f, x, a) in enumerate(zip(m.factors, xb, ab)):
-        project = functools.partial(mf._project, f, x)
         # A non-finite field fails the tangency check in _shoot, so its warnings are moot.
         with np.errstate(invalid="ignore", over="ignore"):
-            v = project(a)
             if a0b is not None:
-                v0 = project(a0b[i])
-                v = project(v0 + scale * (v - v0))
-            v = h * v
+                a = a0b[i] + scale * (a - a0b[i])
+            v = h * mf._project(f, x, a)
         out.append(mf._shoot(f, x, v))
     return out
 

@@ -325,13 +325,6 @@ def _unblock(m: ManifoldSpec, blocks: Sequence[np.ndarray], lead: tuple) -> np.n
     return out
 
 
-def _project_blocks(m: ManifoldSpec, xb: Sequence[np.ndarray], a: np.ndarray) -> np.ndarray:
-    """``project_tangent(m, x, a)`` for a of shape (B, D) and x given as its
-    ``_blocks``, with the same bits."""
-    return _unblock(m, [_project(f, x, b) for f, x, b in zip(m.factors, xb, _blocks(m, a))],
-                    a.shape[:1])
-
-
 def _map(m: ManifoldSpec, fn, *arrays: np.ndarray, t=None) -> np.ndarray:
     """``fn(factor, *blocks)`` per factor, assembled into one array of the
     broadcast leading shape of the arrays (and of t, one time per point, if

@@ -252,6 +252,8 @@ def check_scoring(m: mf.ManifoldSpec, samples_shape: tuple, reference_shape: tup
     if modes is not None and len(modes):
         if any(np.shape(mode) != (m.total_ambient_dim,) for mode in modes):
             raise DimensionMismatch(f"modes must be points of dimension {m.total_ambient_dim}")
+        if not np.isfinite(modes).all():
+            raise InvalidConfig("modes must be finite")
         if not assign_radius >= 0:  # NaN fails too
             raise InvalidConfig(f"assign_radius must be >= 0, got {assign_radius}")
 

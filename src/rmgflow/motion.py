@@ -182,6 +182,9 @@ class MotionFrame:
             raise InvalidConfig("root_translation must be a 3-vector")
         if self.rotations.ndim != 2 or self.rotations.shape[1] != 4:
             raise InvalidConfig("rotations must be (J, 4)")
+        for name in ("root_translation", "rotations"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidConfig(f"{name} must be finite")
 
     @property
     def joint_count(self) -> int:
@@ -415,7 +418,12 @@ def load_motion_dict(doc: dict, tol: float = 1e-6) -> MotionSequence:
     frames = []
     flips = 0
     for i, fr in enumerate(doc["frames"]):
-        frame = _build(MotionFrame, fr, f"motion.frames[{i}]")
+        where = f"motion.frames[{i}]"
+        fields = _fill(fr, where, _dataclass_schema(MotionFrame))
+        try:
+            frame = MotionFrame(**fields)
+        except (InvalidConfig, ValueError) as exc:  # ValueError: a ragged array
+            raise InvalidConfig(f"{where}: {exc}") from exc
         rot = frame.rotations
         norms = np.linalg.norm(rot, axis=-1)
         bad = np.abs(norms - 1.0) > tol

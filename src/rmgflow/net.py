@@ -247,18 +247,17 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Flow-matching loss and its exact gradient in the flat layout.
 
-    The loss, the residual and the blocks of x_t come from ``fl._fm_terms``,
-    the formula of ``fl.fm_loss``.  The tangent projection is linear in the
-    prediction at fixed x_t and self-adjoint, so its pull-back is another
-    projection on the same blocks.  SiLU's derivative comes from the forward's
-    cache.  Every gradient entry is written, into ``out`` when it is given
-    (a reusable buffer of ``params.count`` floats).
+    The loss and the residual r come from ``fl._fm_terms``, the formula of
+    ``fl.fm_loss``.  The projection is linear and self-adjoint, so its
+    pull-back is P(r), which is r: r is tangent.  SiLU's derivative comes
+    from the forward's cache; of the first layer's input gradient only the
+    class-embedding columns are computed.  Every gradient entry is written,
+    into ``out`` when given (a reusable buffer of ``params.count`` floats).
     """
     spec = params.spec
     pred, (idx, dsilu, acts) = _forward_cached(params, batch.x_t, batch.t, batch.condition)
     B = pred.shape[0]
-    loss, r, xb = fl._fm_terms(m, batch, pred)
-    d_out = mf._project_blocks(m, xb, r)
+    loss, d_out = fl._fm_terms(m, batch, pred)
     d_out *= -(2.0 / B)
 
     flat = VectorFieldParams(spec, np.empty(params.count) if out is None else out)
@@ -271,9 +270,10 @@ def loss_and_grad(
         d_z *= d_h
         np.matmul(acts[i].T, d_z, out=grads[f"W{i}"])
         np.sum(d_z, axis=0, out=grads[f"b{i}"])
-        d_h = d_z @ params.views[f"W{i}"].T
+        w = params.views[f"W{i}"]
+        d_h = d_z @ (w if i else w[spec.input_dim + spec.time_embed_dim:]).T
     grads["cond_emb"][...] = 0.0
-    np.add.at(grads["cond_emb"], idx, d_h[:, spec.input_dim + spec.time_embed_dim:])
+    np.add.at(grads["cond_emb"], idx, d_h)
     return loss, flat.flat
 
 

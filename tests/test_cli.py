@@ -479,13 +479,18 @@ def test_sweep_unusable_reference_exits_2_before_sampling(trained, tmp_path, cap
 
 def test_write_jsonl_bytes_and_round_trip(tmp_path):
     """Shortest round-trip decimals, JSON's spelling of non-finite numbers,
-    and the sign of zero, read back bit for bit."""
+    and the sign of zero; finite points read back bit for bit, and a file
+    with a non-finite coordinate is refused."""
     points = np.array([[5e-324, 1e308, -0.0, np.inf], [-np.inf, np.nan, 0.1, 1.0]])
     path = tmp_path / "p.jsonl"
     cli._write_jsonl(points, path)
     assert path.read_text() == ("[5e-324, 1e+308, -0.0, Infinity]\n"
                                 "[-Infinity, NaN, 0.1, 1.0]\n")
-    assert cli._read_jsonl(path).tobytes() == points.tobytes()
+    with pytest.raises(ValueError, match="each coordinate must be finite"):
+        cli._read_jsonl(path)
+    finite = np.array([[5e-324, 1e308, -0.0, 0.1], [-1e308, -5e-324, 0.0, 1.0]])
+    cli._write_jsonl(finite, path)
+    assert cli._read_jsonl(path).tobytes() == finite.tobytes()
     cli._write_jsonl(points[0], path)
     assert path.read_text() == "[5e-324, 1e+308, -0.0, Infinity]\n"
 
@@ -500,7 +505,7 @@ def test_json_writers_have_json_dump_bytes(tmp_path, indent):
         json.dump(doc, fh, indent=indent)
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
     seq = mo.MotionSequence(
-        frames=[mo.MotionFrame(root_translation=np.array([-0.0, np.inf, 0.1]),
+        frames=[mo.MotionFrame(root_translation=np.array([-0.0, 1e308, 5e-324]),
                                rotations=np.tile(mo.QUAT_IDENTITY, (22, 1)))],
         fps=30.0, skeleton=mo.default_skeleton())
     mo.save_motion(seq, tmp_path / "new_motion.json")
@@ -989,6 +994,51 @@ def test_non_number_in_points_file_exits_2(tmp_path, capsys, entry):
     assert capsys.readouterr().err == (f"error: cannot read points {points}: "
                                        "each line must be a flat array of numbers\n")
     assert not (tmp_path / "out").exists()
+
+
+POSE = {"joints": 22, "translation": True, "rotations": True}
+
+
+@pytest.mark.parametrize("role", ["samples", "reference", "convert"])
+def test_non_finite_point_exits_2_naming_the_file(tmp_path, capsys, role):
+    """A points file with a NaN coordinate is refused as it is read, with
+    its name, by eval (as samples or as reference) and by convert."""
+    m = mo.config_to_manifold(mo.RepresentationConfig(**POSE))
+    mean = mo.reference_point(mo.RepresentationConfig(**POSE), mo.default_skeleton())
+    good = _points_file(tmp_path / "good.jsonl", m, mean, 20, 0)
+    rows = [json.loads(line) for line in good.read_text().splitlines()]
+    rows[3][5] = float("nan")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    if role == "convert":
+        doc = {"schema": 1, "input": str(bad), "target": "motion", "representation": POSE}
+    else:
+        doc = {"schema": 1, "representation": POSE, "samples": str(good), "reference": str(good),
+               role: str(bad)}
+    assert _run(tmp_path, "convert" if role == "convert" else "eval", doc) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot read points {bad}: each coordinate must be finite\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_non_finite_mode_exits_2(trained, tmp_path, capsys, command):
+    """A mode with a NaN coordinate is refused before any row is scored."""
+    command, doc = _entry_in_modes(tmp_path, command, float("nan"))
+    assert _run(tmp_path, command, doc, *(
+        ("--checkpoint", str(trained / "checkpoint.rmg")) if command == "sweep" else ())) == 2
+    assert capsys.readouterr().err == "error: modes must be finite\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["root_translation", "rotations"])
+def test_non_finite_motion_frame_exits_2(tmp_path, capsys, key):
+    """validate and convert refuse a frame holding a NaN, naming the frame."""
+    _, doc = _entry_in_motion(tmp_path, key, float("nan"))
+    for command, extra in (("validate", {}), ("convert", {"target": "positions"})):
+        assert _run(tmp_path, command, {**doc, **extra}) == 2
+        assert capsys.readouterr().err == f"error: motion.frames[0]: {key} must be finite\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_json_nested_beyond_the_parser_exits_2(tmp_path, capsys):

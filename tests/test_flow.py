@@ -386,12 +386,34 @@ def _sample_ode_chain(m, field, prior, integ, guid, condition, rng, num_samples=
 
 
 def _recorded_field(calls):
-    """A smooth field with normal and off-centre components; records each call."""
+    """A smooth field with normal and off-centre components; records each
+    call as ``(t, condition bytes, x)``."""
     def field(x, t, cond):
-        calls.append((t, None if cond is None else cond.tobytes(), x.tobytes()))
+        calls.append((t, None if cond is None else cond.tobytes(), x.copy()))
         c = 0.0 if cond is None else cond[:, None]
         return np.sin(3.0 * x + 2.0 * t + c) + 0.5 * x
     return field
+
+
+# The sampler projects a guided combination once, the oracle three times:
+# where two fields are combined, they agree to this per coordinate.
+GUIDED_ATOL = 1e-12
+
+
+def _same(a, b, bitwise):
+    return a.shape == b.shape and (a.tobytes() == b.tobytes() if bitwise
+                                   else np.max(np.abs(a - b), initial=0.0) <= GUIDED_ATOL)
+
+
+def _same_call(c, d, bitwise):
+    """The same time and condition, on the same points (to GUIDED_ATOL
+    unless ``bitwise``)."""
+    return c[:2] == d[:2] and _same(c[2], d[2], bitwise)
+
+
+def _bitwise(guid, conditioned):
+    """Whether a run evaluates one field per step, and so has the oracle's bits."""
+    return not (guid.enabled and conditioned) or guid.scale in (0.0, 1.0)
 
 
 SIX_FACTOR = mo.RepresentationConfig(joints=22, translation=True, rotations=True, preshape=True,
@@ -406,6 +428,7 @@ ORACLE_MANIFOLDS = {
 }
 ORACLE_GUIDANCE = {
     "scale0": (fl.GuidanceConfig(scale=0.0, enabled=True), True),
+    "scale1": (fl.GuidanceConfig(scale=1.0, enabled=True), True),
     "scale0.5": (fl.GuidanceConfig(scale=0.5, enabled=True), True),
     "scale2.5": (fl.GuidanceConfig(scale=2.5, enabled=True), True),
     "unguided": (fl.GuidanceConfig(scale=2.5, enabled=False), True),
@@ -443,9 +466,12 @@ def test_sample_ode_matches_step_chain(manifold, guidance, B):
                         np.random.default_rng(7), num_samples=B)
     ref = _sample_ode_chain(m, _recorded_field(ref_calls), prior, fl.IntegratorConfig(5), guid,
                             cond, np.random.default_rng(7), num_samples=B)
+    bitwise = _bitwise(guid, conditioned)
     assert out.shape == (B, m.total_ambient_dim)
-    assert out.tobytes() == ref.tobytes()
-    assert calls == ref_calls  # the same field calls, in the same order, on the same points
+    assert _same(out, ref, bitwise)
+    # the same field calls, in the same order, on the same points
+    assert len(calls) == len(ref_calls)
+    assert all(_same_call(c, d, bitwise) for c, d in zip(calls, ref_calls))
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +514,7 @@ def test_sample_ode_equals_step_chain_block_by_block(manifold, guidance, monkeyp
     m = mf.ManifoldSpec(ORACLE_MANIFOLDS[manifold])
     prior = mf.WrappedGaussianSpec(m, mf.random_point(m, np.random.default_rng(1)), 0.5)
     guid, conditioned = ORACLE_GUIDANCE[guidance]
+    bitwise = _bitwise(guid, conditioned)
     B = 21
     cond = 1 + np.arange(B) % 2 if conditioned else None
     calls = []
@@ -502,8 +529,10 @@ def test_sample_ode_equals_step_chain_block_by_block(manifold, guidance, monkeyp
         ref = _sample_ode_chain(m, _recorded_field(block_calls), prior, fl.IntegratorConfig(5),
                                 guid, None if cond is None else cond[rows], None,
                                 num_samples=x0[rows].shape[0])
-        assert out[rows].tobytes() == ref.tobytes()
-        assert [c for c in calls if c in block_calls] == block_calls
+        assert _same(out[rows], ref, bitwise)
+        mine = [c for c in calls if any(_same_call(c, d, bitwise) for d in block_calls)]
+        assert len(mine) == len(block_calls)
+        assert all(_same_call(c, d, bitwise) for c, d in zip(mine, block_calls))
         seen += len(block_calls)
     assert seen == len(calls)
 
