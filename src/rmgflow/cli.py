@@ -37,7 +37,7 @@ from . import metrics as me
 from . import motion as mo
 from . import net as nn
 from .errors import (REQUIRED, InvalidConfig, NonFiniteLoss, NotTangent, RmgError, _build,
-                     _check, _fill, _numbers)
+                     _check, _fill, _numbers, require_int, require_number)
 
 # config schema (see ``errors``): key -> (JSON type, default or REQUIRED)
 _SAMPLING = {"num_steps": (int, 100), "condition": (int, None), "use_ema": (bool, True)}
@@ -309,6 +309,7 @@ def _eval_manifold(doc: dict) -> mf.ManifoldSpec:
 
 
 def cmd_eval(doc: dict, args) -> tuple[str, dict]:
+    require_number("guidance_scale", doc["guidance_scale"], 0)  # a label, as sample's
     m = _eval_manifold(doc)
     samples = _read(_read_jsonl, doc["samples"], "points")
     reference = _read(_read_jsonl, doc["reference"], "points")
@@ -395,8 +396,7 @@ def main(argv=None) -> int:
         if "seed" in doc:
             if args.seed is not None:
                 doc["seed"] = args.seed
-            if doc["seed"] < 0:
-                raise InvalidConfig(f"seed must be >= 0, got {doc['seed']}")
+            require_int("seed", doc["seed"], 0)
         # Looked up at call time, so a tracer that replaces a module
         # attribute cmd_* wraps the command that runs.
         summary, files = globals()[f"cmd_{args.command}"](doc, args)

@@ -1,16 +1,18 @@
-"""Exception hierarchy shared across the package, the integer check that
-every config object applies to its counts, and the one JSON reader: a
-section is checked against a schema (``_fill``); a section that configures a
-dataclass takes that dataclass's fields, types and defaults and becomes one
-through ``_build``.  Configs, checkpoint headers, skeleton files and motion
-files are all read this way."""
+"""Exception hierarchy shared across the package, the range checks that every
+config object applies to its numbers (``require_int`` for counts,
+``require_number`` for every other scalar: finite, inside its interval), and
+the one JSON reader: a section is checked against a schema (``_fill``); a
+section that configures a dataclass takes that dataclass's fields, types and
+defaults and becomes one through ``_build``, whose errors name the section.
+Configs, checkpoint headers, skeleton files and motion files are all read so."""
 
 import dataclasses
 import json
+import math
 import sys
 import typing
 from functools import cache
-from numbers import Integral
+from numbers import Integral, Real
 from types import MappingProxyType
 
 import numpy as np
@@ -95,6 +97,18 @@ def require_int(name: str, value, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
     require_rows(name, value, 1)
+
+
+def require_number(name: str, value, low=-math.inf, high=math.inf, open_low=False) -> None:
+    """Raise InvalidConfig naming ``name`` unless ``value`` is a real number,
+    not a boolean, finite (NaN is not), in ``[low, high]``, or in
+    ``(low, high]`` with ``open_low``."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not abs(value) <= sys.float_info.max  # an int past the float range fails too
+            or not (low < value <= high if open_low else low <= value <= high)):
+        interval = (f"{'(' if open_low or low == -math.inf else '['}{low:g}, "
+                    f"{high:g}{']' if high < math.inf else ')'}")
+        raise InvalidConfig(f"{name} must be a finite number in {interval}, got {value}")
 
 
 def require_rows(name: str, rows: int, width: int) -> None:
@@ -194,5 +208,5 @@ def _build(cls, d, ctx: str, **fixed):
     kwargs = _fill(d, ctx, _dataclass_schema(cls, tuple(fixed)))
     try:
         return cls(**kwargs, **fixed)
-    except (TypeError, ValueError) as exc:
+    except (InvalidConfig, TypeError, ValueError) as exc:  # ValueError: a ragged array
         raise InvalidConfig(f"{ctx}: {exc}") from exc

@@ -43,7 +43,7 @@ except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath
 
 from . import manifold as mf
-from .errors import DimensionMismatch, InvalidConfig, require_int, require_rows
+from .errors import DimensionMismatch, require_int, require_number, require_rows
 from .motion import reference_point  # noqa: F401  (re-exported)
 
 # Flow times are sampled on [0, 1 - EPS_T] so the Euclidean 1/(1-t) target stays bounded.
@@ -80,8 +80,7 @@ class GuidanceConfig:
     enabled: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.scale < np.inf:  # NaN fails too
-            raise InvalidConfig(f"guidance_scale must be >= 0 and finite, got {self.scale}")
+        require_number("guidance_scale", self.scale, 0)
 
 
 @dataclass(frozen=True)

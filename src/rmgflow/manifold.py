@@ -59,6 +59,7 @@ from .errors import (
     _dataclass_schema,
     _fill,
     require_int,
+    require_number,
     require_rows,
 )
 
@@ -191,9 +192,8 @@ class WrappedGaussianSpec:
             )
         if len(self.per_factor_scale) != len(spec.factors):
             raise DimensionMismatch("need one scale per factor")
-        if not all(0 <= s < np.inf for s in self.per_factor_scale):  # NaN fails too
-            raise InvalidConfig(f"prior scales must be finite and >= 0, "
-                                f"got {list(self.per_factor_scale)}")
+        for s in self.per_factor_scale:
+            require_number("prior scale", s, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ def _geodesic_part(m: ManifoldSpec, x0, x1, t, part: int) -> np.ndarray:
     x0 = _as_coords(m, x0, "x0")
     x1 = _as_coords(m, x1, "x1")
     t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # false for NaN
         raise DomainError("interpolation time t must lie in [0, 1]")
 
     def one_part(f, a, b, tt):

@@ -36,7 +36,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import manifold as mf
 from . import motion as mo
-from .errors import DimensionMismatch, EmptyBatch, InvalidConfig, require_int, require_rows
+from .errors import (DimensionMismatch, EmptyBatch, InvalidConfig, require_int, require_number,
+                     require_rows)
 
 MEDIAN_POOL_POINTS = 1000  # pool size of the median-heuristic bandwidth
 
@@ -50,10 +51,10 @@ class MixtureComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        if not self.scale >= 0:  # NaN fails too
-            raise InvalidConfig("component scale must be >= 0")
-        if not self.weight > 0:
-            raise InvalidConfig("component weight must be positive")
+        if not np.isfinite(self.mean).all():
+            raise InvalidConfig("component mean must be finite")
+        require_number("component scale", self.scale, 0)
+        require_number("component weight", self.weight, 0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,11 @@ class ToyTaskSpec:
         require_int("sample_count", self.sample_count, 1)
         if np.asarray(self.axis, dtype=float).shape != (3,):
             raise InvalidConfig("axis must have 3 components")
-        for name in ("axis", "amplitude", "cycles"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
+        if not np.isfinite(self.axis).all():
+            raise InvalidConfig(f"axis must be finite, got {self.axis}")
+        for name in ("amplitude", "cycles"):
+            require_number(name, getattr(self, name))
+        require_number("fps", self.fps, 0, open_low=True)
         if self.kind in ("sphere_mixture", "fixed_point") and not self.components:
             raise InvalidConfig(f"{self.kind} needs at least one component")
         if self.kind == "sphere_mixture":
@@ -169,6 +172,8 @@ class _Set:
     of all i are the view ``[:, d:d + n]``."""
 
     def __init__(self, m: mf.ManifoldSpec, points: np.ndarray):
+        if np.isnan(points).any():  # inf is left to the caller's errstate
+            raise InvalidConfig("points to score must not be NaN")
         self.n = points.shape[0]
         self.planes = [np.concatenate([c, c], axis=-1) for c in mf._copies(m, points)]
 
@@ -247,15 +252,14 @@ def check_scoring(m: mf.ManifoldSpec, samples_shape: tuple, reference_shape: tup
         raise EmptyBatch(f"MMD needs at least 2 points per set, got {num_samples} samples "
                          f"and {num_reference} reference points")
     _check_widths(m, samples=samples_shape, reference=reference_shape)
-    if bandwidth is not None and not 0 < bandwidth < np.inf:  # NaN fails too
-        raise InvalidConfig(f"bandwidth must be positive and finite, got {bandwidth}")
+    if bandwidth is not None:
+        require_number("bandwidth", bandwidth, 0, open_low=True)
     if modes is not None and len(modes):
         if any(np.shape(mode) != (m.total_ambient_dim,) for mode in modes):
             raise DimensionMismatch(f"modes must be points of dimension {m.total_ambient_dim}")
         if not np.isfinite(modes).all():
             raise InvalidConfig("modes must be finite")
-        if not assign_radius >= 0:  # NaN fails too
-            raise InvalidConfig(f"assign_radius must be >= 0, got {assign_radius}")
+        require_number("assign_radius", assign_radius, 0)
 
 
 def _score(m: mf.ManifoldSpec, a: np.ndarray, b: np.ndarray,

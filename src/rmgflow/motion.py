@@ -33,6 +33,7 @@ from .errors import (
     _dataclass_schema,
     _fill,
     require_int,
+    require_number,
 )
 
 log = logging.getLogger(__name__)
@@ -198,8 +199,7 @@ class MotionSequence:
     skeleton: Skeleton
 
     def __post_init__(self):
-        if not 0 < self.fps < np.inf:  # NaN fails too
-            raise InvalidConfig(f"fps must be positive and finite, got {self.fps}")
+        require_number("fps", self.fps, 0, open_low=True)
         J = self.skeleton.joint_count
         for i, f in enumerate(self.frames):
             if f.joint_count != J:
@@ -228,8 +228,7 @@ class RepresentationConfig:
     d_preshape: bool = False
 
     def __post_init__(self):
-        if self.joints < 1:
-            raise InvalidConfig("joints must be >= 1")
+        require_int("joints", self.joints, 1)
         if not (self.translation or self.d_translation):
             raise InvalidConfig("config needs a translation or translation-difference factor")
         if not (self.rotations or self.preshape or self.d_rotations or self.d_preshape):
@@ -411,19 +410,13 @@ def load_motion_dict(doc: dict, tol: float = 1e-6) -> MotionSequence:
     """Parse the motion JSON document, its skeleton and each frame through
     the schema reader, rejecting invalid quaternions and auto-canonicalizing
     hemisphere signs (flip count is logged)."""
-    if not tol >= 0:  # NaN fails too
-        raise InvalidConfig(f"tolerance must be >= 0, got {tol}")
+    require_number("tolerance", tol, 0)
     doc = _fill(doc, "motion", _dataclass_schema(MotionSequence))
     skeleton = _build(Skeleton, doc["skeleton"], "motion.skeleton")
     frames = []
     flips = 0
     for i, fr in enumerate(doc["frames"]):
-        where = f"motion.frames[{i}]"
-        fields = _fill(fr, where, _dataclass_schema(MotionFrame))
-        try:
-            frame = MotionFrame(**fields)
-        except (InvalidConfig, ValueError) as exc:  # ValueError: a ragged array
-            raise InvalidConfig(f"{where}: {exc}") from exc
+        frame = _build(MotionFrame, fr, f"motion.frames[{i}]")
         rot = frame.rotations
         norms = np.linalg.norm(rot, axis=-1)
         bad = np.abs(norms - 1.0) > tol

@@ -41,6 +41,7 @@ from .errors import (
     UnknownConditionClass,
     _build,
     require_int,
+    require_number,
     require_rows,
 )
 
@@ -77,24 +78,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Written as `not ok` so that NaN fails every check.
-        if not self.total_steps >= 0:
-            raise InvalidConfig("total_steps must be >= 0")
-        require_int("batch_size", self.batch_size, 1)
-        if not self.max_lr > 0:
-            raise InvalidConfig("max_lr must be positive")
-        if not 0.0 <= self.warmup_ratio <= 1.0:
-            raise InvalidConfig("warmup_ratio must lie in [0, 1]")
-        if not self.grad_clip_norm > 0:
-            raise InvalidConfig("grad_clip_norm must be positive")
-        if not self.weight_decay >= 0:
-            raise InvalidConfig("weight_decay must be >= 0")
-        if not 0.0 <= self.ema_decay <= 1.0:
-            raise InvalidConfig("ema_decay must lie in [0, 1]")
-        if not 0.0 <= self.cond_dropout_prob <= 1.0:
-            raise InvalidConfig("cond_dropout_prob must lie in [0, 1]")
-        if not self.seed >= 0:
-            raise InvalidConfig("seed must be >= 0")
+        for name, minimum in (("total_steps", 0), ("batch_size", 1), ("seed", 0)):
+            require_int(name, getattr(self, name), minimum)
+        for name in ("max_lr", "grad_clip_norm"):
+            require_number(name, getattr(self, name), 0, open_low=True)
+        require_number("weight_decay", self.weight_decay, 0)
+        for name in ("warmup_ratio", "ema_decay", "cond_dropout_prob"):
+            require_number(name, getattr(self, name), 0, 1)
 
 
 class VectorFieldParams:

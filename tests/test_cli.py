@@ -203,8 +203,10 @@ def test_count_no_array_can_hold_exits_2(trained, tmp_path, capsys, command, sec
     extra = () if command == "train" else ("--checkpoint", str(trained / "checkpoint.rmg"))
     assert _run(tmp_path, command, doc, *extra) == 2
     each = "" if width == 1 else f" rows of {width} entries"
+    # a count is checked by the constructor of its section, rows where they are drawn
+    where = f"train.{section}: " if command == "train" and width == 1 else ""
     err = capsys.readouterr().err
-    assert err == f"error: {key} {count}{each} is more than any array can hold\n"
+    assert err == f"error: {where}{key} {count}{each} is more than any array can hold\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -320,7 +322,7 @@ def test_validate_ok_and_bad(tmp_path, skeleton, rng, capsys):
     (lambda d: d["frames"][0].pop("rotations"), "motion.frames[0] requires 'rotations'"),
     (lambda d: d["skeleton"].update(x=1), "unknown key 'x' in motion.skeleton"),
     (lambda d: d["skeleton"]["parents"].__setitem__(1, 0.6),
-     "parent of joint 1 must be an integer >= -1, got 0.6"),
+     "motion.skeleton: parent of joint 1 must be an integer >= -1, got 0.6"),
     (lambda d: d.update(frames={"all": d["frames"]}),  # the value is cut to 80 characters
      'motion.frames must be an array, got {"all": [{"root_translation": ['),
 ])
@@ -341,7 +343,7 @@ def test_malformed_motion_file_exits_2(tmp_path, skeleton, rng, capsys, edit, me
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d.update(x=1), "unknown key 'x' in skeleton"),
     (lambda d: d.update(parents=[-1, 0.7, 1.9]),
-     "parent of joint 1 must be an integer >= -1, got 0.7"),
+     "skeleton: parent of joint 1 must be an integer >= -1, got 0.7"),
     (lambda d: d.update(parents=[-1, True, 1]),
      "skeleton.parents must be an array of numbers, got [-1, true, 1]"),
 ])
@@ -715,8 +717,8 @@ def test_bad_prior_scale_exits_2_before_training(tmp_path, capsys, recwarn, monk
     monkeypatch.setattr(nn, "train", lambda *a, **k: pytest.fail("training started"))
     doc = {**TRAIN_DOC, "prior_scale": scale}
     assert _run(tmp_path, "train", doc) == 2
-    err = capsys.readouterr().err
-    assert "prior scales must be finite and >= 0" in err and str(scale) in err
+    assert capsys.readouterr().err == \
+        f"error: prior scale must be a finite number in [0, inf), got {scale}\n"
     assert not (tmp_path / "out").exists()
     assert not recwarn.list
 
@@ -746,7 +748,8 @@ def test_infinite_fps_exits_2(tmp_path, skeleton, rng, capsys):
                          "fps": float("inf"), "representation": dataclasses.asdict(cfg)}),
             ("validate", {"schema": 1, "input": str(motion_path)})):
         assert _run(tmp_path, command, config) == 2
-        assert "fps must be positive and finite, got inf" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: fps must be a finite number in (0, inf), got inf\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -834,10 +837,10 @@ def _sweep_doc(tmp_path, scales, sample=None, scoring=None):
 @pytest.mark.parametrize("scales, sample, scoring, message", [
     ([1.0, 3.0], {"condition": 7}, None, "condition indices must lie in [0, 3)"),
     ([1.0, 3.0], {"num_steps": 0}, None, "num_steps must be an integer >= 1"),
-    ([-1.0], None, None, "guidance_scale must be >= 0"),
-    ([1.0], None, {"bandwidth": 0.0}, "bandwidth must be positive"),
+    ([-1.0], None, None, "guidance_scale must be a finite number in [0, inf), got -1.0"),
+    ([1.0], None, {"bandwidth": 0.0}, "bandwidth must be a finite number in (0, inf), got 0.0"),
     ([1.0], None, {"modes": [[0, 0, 0, 1.0, 0, 0, 0]], "assign_radius": -1.0},
-     "assign_radius must be >= 0"),
+     "assign_radius must be a finite number in [0, inf), got -1.0"),
 ], ids=["unknown_condition", "num_steps", "negative_scale", "bandwidth", "assign_radius"])
 def test_sweep_bad_config_exits_2_before_writing(trained, tmp_path, capsys, scales, sample,
                                                   scoring, message):
@@ -896,7 +899,7 @@ def test_infinite_guidance_scale_exits_2_before_sampling(trained, tmp_path, caps
             ("sweep", _sweep_doc(tmp_path, [1.0, float("inf")]))):
         assert _run(tmp_path, command, doc, "--checkpoint", ckpt) == 2
         assert capsys.readouterr().err == \
-            "error: guidance_scale must be >= 0 and finite, got inf\n"
+            "error: guidance_scale must be a finite number in [0, inf), got inf\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -907,8 +910,72 @@ def test_infinite_bandwidth_exits_2(tmp_path, capsys):
            "reference": str(_points_file(tmp_path / "b.jsonl", m, mean, 20, 1)),
            "manifold": m.to_json_dict(), "bandwidth": float("inf")}
     assert _run(tmp_path, "eval", doc) == 2
-    assert capsys.readouterr().err == "error: bandwidth must be positive and finite, got inf\n"
+    assert capsys.readouterr().err == \
+        "error: bandwidth must be a finite number in (0, inf), got inf\n"
     assert not (tmp_path / "out").exists()
+
+
+def _number_base(tmp_path, base):
+    """(command, config) that exits 0, for ``test_out_of_range_number_exits_2``."""
+    if base == "train":
+        return "train", json.loads(json.dumps(TRAIN_DOC))
+    if base == "rotating_joint":
+        return "train", {**json.loads(json.dumps(TRAIN_DOC)),
+                         "representation": {"joints": 22, "translation": True, "rotations": True},
+                         "task": {"kind": "rotating_joint", "sample_count": 8, "fps": 30.0}}
+    if base == "validate":
+        motion_path, _ = _motion_file(tmp_path, mo.default_skeleton(), np.random.default_rng(0))
+        return "validate", {"schema": 1, "input": str(motion_path)}
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
+    mean = np.array([0, 0, 0, 1.0, 0, 0, 0])
+    return "eval", {"schema": 1, "manifold": m.to_json_dict(), "modes": [mean.tolist()],
+                    "samples": str(_points_file(tmp_path / "a.jsonl", m, mean, 20, 0)),
+                    "reference": str(_points_file(tmp_path / "b.jsonl", m, mean, 20, 1))}
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("base, path, value, message", [
+    ("rotating_joint", ("task", "fps"), 0, "train.task: fps must be a finite number in (0, inf)"),
+    ("train", ("train", "max_lr"), INF, "train.train: max_lr must be a finite number in (0, inf)"),
+    ("train", ("train", "weight_decay"), INF,
+     "train.train: weight_decay must be a finite number in [0, inf)"),
+    ("train", ("task", "components", 0, "scale"), INF,
+     "train.task.components[0]: component scale must be a finite number in [0, inf)"),
+    ("train", ("train", "grad_clip_norm"), INF,
+     "train.train: grad_clip_norm must be a finite number in (0, inf)"),
+    ("eval", ("assign_radius",), INF, "assign_radius must be a finite number in [0, inf)"),
+    ("validate", ("tolerance",), INF, "tolerance must be a finite number in [0, inf)"),
+    ("eval", ("guidance_scale",), float("nan"),
+     "guidance_scale must be a finite number in [0, inf)"),
+    ("eval", ("guidance_scale",), -INF, "guidance_scale must be a finite number in [0, inf)"),
+], ids=["task_fps_0", "max_lr_inf", "weight_decay_inf", "component_scale_inf",
+        "grad_clip_norm_inf", "assign_radius_inf", "tolerance_inf", "eval_guidance_nan",
+        "eval_guidance_minus_inf"])
+def test_out_of_range_number_exits_2(tmp_path, capsys, recwarn, base, path, value, message):
+    """A config number outside its interval, or not finite, is refused before
+    any work with one error line naming the key, after its section if it
+    lies in one; no traceback, no numpy warning and no --out."""
+    command, doc = _number_base(tmp_path, base)
+    (tmp_path / "ok").mkdir()
+    assert _run(tmp_path / "ok", command, doc) == 0
+    capsys.readouterr()
+    _at(doc, path[:-1])[path[-1]] = value
+    assert _run(tmp_path, command, doc) == 2
+    assert capsys.readouterr().err == f"error: {message}, got {value}\n"
+    assert not (tmp_path / "out").exists() and not recwarn.list
+
+
+@pytest.mark.parametrize("value", [INF, float("nan")])
+def test_non_finite_component_mean_exits_2(tmp_path, capsys, recwarn, value):
+    """Not the sampler's NaN tangency defect, after a numpy warning."""
+    doc = json.loads(json.dumps(TRAIN_DOC))
+    doc["task"]["components"][1]["mean"][4] = value
+    assert _run(tmp_path, "train", doc) == 2
+    assert capsys.readouterr().err == \
+        "error: train.task.components[1]: component mean must be finite\n"
+    assert not (tmp_path / "out").exists() and not recwarn.list
 
 
 # json reads an array nested this deep; numpy makes at most 64 dimensions
@@ -1093,7 +1160,7 @@ def test_negative_top_level_seed_exits_2_under_train_seed(tmp_path, capsys):
     """The top-level seed is checked even where train.seed overrides it."""
     doc = dict(TRAIN_DOC, seed=-1, train=dict(TRAIN_DOC["train"], seed=5))
     assert _run(tmp_path, "train", doc) == 2
-    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1298,7 +1365,8 @@ FUZZ_REPRESENTATION = {"joints": 2, "translation": True, "rotations": True, "pre
                        "d_translation": False, "d_rotations": False, "d_preshape": False}
 FUZZ_POINTS = [[0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
                [-0.5, 0.1, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]]
-FUZZ_VALUES = [None, -1, 0, 1.5, True, "x", [], {}, [1, 2]]
+# inf and nan are written as the tokens Infinity and NaN, which the reader accepts
+FUZZ_VALUES = [None, -1, 0, 1.5, True, "x", [], {}, [1, 2], float("inf"), float("nan")]
 
 
 def _fuzz_bases(files: dict) -> list:
@@ -1324,8 +1392,11 @@ def _fuzz_bases(files: dict) -> list:
                 "multiplicity": 1},
                {"kind": "sphere", "dim": 3, "landmarks": 0, "spatial_dim": 0,
                 "multiplicity": 2}]
+    rotating = {"kind": "rotating_joint", "sample_count": 8, "components": [], "joint": 1,
+                "axis": [0.0, 1.0, 0.0], "amplitude": 0.5, "cycles": 1.0, "fps": 30.0}
     bases = [
-        ("train", train, []),
+        ("train", train, []),  # first: fuzz_inputs trains the checkpoint with it
+        ("train", {**train, "task": rotating}, []),
         ("sample", {**sampling, "guidance_scale": 1.5, "seed": 1, "num_samples": 3,
                     "output_format": "motion", "fps": 30.0,
                     "representation": dict(FUZZ_REPRESENTATION)},

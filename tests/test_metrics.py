@@ -500,6 +500,9 @@ def test_modes_as_one_array(rng):
         me.evaluate_samples(m, x, x, modes=wide)
 
 
+INF = float("inf")
+
+
 @pytest.mark.parametrize("build", [
     lambda: nn.TrainConfig(total_steps=1, max_lr=float("nan")),
     lambda: nn.TrainConfig(total_steps=1, grad_clip_norm=float("nan")),
@@ -519,8 +522,38 @@ def test_modes_as_one_array(rng):
                                                  [0.0, 0.0, 1.0], 1.0),
                           fl.IntegratorConfig(1), fl.GuidanceConfig(), None,
                           np.random.default_rng(0), num_samples=-1),
+    # inf for each check with no upper bound, and an fps of 0
+    lambda: nn.TrainConfig(total_steps=1, max_lr=INF),
+    lambda: nn.TrainConfig(total_steps=1, grad_clip_norm=INF),
+    lambda: nn.TrainConfig(total_steps=1, weight_decay=INF),
+    lambda: mo.MotionSequence(frames=[], fps=INF, skeleton=mo.default_skeleton()),
+    lambda: fl.GuidanceConfig(scale=INF),
+    lambda: mf.WrappedGaussianSpec(mf.ManifoldSpec([mf.sphere(2)]), [0.0, 0.0, 1.0], INF),
+    lambda: me.check_scoring(mf.ManifoldSpec([mf.sphere(2)]), (2, 3), (2, 3),
+                             modes=[np.array([0.0, 0.0, 1.0])], assign_radius=INF),
+    lambda: mo.load_motion_dict({}, tol=INF),
+    lambda: me.ToyTaskSpec("rotating_joint", 4, fps=0),
+    lambda: me.MixtureComponent([0.0, 0.0, 1.0], scale=INF),
 ], ids=["max_lr", "grad_clip_norm", "weight_decay", "fps", "guidance", "prior_scale",
-        "assign_radius", "tolerance", "num_samples"])
+        "assign_radius", "tolerance", "num_samples", "max_lr_inf", "grad_clip_norm_inf",
+        "weight_decay_inf", "fps_inf", "guidance_inf", "prior_scale_inf", "assign_radius_inf",
+        "tolerance_inf", "task_fps_0", "component_scale_inf"])
 def test_nan_fails_range_checks(build):
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match="must be a finite number in|must be an integer"):
         build()
+
+
+@pytest.mark.parametrize("score", [
+    lambda m, a, b: me.evaluate_samples(m, a, b),
+    lambda m, a, b: me.median_bandwidth(m, a, b),
+], ids=["evaluate_samples", "median_bandwidth"])
+@pytest.mark.parametrize("where", ["samples", "reference"])
+def test_nan_point_is_refused_where_points_are_scored(score, where):
+    """One NaN coordinate in either set is named as such, not as the NaN
+    bandwidth that the median heuristic would make of it."""
+    m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
+    rng = np.random.default_rng(0)
+    a, b = mf.random_point(m, rng, size=20), mf.random_point(m, rng, size=20)
+    (a if where == "samples" else b)[7, 4] = np.nan
+    with pytest.raises(InvalidConfig, match="^points to score must not be NaN$"):
+        score(m, a, b)
