@@ -91,10 +91,15 @@ def _load_config(path, command: str) -> dict:
     return _fill(doc, command, SCHEMA[command])
 
 
-def _skeleton(path) -> mo.Skeleton:
+def _skeleton(path, cfg: mo.RepresentationConfig) -> mo.Skeleton | None:
+    """The skeleton file at ``path``, which must fit ``cfg``; without one,
+    the bundled skeleton where it fits, else None."""
     if path is None:
-        return mo.default_skeleton()
-    return _build(mo.Skeleton, _read(_json_file, path, "skeleton"), "skeleton")
+        skeleton = mo.default_skeleton()
+        return skeleton if skeleton.joint_count == cfg.joints else None
+    skeleton = _build(mo.Skeleton, _read(_json_file, path, "skeleton"), "skeleton")
+    mo._check_skeleton(skeleton, cfg)
+    return skeleton
 
 
 def _write_json(doc, path, indent=None) -> None:
@@ -151,15 +156,16 @@ def _modes(modes) -> list[np.ndarray] | None:
         raise InvalidConfig(f"modes must be arrays of numbers: {exc}") from exc
 
 
-def _prior(m: mf.ManifoldSpec, cfg: mo.RepresentationConfig, skeleton: mo.Skeleton,
+def _prior(m: mf.ManifoldSpec, cfg: mo.RepresentationConfig, skeleton: mo.Skeleton | None,
            scale: float) -> mf.WrappedGaussianSpec:
     """The wrapped Gaussian at the rest pose that training draws x0 from."""
     return mf.WrappedGaussianSpec(m, mo.reference_point(cfg, skeleton), scale)
 
 
 def _load_model(path):
-    """A trained checkpoint with its representation, skeleton and prior;
-    its manifold must be the representation's."""
+    """A trained checkpoint with its representation, skeleton (None where
+    the header stores null) and prior; its manifold must be the
+    representation's, and a stored skeleton must fit it."""
     ckpt = nn.load_checkpoint(path)
     header = ckpt.header
     cfg = _build(mo.RepresentationConfig, header.get("representation"),
@@ -167,12 +173,16 @@ def _load_model(path):
     if mo.config_to_manifold(cfg) != ckpt.manifold:
         raise InvalidConfig(f"checkpoint manifold does not match its representation "
                             f"{dataclasses.asdict(cfg)}")
-    skeleton = _build(mo.Skeleton, header.get("skeleton"), "checkpoint.skeleton")
+    skeleton = header.get("skeleton")
+    if skeleton is not None or "skeleton" not in header:  # null, not a missing key, is none
+        skeleton = _build(mo.Skeleton, skeleton, "checkpoint.skeleton")
+        mo._check_skeleton(skeleton, cfg)
     _check(header.get("prior_scale"), float, False, "checkpoint.prior_scale")
     return ckpt, cfg, skeleton, _prior(ckpt.manifold, cfg, skeleton, header["prior_scale"])
 
 
-def _toy_task(d: dict, cfg: mo.RepresentationConfig, skeleton: mo.Skeleton) -> me.ToyTaskSpec:
+def _toy_task(d: dict, cfg: mo.RepresentationConfig,
+             skeleton: mo.Skeleton | None) -> me.ToyTaskSpec:
     """The task section; a component ``"mean": "reference"`` is the rest pose."""
     comps = d.get("components")
     if isinstance(comps, list):
@@ -192,9 +202,7 @@ def _toy_task(d: dict, cfg: mo.RepresentationConfig, skeleton: mo.Skeleton) -> m
 
 def cmd_train(doc: dict, args) -> tuple[str, dict]:
     cfg = _build(mo.RepresentationConfig, doc["representation"], "train.representation")
-    skeleton = _skeleton(doc["skeleton"])
-    if doc["skeleton"] is not None:  # a named skeleton must fit; the bundled one need not
-        mo._check_skeleton(skeleton, cfg)
+    skeleton = _skeleton(doc["skeleton"], cfg)
     m = mo.config_to_manifold(cfg)
     net_spec = _build(nn.NetworkSpec, doc["network"], "train.network",
                       input_dim=m.total_ambient_dim)
@@ -213,7 +221,7 @@ def cmd_train(doc: dict, args) -> tuple[str, dict]:
         "checkpoint.rmg": partial(
             nn.save_checkpoint, train_cfg=train_cfg, m=m, result=result,
             extra={"representation": dataclasses.asdict(cfg), "prior_scale": doc["prior_scale"],
-                   "skeleton": skeleton.to_json_dict()}),
+                   "skeleton": None if skeleton is None else skeleton.to_json_dict()}),
         "losses.csv": partial(nn.history_to_csv, result.history),
     }
 
@@ -287,7 +295,7 @@ def cmd_convert(doc: dict, args) -> tuple[str, dict]:
                 "position_velocities": velocities.tolist()})}
     if target == "motion":
         cfg = _build(mo.RepresentationConfig, doc["representation"], "convert.representation")
-        skeleton = _skeleton(doc["skeleton"])
+        skeleton = _skeleton(doc["skeleton"], cfg)
         points = _read(_read_jsonl, doc["input"], "points")
         seq = mo.points_to_sequence(points, cfg, skeleton, fps=doc["fps"])
         return f"converted {len(seq)} points to motion", {

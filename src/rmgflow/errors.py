@@ -1,10 +1,19 @@
-"""Exception hierarchy shared across the package, the range checks that every
-config object applies to its numbers (``require_int`` for counts,
-``require_number`` for every other scalar: finite, inside its interval), and
-the one JSON reader: a section is checked against a schema (``_fill``); a
-section that configures a dataclass takes that dataclass's fields, types and
-defaults and becomes one through ``_build``, whose errors name the section.
-Configs, checkpoint headers, skeleton files and motion files are all read so."""
+"""The package's error classes, the range checks that every config object
+applies to its numbers (``require_int`` for counts, ``require_number`` for
+every other scalar: finite, inside its interval), and the one JSON reader: a
+section is checked against a schema (``_fill``); a section that configures a
+dataclass takes that dataclass's fields, types and defaults and becomes one
+through ``_build``, whose errors name the section.  Configs, checkpoint
+headers, skeleton files and motion files are all read so.
+
+Every library error is an ``RmgError``: the CLI exits 3 on
+``NonFiniteLoss`` and 2 on any other.  ``InvalidConfig`` (an input violates
+its invariants) and ``DimensionMismatch`` (shapes or counts disagree) say
+which kind of input is at fault.  ``NotTangent`` and ``AntipodalPoints`` name
+the geometry's contracts: ``cmd_sweep`` writes a row for the first, and
+``make_flow_batch`` redraws the prior rows that would raise the second.  A new
+error class is added only for a new way a caller reacts; otherwise a raise
+site takes the class of its kind and says the rest in its message."""
 
 import dataclasses
 import json
@@ -22,8 +31,13 @@ class RmgError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidConfig(RmgError):
+    """An input violates its invariants: a config, file or argument value."""
+
+
 class DimensionMismatch(RmgError):
-    """Array dimensions disagree with the manifold layout."""
+    """Array dimensions, joint counts or parameter counts disagree with the
+    layout they must fit."""
 
 
 class NotTangent(RmgError):
@@ -34,60 +48,12 @@ class AntipodalPoints(RmgError):
     """No unique minimizing geodesic between (near-)antipodal points."""
 
 
-class DomainError(RmgError):
-    """A scalar argument lies outside its valid range."""
-
-
-class InvalidConfig(RmgError):
-    """A configuration object or file violates its invariants."""
-
-
-class ZeroQuaternion(RmgError):
-    """A quaternion with (near-)zero norm cannot be normalized."""
-
-
-class DegenerateConfiguration(RmgError):
-    """A landmark configuration collapses to a single point."""
-
-
-class SkeletonMismatch(RmgError):
-    """A frame or sequence does not match the skeleton's joint count."""
-
-
-class ConfigLacksRotations(RmgError):
-    """A motion frame was requested from a rotation-free representation."""
-
-
-class SequenceTooShort(RmgError):
-    """The operation needs more frames than the sequence holds."""
-
-
-class StepOutOfRange(RmgError):
-    """A schedule was queried beyond its total step count."""
-
-
-class ShapeMismatch(RmgError):
-    """Optimizer / EMA state does not match the parameter count."""
-
-
-class ChecksumMismatch(RmgError):
-    """Stored data does not match the sha256 digest recorded with it."""
-
-
-class UnknownConditionClass(RmgError):
-    """A condition index is outside the embedding table."""
-
-
 class NonFiniteLoss(RmgError):
     """Training produced a NaN or infinite loss or gradient norm."""
 
     def __init__(self, step: int):
         super().__init__(f"non-finite loss at step {step}")
         self.step = step
-
-
-class EmptyBatch(RmgError):
-    """An estimator received an empty sample batch."""
 
 
 def require_int(name: str, value, minimum: int) -> None:

@@ -52,7 +52,6 @@ import numpy as np
 from .errors import (
     AntipodalPoints,
     DimensionMismatch,
-    DomainError,
     InvalidConfig,
     NotTangent,
     _build,
@@ -438,7 +437,7 @@ def _geodesic_part(m: ManifoldSpec, x0, x1, t, part: int) -> np.ndarray:
     x1 = _as_coords(m, x1, "x1")
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t <= 1.0)):  # false for NaN
-        raise DomainError("interpolation time t must lie in [0, 1]")
+        raise InvalidConfig("interpolation time t must lie in [0, 1]")
 
     def one_part(f, a, b, tt):
         *parts, theta = _geodesic(f, a, b, tt)

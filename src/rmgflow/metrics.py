@@ -36,8 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import manifold as mf
 from . import motion as mo
-from .errors import (DimensionMismatch, EmptyBatch, InvalidConfig, require_int, require_number,
-                     require_rows)
+from .errors import DimensionMismatch, InvalidConfig, require_int, require_number, require_rows
 
 MEDIAN_POOL_POINTS = 1000  # pool size of the median-heuristic bandwidth
 
@@ -246,11 +245,11 @@ def check_scoring(m: mf.ManifoldSpec, samples_shape: tuple, reference_shape: tup
     reference points of shape ``reference_shape`` (each ``(count, width)``)
     with this bandwidth (None: the median heuristic's, checked once it is
     chosen), modes and radius.  The counts are checked before the widths, so
-    an empty set of any width gives EmptyBatch."""
+    an empty set of any width gives InvalidConfig."""
     num_samples, num_reference = samples_shape[0], reference_shape[0]
     if num_samples < 2 or num_reference < 2:
-        raise EmptyBatch(f"MMD needs at least 2 points per set, got {num_samples} samples "
-                         f"and {num_reference} reference points")
+        raise InvalidConfig(f"MMD needs at least 2 points per set, got {num_samples} samples "
+                            f"and {num_reference} reference points")
     _check_widths(m, samples=samples_shape, reference=reference_shape)
     if bandwidth is not None:
         require_number("bandwidth", bandwidth, 0, open_low=True)
@@ -422,10 +421,14 @@ def evaluate_samples(
     assign_radius: float = 1.0,
 ) -> MetricReport:
     """Score ``samples`` against ``reference`` in one streamed pass over
-    their pairs (``_score``)."""
+    their pairs (``_score``); a NaN or infinite coordinate is refused first,
+    naming its set."""
     samples = np.atleast_2d(samples)
     reference = np.atleast_2d(reference)
     check_scoring(m, samples.shape, reference.shape, bandwidth, modes, assign_radius)
+    for name, points in (("samples", samples), ("reference", reference)):
+        if not np.isfinite(points).all():
+            raise InvalidConfig(f"{name} must be finite")
     if modes is not None and len(modes):
         mass, outliers = _mode_coverage(m, samples, modes, assign_radius)
     else:

@@ -21,20 +21,8 @@ from importlib import resources
 import numpy as np
 
 from . import manifold as mf
-from .errors import (
-    ConfigLacksRotations,
-    DegenerateConfiguration,
-    DimensionMismatch,
-    InvalidConfig,
-    SequenceTooShort,
-    SkeletonMismatch,
-    ZeroQuaternion,
-    _build,
-    _dataclass_schema,
-    _fill,
-    require_int,
-    require_number,
-)
+from .errors import (DimensionMismatch, InvalidConfig, _build, _dataclass_schema, _fill,
+                     require_int, require_number)
 
 log = logging.getLogger(__name__)
 
@@ -71,7 +59,7 @@ def canonicalize_quaternion(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q, axis=-1, keepdims=True)
     if np.any(n < 1e-12):
-        raise ZeroQuaternion("cannot canonicalize a zero quaternion")
+        raise InvalidConfig("cannot canonicalize a zero quaternion")
     q = q / n
     sign = np.zeros(q.shape[:-1])
     for i in range(4):
@@ -98,7 +86,7 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)
     if n < 1e-12:
-        raise ZeroQuaternion("rotation axis must be nonzero")
+        raise InvalidConfig("rotation axis must be nonzero")
     axis = axis / n
     half = 0.5 * angle
     return np.concatenate([[np.cos(half)], np.sin(half) * axis])
@@ -144,6 +132,8 @@ class Skeleton:
         J = self.parents.size
         if self.rest_offsets.shape != (J, 3):
             raise InvalidConfig(f"rest_offsets must be ({J}, 3)")
+        if not np.isfinite(self.rest_offsets).all():
+            raise InvalidConfig("rest_offsets must be finite")
         if J < 1 or self.parents[0] != -1:
             raise InvalidConfig("joint 0 must be the root (parent -1)")
         for j in range(1, J):
@@ -203,7 +193,7 @@ class MotionSequence:
         J = self.skeleton.joint_count
         for i, f in enumerate(self.frames):
             if f.joint_count != J:
-                raise SkeletonMismatch(f"frame {i} has {f.joint_count} joints, skeleton has {J}")
+                raise DimensionMismatch(f"frame {i} has {f.joint_count} joints, skeleton has {J}")
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -255,9 +245,12 @@ def config_to_manifold(cfg: RepresentationConfig) -> mf.ManifoldSpec:
                             for _, f, diff in _layout(cfg)])
 
 
-def _check_skeleton(skeleton: Skeleton, cfg: RepresentationConfig) -> None:
+def _check_skeleton(skeleton: Skeleton | None, cfg: RepresentationConfig) -> None:
+    if skeleton is None:
+        raise InvalidConfig(f"motion needs a skeleton of {cfg.joints} joints: pass a skeleton "
+                            f"file to convert, or to train for sample")
     if skeleton.joint_count != cfg.joints:
-        raise SkeletonMismatch(
+        raise DimensionMismatch(
             f"skeleton has {skeleton.joint_count} joints, config has {cfg.joints}")
 
 
@@ -272,7 +265,7 @@ def compute_preshape(positions: np.ndarray) -> np.ndarray:
     centered = P - P.mean(axis=0, keepdims=True)
     norm = np.linalg.norm(centered)
     if norm <= 1e-12:
-        raise DegenerateConfiguration("all landmarks coincide; pre-shape undefined")
+        raise InvalidConfig("all landmarks coincide; pre-shape undefined")
     return centered / norm
 
 
@@ -282,7 +275,7 @@ def _forward_kinematics(skeleton: Skeleton, translations, rotations) -> np.ndarr
     each joint composed for all frames at once."""
     T, J = rotations.shape[:2]
     if J != skeleton.joint_count:
-        raise SkeletonMismatch(f"rotations have {J} joints, skeleton has {skeleton.joint_count}")
+        raise DimensionMismatch(f"rotations have {J} joints, skeleton has {skeleton.joint_count}")
     positions = np.empty((T, J, 3))
     positions[:, 0] = translations
     global_q = rotations.copy()  # joint 0's global rotation is its own
@@ -348,7 +341,7 @@ def sequence_to_points(seq: MotionSequence, cfg: RepresentationConfig) -> np.nda
     """
     T = len(seq)
     if T < 1 + cfg.has_differences:
-        raise SequenceTooShort(f"need at least {1 + cfg.has_differences} frames")
+        raise InvalidConfig(f"need at least {1 + cfg.has_differences} frames")
     _check_skeleton(seq.skeleton, cfg)
     n = T - cfg.has_differences
     layout = _layout(cfg)
@@ -361,14 +354,14 @@ def sequence_to_points(seq: MotionSequence, cfg: RepresentationConfig) -> np.nda
 
 
 def points_to_sequence(
-    points: np.ndarray, cfg: RepresentationConfig, skeleton: Skeleton, fps: float
+    points: np.ndarray, cfg: RepresentationConfig, skeleton: Skeleton | None, fps: float
 ) -> MotionSequence:
     """Rebuild frames from point rows through the rotation factor, with one
     renormalization over all rows."""
     m = config_to_manifold(cfg)
     bases = {base: sl for (base, _, diff), (_, sl) in zip(_layout(cfg), m.blocks) if not diff}
     if "rotations" not in bases:
-        raise ConfigLacksRotations("cannot rebuild a frame without a rotation factor")
+        raise InvalidConfig("cannot rebuild a frame without a rotation factor")
     _check_skeleton(skeleton, cfg)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     D = m.total_ambient_dim
@@ -393,7 +386,7 @@ def convert_to_position_format(seq: MotionSequence) -> tuple[np.ndarray, np.ndar
     arrays.
     """
     if len(seq) < 2:
-        raise SequenceTooShort("need at least 2 frames for velocities")
+        raise InvalidConfig("need at least 2 frames for velocities")
     positions = _forward_kinematics(seq.skeleton, *_stacked(seq.frames))
     velocities = np.empty_like(positions)
     velocities[:-1] = (positions[1:] - positions[:-1]) * seq.fps

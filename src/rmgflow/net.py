@@ -31,19 +31,8 @@ import numpy as np
 
 from . import flow as fl
 from . import manifold as mf
-from .errors import (
-    ChecksumMismatch,
-    DimensionMismatch,
-    InvalidConfig,
-    NonFiniteLoss,
-    ShapeMismatch,
-    StepOutOfRange,
-    UnknownConditionClass,
-    _build,
-    require_int,
-    require_number,
-    require_rows,
-)
+from .errors import (DimensionMismatch, InvalidConfig, NonFiniteLoss, _build, require_int,
+                     require_number, require_rows)
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,7 @@ class VectorFieldParams:
             flat = np.zeros(total)
         flat = np.ascontiguousarray(np.asarray(flat, dtype=float))
         if flat.shape != (total,):
-            raise ShapeMismatch(f"flat vector has shape {flat.shape}, expected ({total},)")
+            raise DimensionMismatch(f"flat vector has shape {flat.shape}, expected ({total},)")
         self.flat = flat
         self.views: dict[str, np.ndarray] = {}
         off = 0
@@ -177,7 +166,7 @@ def _cond_indices(spec: NetworkSpec, cond, batch: int) -> np.ndarray:
     if idx.shape != (batch,):
         raise DimensionMismatch("condition batch size mismatch")
     if np.any(idx < 0) or np.any(idx >= spec.num_condition_classes):
-        raise UnknownConditionClass(
+        raise InvalidConfig(
             f"condition indices must lie in [0, {spec.num_condition_classes})"
         )
     return idx
@@ -275,7 +264,7 @@ def loss_and_grad(
 def lr_at(cfg: TrainConfig, step: int) -> float:
     """Linear warmup to max_lr, then cosine decay to zero."""
     if step < 0 or step > cfg.total_steps:
-        raise StepOutOfRange(f"step {step} outside [0, {cfg.total_steps}]")
+        raise InvalidConfig(f"step {step} outside [0, {cfg.total_steps}]")
     warmup = int(round(cfg.warmup_ratio * cfg.total_steps))
     if step < warmup:
         return cfg.max_lr * step / warmup
@@ -343,7 +332,7 @@ def adamw_step(
     Chunk by chunk, with the operations of the formulas in the comments in
     their order, so the bits are those of the whole-array formulas."""
     if grad.shape != params.flat.shape or opt.m.shape != params.flat.shape:
-        raise ShapeMismatch("gradient / moment shapes must match the parameters")
+        raise DimensionMismatch("gradient / moment shapes must match the parameters")
     opt.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** opt.step, 1.0 - b2 ** opt.step
@@ -379,7 +368,7 @@ class EmaState:
 def ema_update(ema: EmaState, params: VectorFieldParams) -> None:
     """shadow = decay shadow + (1 - decay) p, in place, chunk by chunk."""
     if ema.shadow.shape != params.flat.shape:
-        raise ShapeMismatch("EMA shadow must match the parameter count")
+        raise DimensionMismatch("EMA shadow must match the parameter count")
     for sl, a in _chunks(ema.shadow.shape[0], 1):
         shadow = ema.shadow[sl]
         shadow *= ema.decay
@@ -502,9 +491,9 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(header, dict) or header.get("schema") != 1:
         raise InvalidConfig('checkpoint header must be a JSON object declaring "schema": 1')
     if hashlib.sha256(blobs).hexdigest() != header.get("blob_sha256"):
-        raise ChecksumMismatch("checkpoint blobs do not match the header's blob_sha256")
+        raise InvalidConfig("checkpoint blobs do not match the header's blob_sha256")
     if len(blobs) % 16:
-        raise ShapeMismatch(f"checkpoint holds {len(blobs)} blob bytes, not two equal blobs")
+        raise DimensionMismatch(f"checkpoint holds {len(blobs)} blob bytes, not two equal blobs")
     spec = _build(NetworkSpec, header.get("network"), "checkpoint.network")
     train_cfg = _build(TrainConfig, header.get("train"), "checkpoint.train")
     m = mf.ManifoldSpec.from_json_dict(header.get("manifold"), "checkpoint.manifold")
@@ -517,7 +506,7 @@ def load_checkpoint(path) -> Checkpoint:
         net_spec=spec,
         train_cfg=train_cfg,
         manifold=m,
-        params=VectorFieldParams(spec, flat),  # ShapeMismatch unless spec has len(flat)
+        params=VectorFieldParams(spec, flat),  # DimensionMismatch unless spec has len(flat)
         ema=EmaState(shadow=shadow, decay=train_cfg.ema_decay),
     )
 

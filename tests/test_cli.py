@@ -47,6 +47,11 @@ TRAIN_DOC = {
 }
 
 
+# A three-joint chain whose rest pose differs from the first three joints of
+# the bundled skeleton.
+CHAIN = {"parents": [-1, 0, 1], "rest_offsets": [[0, 0, 0], [0.3, 0.1, 0], [0, 0.5, 0.2]]}
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -142,23 +147,28 @@ def rotation_free(tmp_path_factory):
 
 
 @pytest.mark.parametrize("num_samples", [0, 3])
-@pytest.mark.parametrize("bad, checkpoint", [
-    ({"num_steps": 0}, "trained"),
-    ({"guidance_scale": -1.0}, "trained"),
-    ({"output_format": "motion", "fps": 0.0}, "chain_pose"),
-    ({"output_format": "motion"}, "rotation_free"),
-    ({"output_format": "motion"}, "trained"),  # one joint on the bundled 22-joint skeleton
-    ({"representation": {"joints": 1, "d_translation": True, "rotations": True}}, "trained"),
-    ({"condition": 3}, "trained"),
-    ({"condition": -1}, "trained"),
+@pytest.mark.parametrize("bad, checkpoint, message", [
+    ({"num_steps": 0}, "trained", "num_steps must be an integer >= 1, got 0"),
+    ({"guidance_scale": -1.0}, "trained", "guidance_scale must be a finite number in [0, inf)"),
+    ({"output_format": "motion", "fps": 0.0}, "chain_pose",
+     "fps must be a finite number in (0, inf), got 0.0"),
+    ({"output_format": "motion"}, "rotation_free",
+     "cannot rebuild a frame without a rotation factor"),
+    ({"output_format": "motion"}, "trained",  # the bundled skeleton does not fit one joint
+     "motion needs a skeleton of 1 joints: pass a skeleton file"),
+    ({"representation": {"joints": 1, "d_translation": True, "rotations": True}}, "trained",
+     "representation does not match the checkpoint's"),
+    ({"condition": 3}, "trained", "condition indices must lie in [0, 3)"),
+    ({"condition": -1}, "trained", "condition indices must lie in [0, 3)"),
 ], ids=["num_steps", "guidance_scale", "motion_fps", "motion_without_rotations",
         "motion_skeleton_mismatch", "representation_of_equal_width", "condition_past_classes",
         "negative_condition"])
-def test_bad_sampler_config_exits_2_before_writing(request, tmp_path, num_samples, bad,
-                                                   checkpoint):
+def test_bad_sampler_config_exits_2_before_writing(request, tmp_path, capsys, num_samples, bad,
+                                                   checkpoint, message):
     ckpt = request.getfixturevalue(checkpoint) / "checkpoint.rmg"
     doc = {"schema": 1, "num_samples": num_samples, **bad}
     assert _run(tmp_path, "sample", doc, "--checkpoint", str(ckpt)) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -325,6 +335,8 @@ def test_validate_ok_and_bad(tmp_path, skeleton, rng, capsys):
      "motion.skeleton: parent of joint 1 must be an integer >= -1, got 0.6"),
     (lambda d: d.update(frames={"all": d["frames"]}),  # the value is cut to 80 characters
      'motion.frames must be an array, got {"all": [{"root_translation": ['),
+    (lambda d: d["skeleton"]["rest_offsets"][1].__setitem__(1, float("inf")),
+     "motion.skeleton: rest_offsets must be finite"),
 ])
 def test_malformed_motion_file_exits_2(tmp_path, skeleton, rng, capsys, edit, message):
     """A motion file, its skeleton and each frame are read like config
@@ -346,6 +358,8 @@ def test_malformed_motion_file_exits_2(tmp_path, skeleton, rng, capsys, edit, me
      "skeleton: parent of joint 1 must be an integer >= -1, got 0.7"),
     (lambda d: d.update(parents=[-1, True, 1]),
      "skeleton.parents must be an array of numbers, got [-1, true, 1]"),
+    (lambda d: d["rest_offsets"][1].__setitem__(1, float("inf")),
+     "skeleton: rest_offsets must be finite"),
 ])
 def test_malformed_skeleton_file_exits_2(tmp_path, capsys, edit, message):
     skeleton = json.loads(json.dumps(CHAIN))
@@ -615,6 +629,7 @@ def test_train_writes_each_header_fact_once(trained):
     header = json.loads((trained / "checkpoint.rmg").read_bytes().partition(b"\n")[0])
     assert list(header) == ["schema", "network", "train", "manifold", "rng_state",
                             "representation", "prior_scale", "skeleton", "blob_sha256"]
+    assert header["skeleton"] is None  # the bundled 22-joint skeleton does not fit one joint
 
 
 def test_checkpoint_without_digest_exits_2(trained, tmp_path, capsys):
@@ -683,7 +698,8 @@ def _set(path, value):
     (("representation", "translation"), 1,
      "checkpoint.representation.translation must be a boolean, got 1"),
     (("network", "x"), 1, "unknown key 'x' in checkpoint.network"),
-    (("skeleton", "x"), 1, "unknown key 'x' in checkpoint.skeleton"),
+    (("skeleton",), {"parents": [-1], "rest_offsets": [[0, 0, 0]], "x": 1},
+     "unknown key 'x' in checkpoint.skeleton"),
     (("manifold", "factors", 1, "x"), 1, "unknown key 'x' in checkpoint.manifold.factors[1]"),
     (("network", "input_dim"), 6,
      "checkpoint.network.input_dim 6 is not the width 7 of checkpoint.manifold"),
@@ -691,6 +707,9 @@ def _set(path, value):
      "checkpoint.network.hidden_dim must be an integer, got NaN"),
     (("manifold", "factors", 1, "multiplicity"), float("nan"),
      "checkpoint.manifold.factors[1].multiplicity must be an integer, got NaN"),
+    (("skeleton",), {"parents": [-1], "rest_offsets": [[0, float("inf"), 0]]},
+     "checkpoint.skeleton: rest_offsets must be finite"),
+    (("skeleton",), CHAIN, "skeleton has 3 joints, config has 1"),
 ])
 @pytest.mark.parametrize("command", ["sample", "sweep"])
 def test_malformed_checkpoint_section_exits_2(trained, tmp_path, capsys, command, path, value,
@@ -754,14 +773,16 @@ def test_infinite_fps_exits_2(tmp_path, skeleton, rng, capsys):
 
 
 def test_convert_to_motion_checks_skeleton_on_empty_points(tmp_path, capsys):
-    """No rows still need a skeleton with the representation's joint count."""
+    """No rows still need a skeleton with the representation's joint count:
+    the named one must fit, and without one the bundled one does not."""
     (tmp_path / "empty.jsonl").write_text("")
     doc = {"schema": 1, "input": str(tmp_path / "empty.jsonl"), "target": "motion",
-           "representation": {"joints": 2, "translation": True, "rotations": True},
-           "skeleton": write_json(tmp_path / "chain.json", CHAIN)}
-    assert _run(tmp_path, "convert", doc) == 2
-    assert "skeleton has 3 joints" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+           "representation": {"joints": 2, "translation": True, "rotations": True}}
+    for skeleton, message in ((write_json(tmp_path / "chain.json", CHAIN), "skeleton has 3 joints"),
+                              (None, "motion needs a skeleton of 2 joints: pass a skeleton file")):
+        assert _run(tmp_path, "convert", {**doc, "skeleton": skeleton}) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_convert_target_exits_2_before_writing(tmp_path, skeleton, rng, capsys):
@@ -1283,10 +1304,6 @@ def test_exit_0_writes_its_files_and_exit_2_or_3_writes_none(trained, tmp_path, 
 # train and sample build the same prior
 # ---------------------------------------------------------------------------
 
-# A three-joint chain whose rest pose differs from the first three joints of
-# the bundled skeleton.
-CHAIN = {"parents": [-1, 0, 1], "rest_offsets": [[0, 0, 0], [0.3, 0.1, 0], [0, 0.5, 0.2]]}
-
 
 def _train_on_chain(tmp_path, representation):
     skeleton = write_json(tmp_path / "chain.json", CHAIN)
@@ -1523,6 +1540,6 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, data):
         if code == 2:  # every check runs before --out is created
             assert not (tmp / "out").exists()
         if command == "sweep" and code == 0:  # only numerical failures become rows
-            rows = (tmp / "out" / "sweep.csv").read_text()
-            for name in ("InvalidConfig", "EmptyBatch", "UnknownConditionClass"):
-                assert name not in rows
+            rows = (tmp / "out" / "sweep.csv").read_text().splitlines()[1:]
+            errors = [row.split(",", 7)[7] for row in rows]  # the last column
+            assert all(error.startswith("NotTangent: ") for error in errors if error)

@@ -12,7 +12,6 @@ from rmgflow import net as nn
 from rmgflow.errors import (
     AntipodalPoints,
     DimensionMismatch,
-    DomainError,
     InvalidConfig,
     NotTangent,
 )
@@ -47,7 +46,7 @@ def test_interpolate_endpoints(toy_manifold, rng):
 def test_interpolate_domain():
     m = mf.ManifoldSpec([mf.euclidean(2), mf.sphere(2)])
     x = mf.random_point(m, np.random.default_rng(0), size=2)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidConfig, match=r"^interpolation time t must lie in \[0, 1\]$"):
         mf.geodesic(m, x, x, np.array([-0.1, 0.5]))
 
 

@@ -14,7 +14,7 @@ from rmgflow import manifold as mf
 from rmgflow import metrics as me
 from rmgflow import motion as mo
 from rmgflow import net as nn
-from rmgflow.errors import DimensionMismatch, EmptyBatch, InvalidConfig
+from rmgflow.errors import DimensionMismatch, InvalidConfig
 
 
 def _sphere_mixture(m, means, scale=0.1, conditions=(None, None)):
@@ -179,7 +179,8 @@ def test_mmd_discriminates(toy_manifold, toy_means, rng):
     diff = me.geodesic_mmd(m, xa, xb, bw)
     assert abs(same) < 0.02  # unbiased estimator may dip slightly below zero
     assert diff > 10 * max(same, 1e-4)
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(InvalidConfig, match="^MMD needs at least 2 points per set, got 1 samples "
+                                            "and 200 reference points$"):
         me.geodesic_mmd(m, xa[:1], xb, bw)
     with pytest.raises(InvalidConfig):
         me.geodesic_mmd(m, xa, xb, 0.0)
@@ -259,7 +260,8 @@ def test_evaluate_samples_end_to_end(toy_manifold, toy_means, rng):
     assert abs(report.mmd) < 0.05
     assert report.per_mode_mass[0] > 0.9
     assert report.max_constraint_violation < 1e-9
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(InvalidConfig, match="^MMD needs at least 2 points per set, got 0 samples "
+                                            "and 80 reference points$"):
         me.evaluate_samples(m, np.empty((0, 7)), reference)
 
 
@@ -362,16 +364,19 @@ def test_evaluate_samples_equals_separate_matrices(factors, n, extra, seed, band
 
 
 def test_evaluate_samples_checks_in_order(toy_manifold, rng):
+    """The point counts first, then the given bandwidth, then the median
+    heuristic's."""
     m = toy_manifold
     x = mf.random_point(m, rng, size=4)
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(InvalidConfig, match="^MMD needs at least 2 points per set, got 1 samples"):
         me.evaluate_samples(m, x[:1], x, bandwidth=-1.0)
+    bandwidth = r"^bandwidth must be a finite number in \(0, inf\), got {}$"
     for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match=bandwidth.format(bad)):
             me.evaluate_samples(m, x, x, bandwidth=bad)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match=bandwidth.format(bad)):
             me.geodesic_mmd(m, x, x, bad)
-    with pytest.raises(InvalidConfig):  # identical points: median bandwidth 0
+    with pytest.raises(InvalidConfig, match=bandwidth.format(0.0)):  # identical points
         me.evaluate_samples(m, np.tile(x[0], (3, 1)), np.tile(x[0], (3, 1)))
 
 
@@ -379,7 +384,7 @@ def test_evaluate_samples_checks_in_order(toy_manifold, rng):
 def test_scoring_checks_the_width_first(toy_manifold, rng, monkeypatch, cut):
     """Points narrower or wider than the manifold raise DimensionMismatch
     before any distance is computed; an empty set of any width still gives
-    EmptyBatch."""
+    the count's InvalidConfig."""
     m = toy_manifold
     x = mf.random_point(m, rng, size=5)
     bad = x[:, :-1] if cut == "narrow" else np.hstack([x, x[:, :1]])
@@ -394,7 +399,7 @@ def test_scoring_checks_the_width_first(toy_manifold, rng, monkeypatch, cut):
         for a, b in ((bad, x), (x, bad)):
             with pytest.raises(DimensionMismatch, match="does not match the manifold"):
                 score(a, b)
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(InvalidConfig, match="^MMD needs at least 2 points per set, got 0 samples"):
         me.evaluate_samples(m, np.empty((0, 0)), bad)
 
 
@@ -543,17 +548,22 @@ def test_nan_fails_range_checks(build):
         build()
 
 
-@pytest.mark.parametrize("score", [
-    lambda m, a, b: me.evaluate_samples(m, a, b),
-    lambda m, a, b: me.median_bandwidth(m, a, b),
-], ids=["evaluate_samples", "median_bandwidth"])
+@pytest.mark.parametrize("score, value, message", [
+    (me.evaluate_samples, np.nan, "^{where} must be finite$"),
+    (me.evaluate_samples, np.inf, "^{where} must be finite$"),
+    (me.evaluate_samples, -np.inf, "^{where} must be finite$"),
+    (me.median_bandwidth, np.nan, "^points to score must not be NaN$"),
+], ids=["evaluate_samples", "evaluate_samples-inf", "evaluate_samples-neg_inf",
+        "median_bandwidth"])
 @pytest.mark.parametrize("where", ["samples", "reference"])
-def test_nan_point_is_refused_where_points_are_scored(score, where):
+def test_nan_point_is_refused_where_points_are_scored(score, value, message, where):
     """One NaN coordinate in either set is named as such, not as the NaN
-    bandwidth that the median heuristic would make of it."""
+    bandwidth that the median heuristic would make of it; ``evaluate_samples``
+    also names the set of an infinite one.  ``median_bandwidth`` leaves an
+    infinite one to the caller's errstate, as ``geodesic_mmd`` does."""
     m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3)])
     rng = np.random.default_rng(0)
     a, b = mf.random_point(m, rng, size=20), mf.random_point(m, rng, size=20)
-    (a if where == "samples" else b)[7, 4] = np.nan
-    with pytest.raises(InvalidConfig, match="^points to score must not be NaN$"):
+    (a if where == "samples" else b)[7, 4] = value
+    with pytest.raises(InvalidConfig, match=message.format(where=where)):
         score(m, a, b)

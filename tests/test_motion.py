@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 
 from rmgflow import manifold as mf
 from rmgflow import motion as mo
-from rmgflow.errors import (
-    ConfigLacksRotations,
-    InvalidConfig,
-    SequenceTooShort,
-    SkeletonMismatch,
-    ZeroQuaternion,
-    _build,
-)
+from rmgflow.errors import DimensionMismatch, InvalidConfig, _build
 
 unit_quats = st.lists(
     st.floats(-1.0, 1.0), min_size=4, max_size=4
@@ -40,7 +33,7 @@ def test_canonicalize_idempotent_and_sign_invariant(q):
 
 
 def test_canonicalize_zero_raises():
-    with pytest.raises(ZeroQuaternion):
+    with pytest.raises(InvalidConfig, match="^cannot canonicalize a zero quaternion$"):
         mo.canonicalize_quaternion(np.zeros(4))
 
 
@@ -317,7 +310,8 @@ def test_frame_point_roundtrip(skeleton, rng):
 
 def test_point_to_frame_needs_rotations(skeleton):
     cfg = mo.RepresentationConfig(joints=22, translation=True, preshape=True)
-    with pytest.raises(ConfigLacksRotations):
+    with pytest.raises(InvalidConfig,
+                       match="^cannot rebuild a frame without a rotation factor$"):
         mo.points_to_sequence(np.zeros(mo.ambient_dimension(cfg)), cfg, skeleton, fps=30.0)
 
 
@@ -328,7 +322,7 @@ def test_sequence_to_points_difference_count(skeleton, rng):
     seq = mo.MotionSequence(frames=frames, fps=30.0, skeleton=skeleton)
     pts = mo.sequence_to_points(seq, cfg)
     assert pts.shape == (4, 94)
-    with pytest.raises(SequenceTooShort):
+    with pytest.raises(InvalidConfig, match="^need at least 2 frames$"):
         mo.sequence_to_points(
             mo.MotionSequence(frames=frames[:1], fps=30.0, skeleton=skeleton), cfg
         )
@@ -402,7 +396,7 @@ def test_reference_point_checks_preshape_skeleton(skeleton):
     chain = mo.Skeleton(parents=[-1, 0, 1], rest_offsets=[[0, 0, 0], [0, 0.5, 0], [0, 0.5, 0]])
     rotations = mo.RepresentationConfig(joints=22, translation=True, rotations=True)
     assert mo.reference_point(rotations, chain).shape == (91,)
-    with pytest.raises(SkeletonMismatch):
+    with pytest.raises(DimensionMismatch, match="^rotations have 22 joints, skeleton has 3$"):
         mo.reference_point(mo.RepresentationConfig(joints=22, translation=True, preshape=True),
                            chain)
     with pytest.raises(InvalidConfig, match="skeleton"):
@@ -412,7 +406,7 @@ def test_reference_point_checks_preshape_skeleton(skeleton):
 def test_frame_joint_count_mismatch(skeleton):
     frame = mo.MotionFrame(root_translation=np.zeros(3),
                            rotations=np.tile(mo.QUAT_IDENTITY, (5, 1)))
-    with pytest.raises(SkeletonMismatch):
+    with pytest.raises(DimensionMismatch, match="^rotations have 5 joints, skeleton has 22$"):
         mo.forward_kinematics(skeleton, frame)
 
 

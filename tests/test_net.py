@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 from rmgflow import flow as fl
 from rmgflow import manifold as mf
 from rmgflow import net as nn
-from rmgflow.errors import (
-    InvalidConfig,
-    NonFiniteLoss,
-    ShapeMismatch,
-    StepOutOfRange,
-    UnknownConditionClass,
-)
+from rmgflow.errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
 
 SPEC = nn.NetworkSpec(input_dim=7, hidden_dim=16, num_layers=2,
                       time_embed_dim=8, cond_embed_dim=4, num_condition_classes=3)
@@ -84,7 +78,7 @@ def test_forward_depends_on_time_and_condition(rng):
 
 def test_unknown_condition_class(rng):
     p = nn.VectorFieldParams.init_random(SPEC, rng)
-    with pytest.raises(UnknownConditionClass):
+    with pytest.raises(InvalidConfig, match=r"^condition indices must lie in \[0, 3\)$"):
         nn.forward(p, rng.standard_normal(7), 0.5, 5)
 
 
@@ -252,7 +246,7 @@ def test_lr_schedule_shape():
     assert nn.lr_at(cfg, 1000) == pytest.approx(0.0, abs=1e-20)
     mid = nn.lr_at(cfg, (1000 + warmup) // 2)
     assert 0 < mid < 1e-4
-    with pytest.raises(StepOutOfRange):
+    with pytest.raises(InvalidConfig, match=r"^step 1001 outside \[0, 1000\]$"):
         nn.lr_at(cfg, 1001)
 
 
@@ -354,7 +348,7 @@ def test_ema_update_converges():
     for _ in range(20):
         nn.ema_update(ema, p)
     assert np.allclose(ema.shadow, 1.0, atol=1e-5)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch, match="^EMA shadow must match the parameter count$"):
         nn.ema_update(nn.EmaState(shadow=np.zeros(3)), p)
 
 
