@@ -49,15 +49,14 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
               "network": (dict, {}), "train": (dict, REQUIRED), "prior_scale": (float, 1.0),
               "skeleton": (str, None)},
     "sample": {**_SAMPLING, "guidance_scale": (float, 1.0), "seed": (int, 42),
-               "num_samples": (int, 1), "output_format": (str, "jsonl"),
-               "fps": (float, 30.0), "representation": (dict, None)},
+               "num_samples": (int, 1), "output_format": (str, "jsonl"), "fps": (float, 30.0)},
     "convert": {"input": (str, REQUIRED), "target": (str, REQUIRED),
                 "representation": (dict, None), "skeleton": (str, None), "fps": (float, 30.0)},
     "eval": {"samples": (str, REQUIRED), "reference": (str, REQUIRED),
              "manifold": (dict, None), "representation": (dict, None), **_SCORING,
              "seed": (int, 0), "guidance_scale": (float, 0.0)},
-    "sweep": {"checkpoint": (str, None), "guidance_scales": (list, REQUIRED),
-              "sample": (dict, {}), "eval": (dict, REQUIRED), "seed": (int, 0)},
+    "sweep": {"guidance_scales": (list, REQUIRED), "sample": (dict, {}),
+              "eval": (dict, REQUIRED), "seed": (int, 0)},
     "sweep.sample": {**_SAMPLING, "num_samples": (int, 100)},
     "sweep.eval": {"reference": (str, REQUIRED), **_SCORING},
     "validate": {"input": (str, REQUIRED), "tolerance": (float, 1e-6)},
@@ -249,11 +248,6 @@ def cmd_sample(doc: dict, args) -> tuple[str, dict]:
     if not args.checkpoint:
         raise InvalidConfig("sample requires --checkpoint")
     ckpt, cfg, skeleton, prior = _read(_load_model, args.checkpoint, "checkpoint")
-    if doc["representation"] is not None:
-        asked = _build(mo.RepresentationConfig, doc["representation"], "sample.representation")
-        if asked != cfg:
-            raise InvalidConfig(f"representation does not match the checkpoint's "
-                                f"{dataclasses.asdict(cfg)}")
     if doc["output_format"] not in ("jsonl", "motion"):
         raise InvalidConfig(f"unknown output_format {doc['output_format']!r}")
     num_samples = doc["num_samples"]
@@ -269,7 +263,7 @@ def cmd_sample(doc: dict, args) -> tuple[str, dict]:
     points = _sample_points(ckpt, prior, integ, guid, doc["seed"], num_samples,
                             doc["condition"], doc["use_ema"])
     files = {"samples.jsonl": partial(_write_jsonl, points)}
-    if doc["output_format"] == "motion" and num_samples > 0:
+    if doc["output_format"] == "motion":
         seq = mo.points_to_sequence(points, cfg, skeleton, fps=doc["fps"])
         files["samples_motion.json"] = partial(mo.save_motion, seq)
     files["metadata.json"] = partial(_write_json, {
@@ -344,10 +338,9 @@ def cmd_sweep(doc: dict, args) -> tuple[str, dict]:
     configs = [(scale, *_sampler_configs(sample["num_steps"], float(scale), sample["condition"]))
                for scale in scales]
     scoring = _fill(doc["eval"], "sweep.eval", SCHEMA["sweep.eval"])
-    ckpt_path = args.checkpoint or doc["checkpoint"]
-    if not ckpt_path:
-        raise InvalidConfig("sweep requires a checkpoint")
-    ckpt, _, _, prior = _read(_load_model, ckpt_path, "checkpoint")
+    if not args.checkpoint:
+        raise InvalidConfig("sweep requires --checkpoint")
+    ckpt, _, _, prior = _read(_load_model, args.checkpoint, "checkpoint")
     nn._cond_indices(ckpt.net_spec, sample["condition"], 1)  # checked once, not per row
     m = ckpt.manifold
     reference = _read(_read_jsonl, scoring["reference"], "points")

@@ -64,14 +64,10 @@ SAMPLE_BLOCK_ROWS = 512
 @dataclass
 class FlowBatch:
     x0: np.ndarray                 # (B, D) prior draws
-    x1: np.ndarray                 # (B, D) data points
     t: np.ndarray                  # (B,) in [0, 1 - EPS_T]
     x_t: np.ndarray                # (B, D) geodesic interpolants
     target_v: np.ndarray           # (B, D) tangent targets at x_t
     condition: Optional[np.ndarray]  # (B,) int class indices, or None
-
-    def __len__(self) -> int:
-        return self.x1.shape[0]
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,7 @@ def make_flow_batch(
             raise DimensionMismatch("conditions must have one entry per batch element")
         drop = rng.random(B) < cond_dropout_prob
         cond = np.where(drop, NULL_CLASS, conditions)
-    return FlowBatch(x0=x0, x1=x1, t=t, x_t=x_t, target_v=v, condition=cond)
+    return FlowBatch(x0=x0, t=t, x_t=x_t, target_v=v, condition=cond)
 
 
 def _fm_terms(m: mf.ManifoldSpec, batch: FlowBatch,
@@ -281,10 +277,11 @@ def sample_ode(
     guid: GuidanceConfig,
     condition: Optional[np.ndarray],
     rng: np.random.Generator,
-    num_samples: Optional[int] = None,
+    num_samples: int,
 ) -> np.ndarray:
-    """Integrate the projected field from a prior draw to t = 1.
+    """Integrate the projected field from ``num_samples`` prior draws to t = 1.
 
+    A given ``condition`` holds one class per row, shape ``(num_samples,)``.
     ``field(x, t, condition)`` returns ambient vectors; they are projected,
     optionally guidance-combined against a null-condition evaluation, and
     stepped with geodesic Euler updates, one ``_euler_pass`` per step.
@@ -301,17 +298,12 @@ def sample_ode(
     the samples have the same bits on any number of CPUs.  Where no OpenBLAS
     thread setter is found, the blocks run one after another.
     """
-    if num_samples is not None:
-        require_int("num_samples", num_samples, 0)
-    if condition is not None:
-        condition = np.asarray(condition)
-        B = condition.shape[0]
-        if num_samples is not None and num_samples != B:
-            raise DimensionMismatch("num_samples disagrees with condition batch")
-    else:
-        B = 1 if num_samples is None else num_samples
-    require_rows("num_samples", B, m.total_ambient_dim)
-    x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
+    require_int("num_samples", num_samples, 0)
+    condition = None if condition is None else np.asarray(condition)
+    if condition is not None and condition.shape != (num_samples,):
+        raise DimensionMismatch("num_samples disagrees with condition batch")
+    require_rows("num_samples", num_samples, m.total_ambient_dim)
+    x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=num_samples)
     N = integ.num_steps
     h = integ.step_size
     use_guidance = guid.enabled and guid.scale != 1.0 and condition is not None
@@ -332,7 +324,8 @@ def sample_ode(
             x = mf._unblock(m, xb, (n,))
         return x
 
-    # B = 0 still makes one (empty) block.
-    blocks = [slice(s, s + SAMPLE_BLOCK_ROWS) for s in range(0, max(B, 1), SAMPLE_BLOCK_ROWS)]
+    # num_samples = 0 still makes one (empty) block.
+    blocks = [slice(s, s + SAMPLE_BLOCK_ROWS)
+              for s in range(0, max(num_samples, 1), SAMPLE_BLOCK_ROWS)]
     with _one_blas_thread() as pinned:
         return np.concatenate(mf._map_blocks(integrate, blocks, parallel=pinned))

@@ -90,6 +90,8 @@ class ToyTaskSpec:
             total = sum(c.weight for c in self.components)
             if abs(total - 1.0) > 1e-9:
                 raise InvalidConfig(f"mixture weights must sum to 1, got {total}")
+        if self.kind == "rotating_joint" and self.representation is None:
+            raise InvalidConfig("rotating_joint needs a representation")
 
 
 def generate_toy_dataset(
@@ -126,10 +128,8 @@ def generate_toy_dataset(
 
 
 def _rotating_joint_points(task: ToyTaskSpec, m: mf.ManifoldSpec) -> np.ndarray:
-    skeleton = task.skeleton or mo.default_skeleton()
-    cfg = task.representation or mo.RepresentationConfig(
-        joints=skeleton.joint_count, translation=True, rotations=True
-    )
+    skeleton, cfg = task.skeleton, task.representation
+    mo._check_skeleton(skeleton, cfg)
     if not 0 <= task.joint < skeleton.joint_count:
         raise InvalidConfig(f"joint must lie in [0, {skeleton.joint_count})")
     frames = []
@@ -358,28 +358,14 @@ def _mode_coverage(
 
 @dataclass
 class ConstraintStats:
-    max_sphere_norm_dev: float = 0.0
-    max_preshape_centroid_dev: float = 0.0
-    max_preshape_norm_dev: float = 0.0
-    sample_count: int = 0
+    """The largest point-constraint deviation of a sample set (NaN if any
+    deviation is NaN); per-factor deviations are ``mf.point_deviations``."""
 
-    @property
-    def max_deviation(self) -> float:
-        return float(np.max([self.max_sphere_norm_dev, self.max_preshape_centroid_dev,
-                             self.max_preshape_norm_dev]))
+    max_deviation: float
 
 
 def constraint_violation_stats(m: mf.ManifoldSpec, samples: np.ndarray) -> ConstraintStats:
-    samples = np.atleast_2d(samples)
-    worst = {"sphere": [], "preshape": [], "centroid": []}
-    for i, name, dev in mf.point_deviations(m, samples):
-        worst["centroid" if name == "centroid" else m.factors[i].kind].append(dev.max())
-    return ConstraintStats(
-        max_sphere_norm_dev=float(np.max(worst["sphere"], initial=0.0)),
-        max_preshape_centroid_dev=float(np.max(worst["centroid"], initial=0.0)),
-        max_preshape_norm_dev=float(np.max(worst["preshape"], initial=0.0)),
-        sample_count=samples.shape[0],
-    )
+    return ConstraintStats(max_deviation=mf.max_constraint_deviation(m, samples))
 
 
 @dataclass

@@ -161,8 +161,6 @@ def _cond_indices(spec: NetworkSpec, cond, batch: int) -> np.ndarray:
         idx = np.full(batch, fl.NULL_CLASS)
     else:
         idx = np.atleast_1d(np.asarray(cond, dtype=int))
-        if idx.shape == (1,) and batch > 1:
-            idx = np.full(batch, idx[0])
     if idx.shape != (batch,):
         raise DimensionMismatch("condition batch size mismatch")
     if np.any(idx < 0) or np.any(idx >= spec.num_condition_classes):
@@ -215,9 +213,7 @@ def _forward_cached(params: VectorFieldParams, x, t, cond, keep: bool = True):
 
 def forward(params: VectorFieldParams, x, t, cond=None) -> np.ndarray:
     """Ambient-space velocity prediction; batched over leading dimension."""
-    single = np.asarray(x).ndim == 1
-    out, _ = _forward_cached(params, x, t, cond, keep=False)
-    return out[0] if single else out
+    return _forward_cached(params, x, t, cond, keep=False)[0]
 
 
 def loss_and_grad(
@@ -283,11 +279,9 @@ def _grad_norm(grad: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", grad, grad)))
 
 
-def clip_gradient(grad: np.ndarray, max_norm: float, norm: float | None = None) -> np.ndarray:
+def clip_gradient(grad: np.ndarray, max_norm: float, norm: float) -> np.ndarray:
     """``grad`` rescaled to norm ``max_norm`` if longer; ``norm`` is its
-    already computed ``_grad_norm``, if the caller has it."""
-    if norm is None:
-        norm = _grad_norm(grad)
+    already computed ``_grad_norm``."""
     if norm <= max_norm:
         return grad
     return grad * (max_norm / norm)
@@ -315,13 +309,8 @@ def _chunks(n: int, k: int):
 class OptimizerState:
     m: np.ndarray
     v: np.ndarray
+    weight_decay: float
     step: int = 0
-    weight_decay: float = 1e-2
-
-    @classmethod
-    def new(cls, param_count: int, weight_decay: float = 1e-2) -> "OptimizerState":
-        return cls(m=np.zeros(param_count), v=np.zeros(param_count),
-                   weight_decay=weight_decay)
 
 
 def adamw_step(
@@ -362,7 +351,7 @@ def adamw_step(
 @dataclass
 class EmaState:
     shadow: np.ndarray
-    decay: float = 0.999  # TrainConfig checks the range
+    decay: float  # TrainConfig checks the range
 
 
 def ema_update(ema: EmaState, params: VectorFieldParams) -> None:
@@ -411,7 +400,8 @@ def train(
     require_rows("batch_size", cfg.batch_size, max(net_spec.in_features, net_spec.hidden_dim))
     rng = np.random.default_rng(cfg.seed)
     params = VectorFieldParams.init_random(net_spec, rng)
-    opt = OptimizerState.new(params.count, weight_decay=cfg.weight_decay)
+    opt = OptimizerState(m=np.zeros(params.count), v=np.zeros(params.count),
+                         weight_decay=cfg.weight_decay)
     ema = EmaState(shadow=params.flat.copy(), decay=cfg.ema_decay)
     history: list[dict] = []
     n = data.shape[0]

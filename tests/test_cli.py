@@ -116,13 +116,22 @@ def test_train_rerun_bitwise_identical(trained, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_sample_zero_samples(trained, tmp_path):
+def test_sample_zero_samples(trained, chain_pose, tmp_path):
     cfg = write_json(tmp_path / "s.json",
                      {"schema": 1, "num_samples": 0, "num_steps": 5})
     code = cli.main(["sample", "--config", cfg, "--out", str(tmp_path),
                      "--checkpoint", str(trained / "checkpoint.rmg")])
     assert code == 0
     assert (tmp_path / "samples.jsonl").read_text() == ""
+    # motion output writes its file whatever the count: here one of zero frames
+    cfg = write_json(tmp_path / "m.json", {"schema": 1, "num_samples": 0, "num_steps": 5,
+                                           "output_format": "motion"})
+    code = cli.main(["sample", "--config", cfg, "--out", str(tmp_path / "motion"),
+                     "--checkpoint", str(chain_pose / "checkpoint.rmg")])
+    assert code == 0
+    motion = str(tmp_path / "motion" / "samples_motion.json")
+    assert len(mo.load_motion(motion)) == 0
+    assert _run(tmp_path, "validate", {"schema": 1, "input": motion}) == 0
 
 
 def _chain_checkpoint(tmp_path_factory, name, representation):
@@ -157,7 +166,7 @@ def rotation_free(tmp_path_factory):
     ({"output_format": "motion"}, "trained",  # the bundled skeleton does not fit one joint
      "motion needs a skeleton of 1 joints: pass a skeleton file"),
     ({"representation": {"joints": 1, "d_translation": True, "rotations": True}}, "trained",
-     "representation does not match the checkpoint's"),
+     "unknown key 'representation' in sample"),
     ({"condition": 3}, "trained", "condition indices must lie in [0, 3)"),
     ({"condition": -1}, "trained", "condition indices must lie in [0, 3)"),
 ], ids=["num_steps", "guidance_scale", "motion_fps", "motion_without_rotations",
@@ -246,7 +255,7 @@ def test_sample_dimension_mismatch(trained, tmp_path, capsys):
     code = cli.main(["sample", "--config", cfg, "--out", str(tmp_path),
                      "--checkpoint", str(trained / "checkpoint.rmg")])
     assert code == 2
-    assert "representation does not match the checkpoint" in capsys.readouterr().err
+    assert "unknown key 'representation' in sample" in capsys.readouterr().err
 
 
 def test_sample_requires_checkpoint(tmp_path):
@@ -1202,16 +1211,20 @@ def test_task_components_must_be_a_list(tmp_path, capsys):
 @pytest.mark.parametrize("command,key", [
     ("sweep.sample", "output_format"), ("sweep.sample", "skeleton"), ("sweep.sample", "fps"),
     ("sweep.sample", "representation"), ("sweep.eval", "manifold"),
-    ("sweep.eval", "representation"), ("sample", "skeleton"),
+    ("sweep.eval", "representation"), ("sample", "skeleton"), ("sample", "representation"),
+    ("sweep", "checkpoint"),
 ])
 def test_removed_keys_are_rejected(trained, tmp_path, capsys, command, key):
     value = {"joints": 1, "translation": True, "rotations": True}
     if command == "sample":
-        doc = {"schema": 1, key: "skeleton.json"}
+        doc = {"schema": 1, key: "skeleton.json" if key == "skeleton" else value}
     else:
-        section = command.split(".")[1]
         doc = {"schema": 1, "guidance_scales": [1.0], "eval": {"reference": "r.jsonl"}}
-        doc[section] = {**doc.get(section, {}), key: value}
+        if command == "sweep":
+            doc[key] = str(trained / "checkpoint.rmg")
+        else:
+            section = command.split(".")[1]
+            doc[section] = {**doc.get(section, {}), key: value}
     code = _run(tmp_path, command.split(".")[0], doc,
                 "--checkpoint", str(trained / "checkpoint.rmg"))
     assert code == 2
@@ -1319,12 +1332,24 @@ def _train_on_chain(tmp_path, representation):
 
 
 def test_train_on_a_skeleton_file_of_other_joint_count_exits_2(tmp_path, capsys, monkeypatch):
-    """Its checkpoint could never write motion, so train stops before training."""
-    monkeypatch.setattr(nn, "train", lambda *a, **k: pytest.fail("training started"))
-    doc = dict(TRAIN_DOC, skeleton=write_json(tmp_path / "chain.json", CHAIN))
-    assert _run(tmp_path, "train", doc) == 2
-    assert "skeleton has 3 joints, config has 1" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    """Its checkpoint could never write motion, so train stops before training.
+    A rotating_joint task needs a skeleton of the representation's joint
+    count too: without a skeleton file there is none for three joints, and
+    with the chain the same task trains."""
+    chain = write_json(tmp_path / "chain.json", CHAIN)
+    rotating = dict(TRAIN_DOC, representation={"joints": 3, "translation": True,
+                                               "rotations": True},
+                    task={"kind": "rotating_joint", "sample_count": 8})
+    for doc, code, message in (
+            (dict(TRAIN_DOC, skeleton=chain), 2, "skeleton has 3 joints, config has 1"),
+            (rotating, 2, "motion needs a skeleton of 3 joints: pass a skeleton file"),
+            (dict(rotating, skeleton=chain), 0, "")):
+        with monkeypatch.context() as patch:
+            if code:
+                patch.setattr(nn, "train", lambda *a, **k: pytest.fail("training started"))
+            assert _run(tmp_path, "train", doc) == code
+        assert message in capsys.readouterr().err
+        assert (tmp_path / "out").exists() == (code == 0)
 
 
 def test_sample_prior_uses_training_skeleton(tmp_path):
@@ -1415,8 +1440,7 @@ def _fuzz_bases(files: dict) -> list:
         ("train", train, []),  # first: fuzz_inputs trains the checkpoint with it
         ("train", {**train, "task": rotating}, []),
         ("sample", {**sampling, "guidance_scale": 1.5, "seed": 1, "num_samples": 3,
-                    "output_format": "motion", "fps": 30.0,
-                    "representation": dict(FUZZ_REPRESENTATION)},
+                    "output_format": "motion", "fps": 30.0},
          ["--checkpoint", files["checkpoint"]]),
         ("convert", {"input": files["points"], "target": "motion",
                      "representation": dict(FUZZ_REPRESENTATION),
@@ -1428,9 +1452,9 @@ def _fuzz_bases(files: dict) -> list:
                   "manifold": {"factors": factors},
                   "representation": dict(FUZZ_REPRESENTATION), **scoring, "seed": 0,
                   "guidance_scale": 1.0}, []),
-        ("sweep", {"checkpoint": files["checkpoint"], "guidance_scales": [1.0, 2.0],
-                   "sample": {**sampling, "num_samples": 3},
-                   "eval": {"reference": files["points"], **scoring}, "seed": 0}, []),
+        ("sweep", {"guidance_scales": [1.0, 2.0], "sample": {**sampling, "num_samples": 3},
+                   "eval": {"reference": files["points"], **scoring}, "seed": 0},
+         ["--checkpoint", files["checkpoint"]]),
         ("validate", {"input": files["motion"], "tolerance": 1e-6}, []),
     ]
     return [(command, {"schema": 1, **doc}, extra) for command, doc, extra in bases]

@@ -164,7 +164,6 @@ def test_make_flow_batch_shapes(toy_manifold, rng):
     prior = _prior(m)
     x1 = mf.sample_wrapped_gaussian(m, prior, rng, size=32)
     batch = fl.make_flow_batch(m, x1, prior, rng)
-    assert len(batch) == 32
     assert batch.x_t.shape == batch.target_v.shape == (32, 7)
     assert np.all(batch.t >= 0) and np.all(batch.t <= 1 - fl.EPS_T)
     assert batch.condition is None
@@ -325,11 +324,11 @@ def test_sample_ode_guidance_scale_one_bitwise(toy_manifold):
     cond = np.full(8, 1)
     a = fl.sample_ode(m, field, prior, fl.IntegratorConfig(10),
                       fl.GuidanceConfig(scale=1.0, enabled=True), cond,
-                      np.random.default_rng(3))
+                      np.random.default_rng(3), num_samples=8)
     n_calls = len(calls)
     b = fl.sample_ode(m, field, prior, fl.IntegratorConfig(10),
                       fl.GuidanceConfig(enabled=False), cond,
-                      np.random.default_rng(3))
+                      np.random.default_rng(3), num_samples=8)
     assert np.array_equal(a, b)
     assert len(calls) == 2 * n_calls  # no extra null-condition evaluations
 
@@ -349,7 +348,7 @@ def test_sample_ode_guidance_evaluates_null_branch(toy_manifold, scale, conditio
 
     fl.sample_ode(m, field, prior, fl.IntegratorConfig(5),
                   fl.GuidanceConfig(scale=scale, enabled=True), np.full(2, 1),
-                  np.random.default_rng(0))
+                  np.random.default_rng(0), num_samples=2)
     assert seen.count(1) == conditional_calls and seen.count(fl.NULL_CLASS) == 5
     assert len(seen) == 5 + conditional_calls
 
@@ -498,7 +497,7 @@ def test_sample_ode_bits_do_not_depend_on_cpu_count(manifold, monkeypatch):
         monkeypatch.setattr(mf, "_usable_cpus", lambda: cpus)
         out[cpus] = fl.sample_ode(m, field, prior, fl.IntegratorConfig(2),
                                   fl.GuidanceConfig(scale=2.5, enabled=True), cond,
-                                  np.random.default_rng(7))
+                                  np.random.default_rng(7), num_samples=B)
     assert out[1].shape == (B, m.total_ambient_dim)
     assert out[1].tobytes() == out[4].tobytes()
 
@@ -665,7 +664,7 @@ def test_sample_ode_rejects_non_finite_null_field(toy_manifold, bad, column, sca
     with pytest.raises(NotTangent):
         fl.sample_ode(m, field, _prior(m), fl.IntegratorConfig(5),
                       fl.GuidanceConfig(scale=scale, enabled=True), np.full(4, 1),
-                      np.random.default_rng(0))
+                      np.random.default_rng(0), num_samples=4)
 
 
 @pytest.mark.parametrize("branch", ["conditional", "null"])
@@ -681,7 +680,17 @@ def test_sample_ode_rejects_misshapen_field(toy_manifold, branch, shape):
     with pytest.raises(DimensionMismatch):
         fl.sample_ode(m, field, _prior(m), fl.IntegratorConfig(5),
                       fl.GuidanceConfig(scale=2.5, enabled=True), np.full(4, 1),
-                      np.random.default_rng(0))
+                      np.random.default_rng(0), num_samples=4)
+
+
+@pytest.mark.parametrize("condition", [np.full(3, 1), np.full((4, 1), 1), 1],
+                         ids=["short", "column", "scalar"])
+def test_sample_ode_rejects_condition_of_other_row_count(toy_manifold, condition):
+    """A condition holds one class per sample: shape (num_samples,)."""
+    with pytest.raises(DimensionMismatch, match="num_samples disagrees with condition batch"):
+        fl.sample_ode(toy_manifold, lambda x, t, cond: np.zeros_like(x), _prior(toy_manifold),
+                      fl.IntegratorConfig(1), fl.GuidanceConfig(), condition,
+                      np.random.default_rng(0), num_samples=4)
 
 
 def test_reference_point_layout(skeleton):

@@ -49,6 +49,8 @@ def test_task_validation(toy_means):
                            components=(me.MixtureComponent(mean=a),))
     with pytest.raises(InvalidConfig):
         me.ToyTaskSpec(kind="sphere_mixture", sample_count=10)
+    with pytest.raises(InvalidConfig, match="^rotating_joint needs a representation$"):
+        me.ToyTaskSpec(kind="rotating_joint", sample_count=10)
     with pytest.raises(InvalidConfig):
         me.ToyTaskSpec(
             kind="sphere_mixture", sample_count=10,
@@ -209,25 +211,25 @@ def test_constraint_stats(toy_manifold, rng):
     stats = me.constraint_violation_stats(m, x)
     assert stats.max_deviation < 1e-12
     x[:, 3:] *= 1.001
-    stats = me.constraint_violation_stats(m, x)
-    assert 0.0009 < stats.max_sphere_norm_dev < 0.0011
+    [(_, _, sphere_dev)] = mf.point_deviations(m, x)
+    assert 0.0009 < sphere_dev.max() < 0.0011
     # factors of different multiplicity give ragged per-copy deviations
     mixed = mf.ManifoldSpec([mf.sphere(2, multiplicity=3), mf.sphere(3, multiplicity=5)])
     y = mf.random_point(mixed, rng, size=50)
     y[7, 9 + 4 * 2 : 9 + 4 * 3] *= 1.01
     stats = me.constraint_violation_stats(mixed, y)
-    assert stats.sample_count == 50
-    assert 0.0099 < stats.max_sphere_norm_dev < 0.0101
-    assert stats.max_deviation == stats.max_sphere_norm_dev
+    sphere_dev = max(dev.max() for _, _, dev in mf.point_deviations(mixed, y))
+    assert 0.0099 < sphere_dev < 0.0101
+    assert stats.max_deviation == sphere_dev
 
 
 def test_preshape_constraint_stats(rng):
     m = mf.ManifoldSpec([mf.preshape(5, 3)])
     x = mf.random_point(m, rng, size=10)
     x[:, 0] += 0.01  # breaks both centering and unit norm
-    stats = me.constraint_violation_stats(m, x)
-    assert stats.max_preshape_centroid_dev > 1e-4
-    assert stats.max_preshape_norm_dev > 1e-5
+    dev = {name: d.max() for _, name, d in mf.point_deviations(m, x)}
+    assert dev["centroid"] > 1e-4
+    assert dev["unit_norm"] > 1e-5
 
 
 def test_report_csv_row_and_header():
