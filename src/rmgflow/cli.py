@@ -37,7 +37,7 @@ from . import metrics as me
 from . import motion as mo
 from . import net as nn
 from .errors import (REQUIRED, InvalidConfig, NonFiniteLoss, NotTangent, RmgError, _build,
-                     _check, _fill, _numbers, require_int, require_number)
+                     _check, _fill, _is_schema_one, _numbers, require_int, require_number)
 
 # config schema (see ``errors``): key -> (JSON type, default or REQUIRED)
 _SAMPLING = {"num_steps": (int, 100), "condition": (int, None), "use_ema": (bool, True)}
@@ -85,7 +85,7 @@ def _json_file(path):
 
 def _load_config(path, command: str) -> dict:
     doc = _read(_json_file, path, "config")
-    if not isinstance(doc, dict) or doc.pop("schema", None) != 1:
+    if not isinstance(doc, dict) or not _is_schema_one(doc.pop("schema", None)):
         raise InvalidConfig("config must be a JSON object declaring \"schema\": 1")
     return _fill(doc, command, SCHEMA[command])
 

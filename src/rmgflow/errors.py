@@ -85,6 +85,12 @@ def require_rows(name: str, rows: int, width: int) -> None:
         raise InvalidConfig(f"{name} {rows}{each} is more than any array can hold")
 
 
+def _is_schema_one(value) -> bool:
+    """Whether ``value`` is the integer 1, the one schema a config or
+    checkpoint header may declare: ``true`` and ``1.0`` are not."""
+    return type(value) is int and value == 1
+
+
 # the JSON reader: schema key -> (JSON type, default or REQUIRED); null is
 # accepted exactly where the default is None
 REQUIRED = object()

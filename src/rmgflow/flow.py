@@ -10,10 +10,11 @@ x0 + t (x1 - x0) and its target (x1 - x_t) / (1 - t), bit for bit.
 Sampling integrates the learned field with first-order geodesic Euler
 steps, which keep every iterate on the manifold by construction.
 
-Each sampler step is one pass per factor over the contiguous coordinate
-planes of the point and of the field evaluations (``manifold._blocks``).
-The pass applies guidance to the raw fields, projects once (the projection
-is linear), checks tangency and shoots with the per-element arithmetic of
+Every per-factor pass runs through ``manifold._map``, as the public
+geometry does: the batch's x_t, target and antipodal rows (``_flow_target``),
+the loss's projection and each sampler step (``_euler_step``).  A step
+applies guidance to the raw fields, projects once (the projection is
+linear), checks tangency and shoots with the per-element arithmetic of
 ``project_tangent`` and ``exp_map``.  The test oracle ``_sample_ode_chain``
 in ``tests/test_flow.py`` composes those public operations on whole arrays;
 a run with one field per step has its bits, a guided one agrees to rounding.
@@ -93,25 +94,16 @@ class IntegratorConfig:
         return 1.0 / self.num_steps
 
 
-def _flow_pairs(m: mf.ManifoldSpec, x0, x1b,
-                t) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """``(pairs, antipodal)``.  ``pairs`` holds per factor the blocks of x_t
-    and of its target: the geodesic point and velocity of ``mf._geodesic`` on
-    sphere and pre-shape copies, and on Euclidean blocks ``x0 + t (x1 - x0)``
-    and ``(x1 - x_t) / (1 - t)``.  ``antipodal`` marks the rows with a sphere
-    or pre-shape copy of x0 antipodal to x1's, from the same angles, whose
-    pairs have no unique geodesic."""
-    pairs = []
-    antipodal = np.zeros(t.shape, dtype=bool)
-    tt = t[..., None]
-    for f, a, b in zip(m.factors, mf._blocks(m, x0), x1b):
-        x_t, v, theta = mf._geodesic(f, a, b, tt)
-        if f.kind == "euclidean":
-            v = (b - x_t) / (1.0 - tt)
-        else:
-            antipodal |= mf._near_pi(theta).any(axis=-1)
-        pairs.append((x_t, v))
-    return pairs, antipodal
+def _flow_target(f: mf.FactorSpec, x0, x1, t):
+    """``(x_t, target, antipodal)`` per copy of factor f: the geodesic point
+    and velocity of ``mf._geodesic`` on sphere and pre-shape copies, and on
+    Euclidean ones ``x0 + t (x1 - x0)`` and ``(x1 - x_t) / (1 - t)``.
+    ``antipodal`` marks, from the same angles, the sphere and pre-shape copies
+    of x0 antipodal to x1's, whose pairs have no unique geodesic."""
+    x_t, v, theta = mf._geodesic(f, x0, x1, t)
+    if f.kind == "euclidean":
+        return x_t, (x1 - x_t) / (1.0 - t), False
+    return x_t, v, mf._near_pi(theta)
 
 
 def make_flow_batch(
@@ -126,26 +118,24 @@ def make_flow_batch(
 
     RNG call order (relied on by seeded reproducibility tests):
     prior normals, then uniform times, then condition-dropout uniforms.
-    x_t and its target come from one pass per factor over contiguous blocks
-    (``_flow_pairs``), which also marks the rows whose prior draw is
-    antipodal to their data point.  Those rows, and just those, draw again
-    after the times, and the pass runs again; once ``MAX_PRIOR_REDRAWS``
-    such rounds leave a row antipodal, AntipodalPoints is raised.
+    x_t and its target come from one ``mf._map`` pass of ``_flow_target``,
+    which also marks the rows whose prior draw is antipodal to their data
+    point.  Those rows, and just those, draw again after the times, and the
+    pass runs again; once ``MAX_PRIOR_REDRAWS`` such rounds leave a row
+    antipodal, AntipodalPoints is raised.
     """
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     B = x1.shape[0]
     x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=B)
     t = rng.uniform(0.0, 1.0 - EPS_T, size=B)
-    x1b = mf._blocks(m, x1)
-    pairs, bad = _flow_pairs(m, x0, x1b, t)
+    x_t, v, near = mf._map(m, _flow_target, x0, x1, t=t)
     for _ in range(MAX_PRIOR_REDRAWS):
+        bad = near.any(axis=-1)
         if not bad.any():
             break
         x0[bad] = mf.sample_wrapped_gaussian(m, prior, rng, size=int(bad.sum()))
-        pairs, bad = _flow_pairs(m, x0, x1b, t)
-    mf._check_not_antipodal(bad)
-    x_t = mf._unblock(m, [p for p, _ in pairs], (B,))
-    v = mf._unblock(m, [v for _, v in pairs], (B,))
+        x_t, v, near = mf._map(m, _flow_target, x0, x1, t=t)
+    mf._check_not_antipodal(near)
     cond = None
     if conditions is not None:
         conditions = np.asarray(conditions)
@@ -160,10 +150,8 @@ def _fm_terms(m: mf.ManifoldSpec, batch: FlowBatch,
               predicted: np.ndarray) -> tuple[float, np.ndarray]:
     """``(loss, r)``: the flow-matching loss, the mean squared norm of the
     residual r = target_v - P_{x_t}(predicted), and r, tangent at x_t like
-    the target.  P runs per factor on ``_blocks``, as ``project_tangent``."""
-    projected = [mf._project(f, x, a) for f, x, a in
-                 zip(m.factors, mf._blocks(m, batch.x_t), mf._blocks(m, predicted))]
-    r = batch.target_v - mf._unblock(m, projected, predicted.shape[:1])
+    the target.  P is ``mf._project`` through ``mf._map``, as ``project_tangent``."""
+    r = batch.target_v - mf._map(m, mf._project, batch.x_t, predicted)
     return float(np.mean(np.sum(r * r, axis=-1))), r
 
 
@@ -180,34 +168,31 @@ def fm_loss(m: mf.ManifoldSpec, batch: FlowBatch, predicted: np.ndarray) -> floa
 VelocityField = Callable[[np.ndarray, float, Optional[np.ndarray]], np.ndarray]
 
 
-def _field_blocks(m: mf.ManifoldSpec, field: VelocityField, x, t, cond) -> list[np.ndarray]:
+def _evaluate(field: VelocityField, x, t, cond) -> np.ndarray:
     a = np.asarray(field(x, t, cond), dtype=float)
     if a.shape != x.shape:
         raise DimensionMismatch(f"field returned shape {a.shape}, expected {x.shape}")
-    return mf._blocks(m, a)
+    return a
 
 
-def _euler_pass(m: mf.ManifoldSpec, xb, ab, a0b, scale: float, h: float) -> list[np.ndarray]:
-    """One guided geodesic Euler step on the contiguous blocks of ``mf._blocks``.
+def _euler_step(f: mf.FactorSpec, x, a, a0=None, *, scale: float, h: float):
+    """One guided geodesic Euler step per copy of factor f.
 
-    Per factor: the field ``ab`` or, given the null-condition field ``a0b``
-    (passed only when scale is neither 0 nor 1), the classifier-free
-    combination ``a0 + scale (a - a0)`` of the raw fields is projected once,
-    scaled by h and shot along the geodesic with ``mf._shoot``, which
-    rejects a step whose tangency defect exceeds ``TANGENT_REJECT`` (so any
-    non-finite field).  The projection is linear: the test oracle
-    ``_sample_ode_chain`` (``tests/test_flow.py``) combines projected fields
-    and projects again.  With one field a step has the oracle's bits.
+    The field ``a`` or, given the null-condition field ``a0`` (passed only
+    when scale is neither 0 nor 1), the classifier-free combination
+    ``a0 + scale (a - a0)`` of the raw fields is projected once, scaled by h
+    and shot along the geodesic with ``mf._shoot``, which rejects a step
+    whose tangency defect exceeds ``TANGENT_REJECT`` (so any non-finite
+    field).  The projection is linear: the test oracle ``_sample_ode_chain``
+    (``tests/test_flow.py``) combines projected fields and projects again.
+    With one field a step has the oracle's bits.
     """
-    out = []
-    for i, (f, x, a) in enumerate(zip(m.factors, xb, ab)):
-        # A non-finite field fails the tangency check in _shoot, so its warnings are moot.
-        with np.errstate(invalid="ignore", over="ignore"):
-            if a0b is not None:
-                a = a0b[i] + scale * (a - a0b[i])
-            v = h * mf._project(f, x, a)
-        out.append(mf._shoot(f, x, v))
-    return out
+    # A non-finite field fails the tangency check in _shoot, so its warnings are moot.
+    with np.errstate(invalid="ignore", over="ignore"):
+        if a0 is not None:
+            a = a0 + scale * (a - a0)
+        v = h * mf._project(f, x, a)
+    return mf._shoot(f, x, v)
 
 
 # OpenBLAS thread-count setters and getters, in lookup order: numpy's bundled
@@ -284,7 +269,8 @@ def sample_ode(
     A given ``condition`` holds one class per row, shape ``(num_samples,)``.
     ``field(x, t, condition)`` returns ambient vectors; they are projected,
     optionally guidance-combined against a null-condition evaluation, and
-    stepped with geodesic Euler updates, one ``_euler_pass`` per step.
+    stepped with geodesic Euler updates, one ``mf._map`` pass of
+    ``_euler_step`` per step.
     scale == 1 skips the null-condition evaluation, so guided and unguided
     runs agree bitwise; scale == 0 evaluates only the null-condition field,
     which is then the whole combination.
@@ -305,23 +291,21 @@ def sample_ode(
     require_rows("num_samples", num_samples, m.total_ambient_dim)
     x0 = mf.sample_wrapped_gaussian(m, prior, rng, size=num_samples)
     N = integ.num_steps
-    h = integ.step_size
     use_guidance = guid.enabled and guid.scale != 1.0 and condition is not None
+    step = functools.partial(_euler_step, scale=guid.scale, h=integ.step_size)
 
     def integrate(rows: slice) -> np.ndarray:
         x = x0[rows]
-        n = x.shape[0]
         cond = None if condition is None else condition[rows]
-        null_cond = np.full(n, NULL_CLASS) if use_guidance else None
+        null_cond = np.full(x.shape[0], NULL_CLASS) if use_guidance else None
         if use_guidance and guid.scale == 0.0:
             cond, null_cond = null_cond, None
-        xb = mf._blocks(m, x)
         for k in range(N):
             t = k / N
-            ab = _field_blocks(m, field, x, t, cond)
-            a0b = None if null_cond is None else _field_blocks(m, field, x, t, null_cond)
-            xb = _euler_pass(m, xb, ab, a0b, guid.scale, h)
-            x = mf._unblock(m, xb, (n,))
+            fields = [_evaluate(field, x, t, cond)]
+            if null_cond is not None:
+                fields.append(_evaluate(field, x, t, null_cond))
+            x = mf._map(m, step, x, *fields)
         return x
 
     # num_samples = 0 still makes one (empty) block.

@@ -21,11 +21,11 @@ so one formula call covers every copy of the factor and a time broadcasts
 over any block as ``t[..., None]``.  Every per-copy sum over coordinates
 (``_dot`` and ``distance``) adds whole planes left to right, written once in
 ``_sum``, so its bits do not depend on the shape or the chunk of the rows
-it runs on.  The public operations run through one chunk loop (``_map``),
-which walks the leading rows in chunks whose blocks stay near
+it runs on.  Every per-factor pass, the public operations and the flow
+module's batch, loss and sampler steps alike, runs through one chunk loop
+(``_map``), which walks the leading rows in chunks whose blocks stay near
 ``CHUNK_ELEMENTS`` elements and so bounds the temporaries of large or
-broadcast inputs independently of the batch size; the flow module's batch,
-loss and sampler steps take the blocks of a whole batch.
+broadcast inputs independently of the batch size.
 
 ``distance`` has its own kernel (``_copy_distance``), because its outputs
 (such as an N x M distance matrix) are large next to its inputs: each factor
@@ -316,27 +316,20 @@ def _blocks(m: ManifoldSpec, a: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(_block_view(a, f, sl)) for f, sl in m.blocks]
 
 
-def _unblock(m: ManifoldSpec, blocks: Sequence[np.ndarray], lead: tuple) -> np.ndarray:
-    """The array of leading shape ``lead`` whose ``_blocks`` are ``blocks``."""
-    out = np.empty(lead + (m.total_ambient_dim,))
-    for (f, sl), block in zip(m.blocks, blocks):
-        _block_view(out, f, sl)[...] = block
-    return out
-
-
-def _map(m: ManifoldSpec, fn, *arrays: np.ndarray, t=None) -> np.ndarray:
+def _map(m: ManifoldSpec, fn, *arrays: np.ndarray, t=None):
     """``fn(factor, *blocks)`` per factor, assembled into one array of the
     broadcast leading shape of the arrays (and of t, one time per point, if
-    given).
+    given).  Where ``fn`` returns a tuple of blocks, the result is the tuple
+    of their arrays, each of the dtype of its blocks.
 
     The arrays are padded with leading axes of length 1 to a common rank of
     at least one leading axis, and that first axis is walked in chunks of
-    rows.  Each array's chunk is copied into ``_blocks`` once (an array
-    that does not span the first axis broadcasts across it whole); ``blocks``
-    holds each array's block of the factor, then t's chunk with a trailing
-    axis of length 1 (``t[..., None]``), which broadcasts over any block.  A
-    chunk holds about CHUNK_ELEMENTS elements over its copied blocks and its
-    result.
+    rows; no rows make one empty chunk.  Each array's chunk is copied into
+    ``_blocks`` once (an array that does not span the first axis broadcasts
+    across it whole); ``blocks`` holds each array's block of the factor,
+    then t's chunk with a trailing axis of length 1 (``t[..., None]``),
+    which broadcasts over any block.  A chunk holds about CHUNK_ELEMENTS
+    elements over its copied blocks and its result.
     """
     shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays),
                                 *(() if t is None else (t.shape,)))
@@ -346,23 +339,29 @@ def _map(m: ManifoldSpec, fn, *arrays: np.ndarray, t=None) -> np.ndarray:
     step = max(1, CHUNK_ELEMENTS // max(1, copies * prod(lead[1:]) * m.total_ambient_dim))
     if t is not None:
         t = t.reshape((1,) * (len(lead) - t.ndim) + t.shape + (1,))
-    out = np.empty(0)
-    for s in range(0, lead[0], step):
+    outs = None
+    for s in range(0, max(lead[0], 1), step):
         rows = slice(s, s + step)
         # per factor, the tuple of each array's block
         blocks = list(zip(*(_blocks(m, a[rows] if a.shape[0] > 1 else a) for a in arrays)))
         times = () if t is None else (t[rows] if t.shape[0] > 1 else t,)
         results = [fn(f, *b, *times) for f, b in zip(m.factors, blocks)]
         del blocks
+        single = not isinstance(results[0], tuple)
+        # per output, the tuple of each factor's block
+        parts = [results] if single else list(zip(*results))
         # Allocated only now, after the chunk's blocks and temporaries are
         # freed: with glibc's malloc, an output allocated first lets the heap
         # top above it be trimmed and the next call fault it back in (the
         # 256 x 91 prior draw measured about 20% slower).
-        if not out.size:
-            out = np.empty(lead + (m.total_ambient_dim,))
-        for (f, sl), r in zip(m.blocks, results):
-            _block_view(out[rows], f, sl)[...] = r
-    return out.reshape(shape + (m.total_ambient_dim,))
+        if outs is None:
+            outs = [np.empty(lead + (m.total_ambient_dim,), dtype=np.result_type(*part))
+                    for part in parts]
+        for out, part in zip(outs, parts):
+            for (f, sl), r in zip(m.blocks, part):
+                _block_view(out[rows], f, sl)[...] = r
+    outs = [out.reshape(shape + (m.total_ambient_dim,)) for out in outs]
+    return outs[0] if single else tuple(outs)
 
 
 # ---------------------------------------------------------------------------

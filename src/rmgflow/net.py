@@ -31,8 +31,8 @@ import numpy as np
 
 from . import flow as fl
 from . import manifold as mf
-from .errors import (DimensionMismatch, InvalidConfig, NonFiniteLoss, _build, require_int,
-                     require_number, require_rows)
+from .errors import (DimensionMismatch, InvalidConfig, NonFiniteLoss, _build, _is_schema_one,
+                     require_int, require_number, require_rows)
 
 
 @dataclass(frozen=True)
@@ -478,7 +478,7 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         blobs = fh.read()
-    if not isinstance(header, dict) or header.get("schema") != 1:
+    if not isinstance(header, dict) or not _is_schema_one(header.get("schema")):
         raise InvalidConfig('checkpoint header must be a JSON object declaring "schema": 1')
     if hashlib.sha256(blobs).hexdigest() != header.get("blob_sha256"):
         raise InvalidConfig("checkpoint blobs do not match the header's blob_sha256")

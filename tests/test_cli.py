@@ -73,6 +73,14 @@ def test_missing_schema(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schema", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_schema_must_be_the_integer_one(tmp_path, skeleton, rng, capsys, schema):
+    motion_path, _ = _motion_file(tmp_path, skeleton, rng)
+    assert _run(tmp_path, "validate", {"schema": 1, "input": str(motion_path)}) == 0
+    assert _run(tmp_path, "validate", {"schema": schema, "input": str(motion_path)}) == 2
+    assert 'declaring "schema": 1' in capsys.readouterr().err
+
+
 def test_unknown_key_named(tmp_path, capsys):
     doc = dict(TRAIN_DOC)
     doc["bogus_option"] = 1
@@ -611,6 +619,14 @@ def test_damaged_checkpoint_exits_2(trained, tmp_path, damage):
     ckpt.write_bytes(blob)
     doc = {"schema": 1, "use_ema": False}  # a short EMA blob is caught on load
     assert _run(tmp_path, "sample", doc, "--checkpoint", str(ckpt)) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("schema", [True, 1.0], ids=["true", "float"])
+def test_checkpoint_schema_must_be_the_integer_one(trained, tmp_path, capsys, schema):
+    ckpt = _edited_checkpoint(trained, tmp_path, lambda h: {**h, "schema": schema})
+    assert _run(tmp_path, "sample", {"schema": 1}, "--checkpoint", ckpt) == 2
+    assert 'checkpoint header must be a JSON object declaring "schema": 1' in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -53,10 +53,10 @@ def test_interpolate_domain():
 def test_flow_pairs_euclidean():
     m = mf.ManifoldSpec([mf.euclidean(2)])
     x0, x1 = np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]])
-    [(x_t, v)], antipodal = fl._flow_pairs(m, x0, mf._blocks(m, x1), np.array([0.5]))
-    assert not antipodal.any()
-    assert np.array_equal(x_t[:, 0, 0], [1.0, 0.0])
-    assert np.array_equal(v[:, 0, 0], [2.0, 0.0])
+    x_t, v, antipodal = mf._map(m, fl._flow_target, x0, x1, t=np.array([0.5]))
+    assert antipodal.dtype == bool and not antipodal.any()
+    assert np.array_equal(x_t, [[1.0, 0.0]])
+    assert np.array_equal(v, [[2.0, 0.0]])
 
 
 def _log_target(m, x_t, x1, t):
@@ -91,20 +91,17 @@ def _sphere_geodesic_longdouble(x0, x1, t):
     return point, ratio * (-np.cos((1 - t) * theta) * x0 + np.cos(t * theta) * x1)
 
 
-def _rows(block):
-    """A block of ``mf._blocks`` as (B, multiplicity, width) rows."""
-    return np.moveaxis(block, 0, -1)
-
-
-def _longdouble_errors(m, x0, x1, t, pairs):
-    """Largest errors of the sphere and pre-shape x_t and targets in ``pairs``
-    (from ``fl._flow_pairs``) against the extended-precision geodesic."""
+def _longdouble_errors(m, x0, x1, t, x_t, v):
+    """Largest errors of the sphere and pre-shape blocks of x_t and of its
+    target v against the extended-precision geodesic."""
     worst = np.zeros(2)
-    for f, a, b, pair in zip(m.factors, mf._blocks(m, x0), mf._blocks(m, x1), pairs):
+    for f, sl in m.blocks:
         if f.kind != "euclidean":
-            refs = _sphere_geodesic_longdouble(_rows(a), _rows(b), t[:, None])
-            worst = np.maximum(worst, [float(np.max(np.abs(_rows(got) - ref)))
-                                       for got, ref in zip(pair, refs)])
+            def copies(a):
+                return a[:, sl].reshape(len(a), f.multiplicity, f.ambient_dim_per_copy)
+            refs = _sphere_geodesic_longdouble(copies(x0), copies(x1), t[:, None])
+            worst = np.maximum(worst, [float(np.max(np.abs(copies(got) - ref)))
+                                       for got, ref in zip((x_t, v), refs)])
     return worst
 
 
@@ -120,8 +117,8 @@ def test_target_near_one_matches_longdouble_reference(pose_manifold, rng):
     x0 = mf.random_point(m, rng, size=B)
     x1 = mf.exp_map(m, x0, mf.random_tangent(m, x0, rng, max_norm=2.0))
     t = 1.0 - fl.EPS_T * rng.uniform(1.0, 2.0, size=B)
-    pairs, _ = fl._flow_pairs(m, x0, mf._blocks(m, x1), t)
-    x_t_error, target_error = _longdouble_errors(m, x0, x1, t, pairs)
+    x_t, v, _ = mf._map(m, fl._flow_target, x0, x1, t=t)
+    x_t_error, target_error = _longdouble_errors(m, x0, x1, t, x_t, v)
     assert x_t_error <= 1e-15 and target_error <= 1e-13
 
 
@@ -143,14 +140,12 @@ def test_batch_on_manifold_and_tangent(manifold, angle, rng):
     x0 = mf.random_point(m, rng, size=B)
     x1 = mf.exp_map(m, x0, mf.random_tangent(m, x0, rng, max_norm=angle))
     t = np.concatenate([rng.uniform(0.0, 1.0 - fl.EPS_T, size=B - 2), [0.0, 1.0 - fl.EPS_T]])
-    pairs, antipodal = fl._flow_pairs(m, x0, mf._blocks(m, x1), t)
+    x_t, v, antipodal = mf._map(m, fl._flow_target, x0, x1, t=t)
     assert not antipodal.any()
-    x_t = mf._unblock(m, [p for p, _ in pairs], (B,))
-    v = mf._unblock(m, [v for _, v in pairs], (B,))
     assert mf.max_constraint_deviation(m, x_t) <= 1e-9
     assert defect(m, x_t, v) <= 1e-9
     if EXTENDED:
-        x_t_error, target_error = _longdouble_errors(m, x0, x1, t, pairs)
+        x_t_error, target_error = _longdouble_errors(m, x0, x1, t, x_t, v)
         assert x_t_error <= 1e-15 and target_error <= 1e-13
 
 
@@ -361,8 +356,8 @@ def test_sample_ode_guidance_evaluates_null_branch(toy_manifold, scale, conditio
 def _sample_ode_chain(m, field, prior, integ, guid, condition, rng, num_samples=None):
     """Reference sampler on whole arrays: per step project_tangent, the
     classifier-free combination (at scale 0 the null-condition field alone,
-    else the projection of v0 + scale (v - v0)), then exp_map(x, h v), as
-    the sampler composed them before its fused pass."""
+    else the projection of v0 + scale (v - v0)), then exp_map(x, h v): the
+    oracle of ``fl._euler_step``, which fuses them per factor in ``mf._map``."""
     if condition is not None:
         condition = np.asarray(condition)
         B = condition.shape[0]
@@ -533,6 +528,49 @@ def test_sample_ode_equals_step_chain_block_by_block(manifold, guidance, monkeyp
         assert all(_same_call(c, d, bitwise) for c, d in zip(mine, block_calls))
         seen += len(block_calls)
     assert seen == len(calls)
+
+
+def _flow_runs(m, x1, prior, params, monkeypatch):
+    """Every output of one batch, one batch that redraws rows 1 and 5, the
+    loss and gradient, and a guided, an unguided and a scale-0 run of the
+    sampler, as bytes."""
+    B = len(x1)
+    cond = 1 + np.arange(B) % 2
+    out = {}
+    with monkeypatch.context() as patch:
+        sizes = _forced_prior(patch, x1, [1, 5])
+        redrawn = fl.make_flow_batch(m, x1, prior, np.random.default_rng(4), conditions=cond)
+    assert sizes == [B, 2]
+    batch = fl.make_flow_batch(m, x1, prior, np.random.default_rng(3), conditions=cond)
+    for name, b in (("batch", batch), ("redrawn", redrawn)):
+        for field in ("x0", "t", "x_t", "target_v", "condition"):
+            out[name, field] = getattr(b, field).tobytes()
+    loss, grad = nn.loss_and_grad(params, batch, m)
+    out["loss"], out["grad"] = np.float64(loss).tobytes(), grad.tobytes()
+    for name, guid in (("guided", fl.GuidanceConfig(scale=2.5, enabled=True)),
+                       ("unguided", fl.GuidanceConfig()),
+                       ("scale0", fl.GuidanceConfig(scale=0.0, enabled=True))):
+        out[name] = fl.sample_ode(m, nn.field_from_params(params), prior, fl.IntegratorConfig(3),
+                                  guid, cond, np.random.default_rng(7), num_samples=B).tobytes()
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 700])
+@pytest.mark.parametrize("manifold", ["toy", "pose", "six_factor"])
+def test_flow_bits_do_not_depend_on_the_chunk(manifold, chunk, monkeypatch):
+    """The batch (a redrawn antipodal row included), the loss and gradient
+    and the sampler have the same bits with ``mf._map``'s chunks cut down to
+    one row or a few as at the default CHUNK_ELEMENTS."""
+    m = mf.ManifoldSpec(ORACLE_MANIFOLDS[manifold])
+    prior = mf.WrappedGaussianSpec(m, mf.random_point(m, np.random.default_rng(1)), 0.5)
+    x1 = mf.sample_wrapped_gaussian(m, prior, np.random.default_rng(2), size=37)
+    spec = nn.NetworkSpec(input_dim=m.total_ambient_dim, hidden_dim=16, num_layers=2,
+                          num_condition_classes=3)
+    rng = np.random.default_rng(5)
+    params = nn.VectorFieldParams(spec, 0.3 * rng.standard_normal(nn.VectorFieldParams(spec).count))
+    default = _flow_runs(m, x1, prior, params, monkeypatch)
+    monkeypatch.setattr(mf, "CHUNK_ELEMENTS", chunk)
+    assert _flow_runs(m, x1, prior, params, monkeypatch) == default
 
 
 needs_blas_setter = pytest.mark.skipif(fl._blas_threads() is None,

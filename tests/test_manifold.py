@@ -64,9 +64,11 @@ def test_factor_integer_fields_reject_non_integers(kwargs, field, bad):
         mf.FactorSpec(**{k: bad if v is None else v for k, v in kwargs.items()})
 
 
-@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("lead", [(), (0,), (5,), (2, 3)])
 def test_blocks_round_trip(lead):
-    """Contiguous factor blocks: coordinate planes for every factor."""
+    """Contiguous factor blocks: coordinate planes for every factor; the
+    identity through ``_map`` gives the array back, zero rows included, and
+    a tuple of blocks gives a tuple of arrays."""
     m = mf.ManifoldSpec([mf.euclidean(3), mf.sphere(3, multiplicity=4), mf.sphere(7),
                          mf.preshape(3, 2, multiplicity=2), mf.euclidean(2, multiplicity=3)])
     a = np.random.default_rng(0).standard_normal(lead + (m.total_ambient_dim,))
@@ -75,7 +77,11 @@ def test_blocks_round_trip(lead):
               (2,) + lead + (3,)]
     assert [b.shape for b in blocks] == shapes
     assert all(b.flags.c_contiguous for b in blocks)
-    assert mf._unblock(m, blocks, lead).tobytes() == a.tobytes()
+    same = mf._map(m, lambda f, b: b, a)
+    assert same.shape == a.shape and same.tobytes() == a.tobytes()
+    same, negated, positive = mf._map(m, lambda f, b: (b, -b, b > 0), a)
+    assert same.tobytes() == a.tobytes() and negated.tobytes() == (-a).tobytes()
+    assert positive.dtype == bool and np.array_equal(positive, a > 0)
 
 
 def test_ambient_dimensions():
